@@ -15,8 +15,8 @@ from .errors import InfeasibleAlphaError, UnsupportedMethodError
 from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
                    population_value_interval, winner_identity_set)
 from .sampling import (DiagonalGaussianSampler, EquicorrelatedSampler,
-                       SampleBank, TableSampler, draw_bank, m_statistic,
-                       mc_order_index, mc_quantile)
+                       TableSampler, draw_bank, m_statistic, mc_order_index,
+                       mc_quantile)
 from .scaled import (ScaledProblem, active_radius_scaled, scaled_worst_case,
                      winner_interval_scaled)
 from .simulate import (SimConfig, SimReport, parse_config_text, run_simulation,
@@ -35,7 +35,7 @@ __all__ = [
     "ActiveRadius", "DiagonalGaussianSampler", "EmpiricalTail",
     "EquicorrelatedSampler", "GaussianTail", "IdentitySet",
     "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval", "Problem",
-    "SampleBank", "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
+    "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
     "StepdownTrace", "SubGaussianTail", "TableSampler", "TailModel",
     "TopKResult", "UnionBound", "UnsupportedMethodError", "WinnerInterval",
     "active_radius", "active_radius_scaled", "contains", "draw_bank",

@@ -20,13 +20,13 @@ import numpy as np
 
 from . import __version__
 from .core import Problem, winner_interval_grid, winner_interval_root
-from .errors import InfeasibleAlphaError, UnsupportedMethodError
+from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
 from .meta import near_winner_interval, winner_identity_set
 from .sampling import EquicorrelatedSampler, DiagonalGaussianSampler, TableSampler, draw_bank
 from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import parse_config_text, run_simulation, width_comparison
 from .stepdown import winner_interval_stepdown
-from .tails import EmpiricalTail, GaussianTail, MonteCarloBound, SubGaussianTail, UnionBound
+from .tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 from .topk import topk_interval, topk_stepdown
 
 
@@ -166,8 +166,7 @@ def _build_bound(args, m: int):
                  else DEFAULT_MC_SAMPLES)
         if n < 1:
             raise InputError("--mc-samples must be >= 1")
-        bank = draw_bank(sampler, n, 0 if args.seed is None else args.seed)
-        return MonteCarloBound(bank)
+        return draw_bank(sampler, n, 0 if args.seed is None else args.seed)
     if args.tail is None:
         raise InputError("give a marginal --tail (or a joint --noise model)")
     model = parse_tail_spec(args.tail)
@@ -353,9 +352,11 @@ def _add_common(sub):
     sub.add_argument("--noise", default=None,
                      help="joint noise for the Monte-Carlo bound: "
                           "equicorrelated:<rho>|independent|table:<csv>")
-    sub.add_argument("--grid-points", type=int, default=2001)
+    sub.add_argument("--grid-points", type=int, default=2001,
+                     help="grid size for union bounds (--noise bounds are swept exactly)")
     sub.add_argument("--refine", action="store_true",
-                     help="bisect the boundary brackets after the grid scan")
+                     help="bisect the boundary brackets after the grid scan "
+                          "(union bounds only)")
     sub.add_argument("--mc-samples", type=int, default=None,
                      help="bank rows for --noise (default 100000, or the whole table)")
     sub.add_argument("--seed", type=int, default=None,
@@ -420,7 +421,7 @@ def main(argv=None) -> int:
     except InfeasibleAlphaError as exc:
         print(f"zoomcurse: infeasible: {exc}", file=sys.stderr)
         return 3
-    except AssertionError as exc:  # pragma: no cover - internal tripwire
+    except InternalCheckError as exc:
         print(f"zoomcurse: internal error: {exc}", file=sys.stderr)
         return 4
     sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")

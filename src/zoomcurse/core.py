@@ -8,8 +8,9 @@ comparing the winner's displacement |X_win - t| against the configuration's
 active radius.
 
 Two inversion strategies are provided: a grid scan of the acceptance
-predicate (works for any joint bound, including Monte-Carlo banks) and a
-direct root solve of the endpoint equations (union bounds only).
+predicate (union bounds; on a Monte-Carlo bank the same entry point sweeps
+the exact breakpoints of the exceed count instead) and a direct root solve
+of the endpoint equations (union bounds only).
 """
 from __future__ import annotations
 
@@ -17,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import InfeasibleAlphaError, UnsupportedMethodError
+from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
 from .sampling import m_statistic, mc_order_index, mc_quantile
 from .tails import MonteCarloBound, UnionBound
 
@@ -138,7 +138,7 @@ def active_radius(bound, gaps, alpha: float, *, tol: float = RADIUS_TOL) -> Acti
     alpha = _check_alpha(alpha)
     gaps = _check_gaps(gaps, bound.m)
     if isinstance(bound, MonteCarloBound):
-        r = mc_quantile(m_statistic(bound.samples, gaps), 1.0 - alpha)
+        r = mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
     else:
         halfgaps = 0.5 * gaps
         hi = _union_feasible_radius(bound, alpha / bound.m)
@@ -192,7 +192,8 @@ def contains(problem: Problem, t: float) -> bool:
     ar = active_radius(problem.bound, gaps, problem.alpha)
     # the empirical winner is active in its own worst case (gap 0) -- keep
     # the check as a tripwire for the construction above
-    assert i_hat in ar.active
+    if i_hat not in ar.active:
+        raise InternalCheckError("the winner must be active in its own worst case")
     return bool(abs(problem.x[i_hat] - t) <= ar.r)
 
 
@@ -205,11 +206,11 @@ def _mc_accept_threshold(n: int, alpha: float) -> int:
     return n - mc_order_index(1.0 - alpha, n) + 1
 
 
-def _merged_interval_counts(L, U, grid) -> np.ndarray:
-    """Per grid point, count rows whose union of open intervals (L, U) covers it.
+def _merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row unions of the open intervals (L, U), as flat (starts, ends).
 
     Intervals within one row are merged first so each row counts at most
-    once; the merged pieces then feed a difference-array histogram.
+    once; touching open intervals stay separate: (a,b) and (b,c) omit b.
     """
     n, m = L.shape
     empty = ~(U > L)
@@ -219,29 +220,72 @@ def _merged_interval_counts(L, U, grid) -> np.ndarray:
     ls = np.take_along_axis(l_key, order, axis=1)
     us = np.take_along_axis(u_val, order, axis=1)
     umax = np.maximum.accumulate(us, axis=1)
-    valid = np.isfinite(ls)
-    new = valid.copy()
+    new = np.isfinite(ls)
     if m > 1:
-        # touching open intervals stay separate: (a,b) and (b,c) omit b
         new[:, 1:] &= ls[:, 1:] >= umax[:, :-1]
     rows, cols = np.nonzero(new)
-    counts = np.zeros(grid.size + 1, dtype=np.int64)
     if rows.size == 0:
-        return counts[:-1]
-    starts = ls[rows, cols]
+        return np.empty(0), np.empty(0)
     last = np.empty(rows.size, dtype=bool)
     last[:-1] = rows[1:] != rows[:-1]
     last[-1] = True
     next_col = np.concatenate([cols[1:], [1]])
-    ends = umax[rows, np.where(last, m - 1, next_col - 1)]
-    i0 = np.searchsorted(grid, starts, side="right")
-    i1 = np.searchsorted(grid, ends, side="left")
-    np.add.at(counts, i0, 1)
-    np.add.at(counts, np.minimum(i1, grid.size), -1)
-    return np.cumsum(counts)[:-1]
+    return ls[rows, cols], umax[rows, np.where(last, m - 1, next_col - 1)]
 
 
 _MC_CHUNK_ELEMS = 4_000_000
+
+
+def _mc_sweep(bound: MonteCarloBound, alpha: float, intervals, lo: float, hi: float):
+    """Exact acceptance cells of a Monte-Carlo bank on [lo, hi].
+
+    ``intervals(a)`` maps rows of |xi| to the open per-coordinate intervals
+    (L, U) on which each row exceeds.  Clipped to [lo, hi] and merged per
+    row, their pieces make the exceed count piecewise constant: just right
+    of a breakpoint p it is #{starts <= p} - #{ends <= p}.  Returns the
+    sorted breakpoints (lo and hi included) and, for each open cell between
+    neighbours, whether its count reaches the acceptance threshold.
+    """
+    a_all = bound.abs_samples
+    n, m = a_all.shape
+    chunk = max(1, _MC_CHUNK_ELEMS // m)
+    starts, ends = [], []
+    for s in range(0, n, chunk):
+        low, high = intervals(a_all[s:s + chunk])
+        piece_starts, piece_ends = _merged_pieces(np.maximum(low, lo), np.minimum(high, hi))
+        starts.append(piece_starts)
+        ends.append(piece_ends)
+    starts = np.sort(np.concatenate(starts))
+    ends = np.sort(np.concatenate(ends))
+    inside = np.unique(np.concatenate([starts, ends]))
+    points = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
+    count = (np.searchsorted(starts, points[:-1], side="right")
+             - np.searchsorted(ends, points[:-1], side="right"))
+    return points, count >= _mc_accept_threshold(n, alpha)
+
+
+def _accepted_span(accept) -> tuple[int, int, bool, int]:
+    """First and last accepted cell, whether rejected cells lie between them,
+    and how many cells were accepted."""
+    if not accept.any():
+        raise InternalCheckError("no point accepted; t = X_winner must be a member")
+    first = int(np.argmax(accept))
+    last = accept.size - 1 - int(np.argmax(accept[::-1]))
+    return first, last, not bool(accept[first:last + 1].all()), int(np.count_nonzero(accept))
+
+
+def _bisect_edges(accepted, bad, good, iters: int = 50) -> np.ndarray:
+    """Shrink brackets [bad, good] around acceptance boundaries in lockstep.
+
+    ``accepted`` maps a vector of points to a boolean vector, one entry per
+    bracket.  Returns the rejected ends, so every edge errs outward.
+    """
+    for _ in range(iters):
+        mid = 0.5 * (bad + good)
+        ok = accepted(mid)
+        good = np.where(ok, mid, good)
+        bad = np.where(ok, bad, mid)
+    return bad
 
 
 def _winner_accept_union(bound, x, winner: int, grid, alpha: float) -> np.ndarray:
@@ -253,45 +297,6 @@ def _winner_accept_union(bound, x, winner: int, grid, alpha: float) -> np.ndarra
     return vals > alpha
 
 
-def _winner_accept_mc(bound, x, winner: int, grid, alpha: float) -> np.ndarray:
-    a_all = bound._abs
-    n, m = a_all.shape
-    counts = np.zeros(grid.size, dtype=np.int64)
-    chunk = max(1, _MC_CHUNK_ELEMS // m)
-    for s in range(0, n, chunk):
-        a = a_all[s:s + chunk]
-        # row exceeds at t iff t falls in some (X_win - |xi_j|,
-        # min(X_win + |xi_j|, X_j + 3 |xi_j|)): .. the membership condition
-        # |xi_j| > max(|X_win - t|, halfgap_j(t)) rewritten as a t-interval
-        low = x[winner] - a
-        high = np.minimum(x[winner] + a, x[None, :] + 3.0 * a)
-        counts += _merged_interval_counts(low, high, grid)
-    return counts >= _mc_accept_threshold(n, alpha)
-
-
-def _accept_scalar(problem: Problem, t: float) -> bool:
-    x, bound = problem.x, problem.bound
-    i_hat = problem.winner
-    w = abs(x[i_hat] - t)
-    half = _worst_case_halfgaps(x, i_hat, t)
-    widths = np.maximum(w, half)
-    if isinstance(bound, MonteCarloBound):
-        exceed = int(np.count_nonzero(np.any(bound._abs > widths, axis=1)))
-        return exceed >= _mc_accept_threshold(bound.n, problem.alpha)
-    return bool(bound.exceedance(widths) > problem.alpha)
-
-
-def _bisect_edge(pred, bad: float, good: float, iters: int = 50) -> float:
-    """Shrink [bad, good] around the acceptance boundary; return the rejected end."""
-    for _ in range(iters):
-        mid = 0.5 * (bad + good)
-        if pred(mid):
-            good = mid
-        else:
-            bad = mid
-    return bad
-
-
 def winner_interval_grid(problem: Problem, grid_points: int = 2001, *,
                          refine: bool = False) -> WinnerInterval:
     """Invert the acceptance test on a uniform grid over the widest possible interval.
@@ -301,6 +306,12 @@ def winner_interval_grid(problem: Problem, grid_points: int = 2001, *,
     the two boundary brackets are bisected down to ~1e-12 and the rejected
     ends returned, which stays conservative while removing the one-step
     slack.
+
+    On a Monte-Carlo bound the acceptance set is found exactly instead, by a
+    sweep over the breakpoints of the exceed count; ``grid_points`` and
+    ``refine`` then do not change the result.  The diagnostics count the
+    sweep's cells as ``grid_points``/``accepted_points``, with ``grid_step``
+    0 and ``refined`` false.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
@@ -308,30 +319,35 @@ def winner_interval_grid(problem: Problem, grid_points: int = 2001, *,
     i_hat = problem.winner
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
     lo, hi = x[i_hat] - r0, x[i_hat] + r0
-    grid = np.linspace(lo, hi, grid_points)
-    step = (hi - lo) / (grid_points - 1)
     if isinstance(bound, MonteCarloBound):
-        accept = _winner_accept_mc(bound, x, i_hat, grid, alpha)
+        xw = x[i_hat]
+        # row exceeds at t iff t falls in some (X_win - |xi_j|,
+        # min(X_win + |xi_j|, X_j + 3 |xi_j|)): the membership condition
+        # |xi_j| > max(|X_win - t|, halfgap_j(t)) rewritten as a t-interval
+        points, accept = _mc_sweep(
+            bound, alpha, lambda a: (xw - a, np.minimum(xw + a, x + 3.0 * a)), lo, hi)
+        first, last, bridged, accepted = _accepted_span(accept)
+        t_l, t_u, step, refine = points[first], points[last + 1], 0.0, False
     else:
+        grid = np.linspace(lo, hi, grid_points)
+        step = (hi - lo) / (grid_points - 1)
         accept = _winner_accept_union(bound, x, i_hat, grid, alpha)
-    if not accept.any():
-        raise AssertionError("no grid point accepted; t = X_winner must be a member")
-    first = int(np.argmax(accept))
-    last = grid_points - 1 - int(np.argmax(accept[::-1]))
-    bridged = not bool(accept[first:last + 1].all())
-    if refine:
-        t_l = lo if first == 0 else _bisect_edge(
-            lambda t: _accept_scalar(problem, t), grid[first] - step, grid[first])
-        t_u = hi if last == grid_points - 1 else _bisect_edge(
-            lambda t: _accept_scalar(problem, t), grid[last] + step, grid[last])
-    else:
+        first, last, bridged, accepted = _accepted_span(accept)
         t_l = max(grid[first] - step, lo)
         t_u = min(grid[last] + step, hi)
+        inner = np.array([first > 0, last < grid_points - 1])
+        if refine and inner.any():
+            bad = np.array([grid[first] - step, grid[last] + step])
+            good = np.array([grid[first], grid[last]])
+            bad[inner] = _bisect_edges(
+                lambda t: _winner_accept_union(bound, x, i_hat, t, alpha),
+                bad[inner], good[inner])
+            t_l, t_u = np.where(inner, bad, (t_l, t_u))
     diagnostics = {
-        "grid_points": grid_points,
+        "grid_points": int(accept.size),
         "grid_step": step,
         "zero_gap_radius": r0,
-        "accepted_points": int(np.count_nonzero(accept)),
+        "accepted_points": accepted,
         "bridged": bridged,
         "refined": bool(refine),
     }
@@ -339,10 +355,13 @@ def winner_interval_grid(problem: Problem, grid_points: int = 2001, *,
                           "grid", diagnostics)
 
 
-def _endpoint_sum(bound: UnionBound, dhat, r, sign: float):
-    """Union bound along the worst case at radius r: sum_j S_j(max(r, (dhat_j +- r)/3))."""
-    r = np.asarray(r, dtype=float)
-    widths = np.maximum(r[..., None], (dhat + sign * r[..., None]) / 3.0)
+def _endpoint_sum(bound: UnionBound, dhat, r, sign):
+    """Union bound along the worst case at radius r: sum_j S_j(max(r, (dhat_j +- r)/3)).
+
+    ``sign`` (+1 upper, -1 lower) broadcasts against ``r``.
+    """
+    r = np.asarray(r, dtype=float)[..., None]
+    widths = np.maximum(r, (dhat + np.asarray(sign)[..., None] * r) / 3.0)
     return bound.exceedance(widths)
 
 
@@ -353,7 +372,9 @@ def winner_interval_root(problem: Problem, *, tol: float = RADIUS_TOL,
     The upper-radius equation is strictly decreasing and has a unique root.
     The lower-radius equation need not be monotone, so the largest root is
     located by scanning downward from the zero-gap radius in ``scan_steps``
-    coarse steps before bracketing.
+    coarse steps before bracketing.  Both brackets are bisected in lockstep
+    to width ``tol`` and their rejected (outer) ends returned, so each
+    radius errs wide by at most ``tol``.
     """
     bound = problem.bound
     if not isinstance(bound, UnionBound):
@@ -362,25 +383,26 @@ def winner_interval_root(problem: Problem, *, tol: float = RADIUS_TOL,
     i_hat = problem.winner
     dhat = x[i_hat] - x
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-
-    def f_upper(r):
-        return float(_endpoint_sum(bound, dhat, np.asarray(r), +1.0)) - alpha
-
-    def f_lower(r):
-        return float(_endpoint_sum(bound, dhat, np.asarray(r), -1.0)) - alpha
-
-    if f_upper(r0) >= 0.0:
-        r_u = r0  # both reductions to the zero-gap radius land here exactly
-    else:
-        r_u = float(brentq(f_upper, 0.0, r0, xtol=tol))
-    if f_lower(r0) >= -1e-12:
-        r_l = r0
-    else:
+    sign = np.array([-1.0, 1.0])  # lower, upper
+    # a radius stays at r0 when the sum there already reaches alpha; both
+    # reductions to the zero-gap radius land here exactly
+    inner = np.array([float(_endpoint_sum(bound, dhat, r0, -1.0)) - alpha < -1e-12,
+                      float(_endpoint_sum(bound, dhat, r0, +1.0)) - alpha < 0.0])
+    bad = np.array([r0, r0])
+    good = np.zeros(2)
+    if inner[0]:
         rs = np.linspace(r0, 0.0, scan_steps + 1)
         vals = np.asarray(_endpoint_sum(bound, dhat, rs, -1.0)) - alpha
         k = int(np.argmax(vals >= 0.0))  # exists: the sum is >= 1 - alpha at r = 0
-        r_l = float(brentq(f_lower, rs[k], rs[k - 1], xtol=tol))
-    assert r_l >= r_u - 1e-9, "lower radius cannot undercut the upper radius"
+        bad[0], good[0] = rs[k - 1], rs[k]
+    if inner.any():
+        iters = int(np.ceil(np.log2(max(r0, tol) / tol)))  # r0 is 0 for a zero-noise tail
+        bad[inner] = _bisect_edges(
+            lambda r: np.asarray(_endpoint_sum(bound, dhat, r, sign[inner])) >= alpha,
+            bad[inner], good[inner], iters)
+    r_l, r_u = float(bad[0]), float(bad[1])
+    if r_l < r_u - 1e-9:
+        raise InternalCheckError("lower radius cannot undercut the upper radius")
     diagnostics = {
         "zero_gap_radius": r0,
         "scan_steps": scan_steps,

@@ -7,3 +7,7 @@ class InfeasibleAlphaError(RuntimeError):
 
 class UnsupportedMethodError(ValueError):
     """The requested method does not support this bound or problem type."""
+
+
+class InternalCheckError(RuntimeError):
+    """An internal invariant failed: a defect in the package, not in the input."""

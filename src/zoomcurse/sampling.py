@@ -1,4 +1,4 @@
-"""Noise samplers, reusable sample banks, and Monte-Carlo quantiles.
+"""Noise samplers, Monte-Carlo banks of |xi|, and Monte-Carlo quantiles.
 
 Banks are drawn in fixed-size blocks whose generators are seeded by hashing
 (master seed, block index) through numpy's SeedSequence.  The bank contents
@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tails import MonteCarloBound
 
 BLOCK_ROWS = 1 << 16
 
@@ -97,67 +99,43 @@ class TableSampler:
         return self.rows[:n]
 
 
-@dataclass(frozen=True)
-class SampleBank:
-    """Read-only matrix of noise draws shared across radius evaluations."""
+def draw_bank(sampler, n: int, seed: int) -> MonteCarloBound:
+    """Draw ``n`` rows from ``sampler`` into a Monte-Carlo bound over |xi|.
 
-    samples: np.ndarray = field(repr=False)
-    seed: int | None = None
-    exchangeable: bool = False
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[0] == 0:
-            raise ValueError("bank must be a non-empty 2-d array")
-        samples = samples.copy() if samples.flags.writeable else samples
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.samples.shape[1]
-
-
-def draw_bank(sampler, n: int, seed: int) -> SampleBank:
-    """Draw ``n`` rows from ``sampler`` into an immutable bank.
-
-    Table samplers pass their rows through verbatim (the seed is recorded
-    but unused).  Random samplers are drawn block-by-block with per-block
-    generators seeded from SeedSequence((seed, block)), so the result is
-    bit-identical however the blocks are scheduled.
+    Table samplers pass their rows through verbatim (the seed is unused).
+    Random samplers are drawn block-by-block with per-block generators
+    seeded from SeedSequence((seed, block)), so the result is bit-identical
+    however the blocks are scheduled.  Each block is folded into the one
+    preallocated |xi| array as it is drawn; no signed copy is kept.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(sampler, TableSampler):
-        return SampleBank(sampler.draw(np.random.default_rng(0), n), seed=seed,
-                          exchangeable=sampler.exchangeable)
-    parts = []
+        return MonteCarloBound(sampler.draw(np.random.default_rng(0), n),
+                               sampler.exchangeable)
+    bank = np.empty((n, sampler.m))
     for block, start in enumerate(range(0, n, BLOCK_ROWS)):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), block]))
         # draw the full block even when fewer rows are needed: a bank of
         # size n must be a bit-exact prefix of any larger bank
-        parts.append(sampler.draw(rng, BLOCK_ROWS)[:n - start])
-    return SampleBank(np.concatenate(parts, axis=0), seed=seed,
-                      exchangeable=sampler.exchangeable)
+        rows = sampler.draw(rng, BLOCK_ROWS)[:n - start]
+        np.abs(rows, out=bank[start:start + rows.shape[0]])
+    bank.setflags(write=False)
+    return MonteCarloBound(bank, sampler.exchangeable)
 
 
-def m_statistic(bank, gaps) -> np.ndarray:
+def m_statistic(bound: MonteCarloBound, gaps) -> np.ndarray:
     """Per-row max of |xi_j| over coordinates with |xi_j| > gaps_j / 2.
 
     Rows where no coordinate clears its half-gap contribute 0.  Infinite
     gaps knock their coordinate out entirely.
     """
-    samples = getattr(bank, "samples", bank)
+    a = bound.abs_samples
     gaps = np.asarray(gaps, dtype=float)
-    if gaps.ndim != 1 or gaps.size != samples.shape[1]:
+    if gaps.ndim != 1 or gaps.size != a.shape[1]:
         raise ValueError("gaps must be 1-d with one entry per coordinate")
     if np.any(np.isnan(gaps)) or np.any(gaps < 0):
         raise ValueError("gaps must be non-negative")
-    a = np.abs(samples)
     return np.max(np.where(a > 0.5 * gaps, a, 0.0), axis=1)
 
 

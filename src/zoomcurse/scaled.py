@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ActiveRadius, Problem, WinnerInterval, _check_scores,
-                   active_radius)
+from .core import (ActiveRadius, Problem, WinnerInterval, _accepted_span,
+                   _check_scores, active_radius)
 from .errors import UnsupportedMethodError
 from .tails import UnionBound
 
@@ -153,10 +153,7 @@ def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001, *,
                                        t_hi, n_star)
         accept[s] = ok
         edge_hits += int(ok and edge_only)
-    if not accept.any():
-        raise AssertionError("no grid point accepted; t = X_winner must be a member")
-    first = int(np.argmax(accept))
-    last = grid_points - 1 - int(np.argmax(accept[::-1]))
+    first, last, bridged, accepted = _accepted_span(accept)
     t_l = max(grid[first] - step, lo)
     t_u = min(grid[last] + step, hi)
     diagnostics = {
@@ -165,8 +162,8 @@ def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001, *,
         "zero_gap_radius": r0,
         "secondary_points": n_star,
         "secondary_edge_hits": edge_hits,
-        "accepted_points": int(np.count_nonzero(accept)),
-        "bridged": not bool(accept[first:last + 1].all()),
+        "accepted_points": accepted,
+        "bridged": bridged,
     }
     return WinnerInterval(float(t_l), float(t_u), float(x[i_hat]), i_hat, alpha,
                           "scaled-grid", diagnostics)

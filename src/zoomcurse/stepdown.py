@@ -9,6 +9,11 @@ these give closed-form-cheap but slightly wider intervals.
 
 Requires identical marginal tails across coordinates (the budget shares
 alpha_j / (m - j + 1) assume one shared quantile function).
+
+Both radii are clamped at the Bonferroni radius S_inv(alpha / m): the
+endpoint-equation roots never exceed it, so the clamped interval still
+contains the root interval.  A trace's steps record the walk as taken;
+its ``radius`` is the clamped result.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Problem, WinnerInterval, _check_alpha
-from .errors import InfeasibleAlphaError, UnsupportedMethodError
+from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
 from .tails import UnionBound
 
 
@@ -71,6 +76,30 @@ def _isf(model, q: float) -> float:
         raise InfeasibleAlphaError(str(exc)) from exc
 
 
+def _walk(gaps, model, alpha: float, side: str) -> StepdownTrace:
+    alpha = _check_alpha(alpha)
+    g, order = _sorted_gaps(gaps)
+    m = g.size
+    lower = side == "lower"
+    r_bonf = _isf(model, alpha / m)
+    r_base = _isf(model, alpha)
+    budget = alpha
+    steps = []
+    for j in range(m):
+        try:
+            r = _isf(model, budget / (m - j))
+        except InfeasibleAlphaError:
+            # budget exhausted: the Bonferroni radius is valid on its own
+            r, stop = r_bonf, True
+        else:
+            stop = g[j] <= (4.0 if lower else 2.0) * r
+        steps.append(StepdownStep(int(order[j]), float(g[j]), budget, r, stop))
+        if stop:
+            return StepdownTrace(min(r, r_bonf), side, alpha, tuple(steps))
+        budget -= float(model.sf(((g[j] - r) if lower else (g[j] + r_base)) / 3.0))
+    raise InternalCheckError("step-down must stop at the zero gap")
+
+
 def stepdown_lower(gaps, model, alpha: float) -> StepdownTrace:
     """Radius for the interval's lower end: stop once the gap is within 4 radii.
 
@@ -78,41 +107,19 @@ def stepdown_lower(gaps, model, alpha: float) -> StepdownTrace:
     rejection region at the lower endpoint's worst case and gives back
     S((gap - radius) / 3) of budget.
     """
-    alpha = _check_alpha(alpha)
-    g, order = _sorted_gaps(gaps)
-    m = g.size
-    budget = alpha
-    steps = []
-    for j in range(m):
-        r = _isf(model, budget / (m - j))
-        stop = g[j] <= 4.0 * r
-        steps.append(StepdownStep(int(order[j]), float(g[j]), budget, r, stop))
-        if stop:
-            return StepdownTrace(r, "lower", alpha, tuple(steps))
-        budget -= float(model.sf((g[j] - r) / 3.0))
-    raise AssertionError("step-down must stop at the zero gap")  # pragma: no cover
+    return _walk(gaps, model, alpha, "lower")
 
 
 def stepdown_upper(gaps, model, alpha: float) -> StepdownTrace:
     """Radius for the interval's upper end: stop once the gap is within 2 radii.
 
     The budget refund here is S((gap + r_base) / 3) with r_base the single
-    undivided quantile, computed once up front.
+    undivided quantile, computed once up front.  With many rivals those
+    refunds can outrun the per-rival share, so the radius is clamped at the
+    Bonferroni radius S_inv(alpha / m), and a walk that exhausts its budget
+    stops there instead of failing.
     """
-    alpha = _check_alpha(alpha)
-    g, order = _sorted_gaps(gaps)
-    m = g.size
-    r_base = _isf(model, alpha)
-    budget = alpha
-    steps = []
-    for j in range(m):
-        r = _isf(model, budget / (m - j))
-        stop = g[j] <= 2.0 * r
-        steps.append(StepdownStep(int(order[j]), float(g[j]), budget, r, stop))
-        if stop:
-            return StepdownTrace(r, "upper", alpha, tuple(steps))
-        budget -= float(model.sf((g[j] + r_base) / 3.0))
-    raise AssertionError("step-down must stop at the zero gap")  # pragma: no cover
+    return _walk(gaps, model, alpha, "upper")
 
 
 def winner_interval_stepdown(problem: Problem) -> WinnerInterval:

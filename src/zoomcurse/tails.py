@@ -141,6 +141,9 @@ class UnionBound:
         if len(models) == 0:
             raise ValueError("need at least one marginal model")
         object.__setattr__(self, "models", models)
+        # O(m) comparisons: done once here, not on every exceedance call
+        object.__setattr__(self, "_identical",
+                           all(mod == models[0] for mod in models[1:]))
 
     @property
     def m(self) -> int:
@@ -148,7 +151,7 @@ class UnionBound:
 
     @property
     def identical_marginals(self) -> bool:
-        return all(mod == self.models[0] for mod in self.models[1:])
+        return self._identical
 
     @property
     def exchangeable(self) -> bool:
@@ -176,39 +179,42 @@ class MonteCarloBound:
     """Empirical joint exceedance over a bank of noise draws.
 
     Exact (up to Monte-Carlo error) for the sampled noise law instead of a
-    conservative union; ``exchangeable`` records whether the coordinates of
-    the sampled law are exchangeable, which symmetric-bound consumers check.
+    conservative union.  Only |xi| enters any bound, so the bank is held
+    once, as a read-only n x m array of absolute draws: signed draws are
+    folded on construction, and a read-only non-negative array (what
+    ``draw_bank`` builds) is adopted without a copy.  ``exchangeable``
+    records whether the coordinates of the sampled law are exchangeable,
+    which symmetric-bound consumers check.
     """
 
-    samples: np.ndarray = field(repr=False)
+    abs_samples: np.ndarray = field(repr=False)
     exchangeable: bool = False
 
     def __post_init__(self):
-        samples = getattr(self.samples, "samples", self.samples)
-        exch = self.exchangeable or bool(getattr(self.samples, "exchangeable", False))
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[0] == 0:
+        a = np.asarray(self.abs_samples, dtype=float)
+        if a.ndim != 2 or a.shape[0] == 0:
             raise ValueError("sample bank must be a non-empty 2-d array")
-        if not np.all(np.isfinite(samples)):
+        if not np.all(np.isfinite(a)):
             raise ValueError("sample bank must be finite")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "exchangeable", exch)
-        object.__setattr__(self, "_abs", np.abs(samples))
+        if a.flags.writeable or np.any(np.signbit(a)):
+            a = np.abs(a)
+            a.setflags(write=False)
+        object.__setattr__(self, "abs_samples", a)
 
     @property
     def m(self) -> int:
-        return self.samples.shape[1]
+        return self.abs_samples.shape[1]
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self.abs_samples.shape[0]
 
     def exceedance(self, widths) -> float:
         """Fraction of bank rows with some |xi_j| strictly above widths_j."""
         w = _as_radii(widths)
         if w.shape != (self.m,):
             raise ValueError(f"width vector must have shape ({self.m},)")
-        return float(np.mean(np.any(self._abs > w, axis=1)))
+        return float(np.mean(np.any(self.abs_samples > w, axis=1)))
 
 
 JointBound = Union[UnionBound, MonteCarloBound]

@@ -5,7 +5,7 @@ inverting an acceptance test along the one-parameter path of least
 favorable mean vectors ``tilde_theta(x, k, r)``: winners pinned at
 X_j - r, every loser pulled up toward the k-th winner's value.  Accepted
 radii form an interval starting at 0, so the grid scan keeps the largest
-accepted point and rounds outward.
+accepted point and rounds outward; a Monte-Carlo bank is swept exactly.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Problem, _bisect_edge, _check_scores, _mc_accept_threshold,
-                   _merged_interval_counts, _MC_CHUNK_ELEMS, active_radius)
+from .core import (Problem, _accepted_span, _bisect_edges, _check_scores, _mc_sweep,
+                   active_radius)
 from .stepdown import marginal_model, stepdown_lower
 from .tails import MonteCarloBound
 
@@ -77,35 +77,9 @@ def _topk_halfgaps(x, win, r) -> np.ndarray:
     return half
 
 
-def _accept_scalar_topk(problem: Problem, win, r: float) -> bool:
-    if r <= 0.0:
-        return True
-    x, bound = problem.x, problem.bound
-    widths = np.maximum(float(r), _topk_halfgaps(x, win, r))
-    if isinstance(bound, MonteCarloBound):
-        exceed = int(np.count_nonzero(np.any(bound._abs > widths, axis=1)))
-        return exceed >= _mc_accept_threshold(bound.n, problem.alpha)
-    return bool(bound.exceedance(widths) > problem.alpha)
-
-
 def _topk_accept_union(bound, x, win, grid, alpha) -> np.ndarray:
     widths = np.maximum(grid[:, None], _topk_halfgaps(x, win, grid[:, None]))
     return np.asarray(bound.exceedance(widths)) > alpha
-
-
-def _topk_accept_mc(bound, x, win, grid, alpha) -> np.ndarray:
-    a_all = bound._abs
-    n, m = a_all.shape
-    # gap of coordinate j at radius r is relu(2 (X_(k) - r - X_j) / 3); the
-    # row condition any_j |xi_j| > max(r, gap_j/2) is, in r, the union of
-    # open intervals (dhat_j - 3 |xi_j|, |xi_j|) with dhat_j = X_(k) - X_j
-    dhat = x[win[-1]] - x
-    counts = np.zeros(grid.size, dtype=np.int64)
-    chunk = max(1, _MC_CHUNK_ELEMS // m)
-    for s in range(0, n, chunk):
-        a = a_all[s:s + chunk]
-        counts += _merged_interval_counts(dhat[None, :] - 3.0 * a, a, grid)
-    return counts >= _mc_accept_threshold(n, alpha)
 
 
 def topk_interval(problem: Problem, k: int, grid_points: int = 2001, *,
@@ -114,33 +88,41 @@ def topk_interval(problem: Problem, k: int, grid_points: int = 2001, *,
 
     r = 0 is always a member; the returned radius rounds one step outward
     past the last accepted grid point (or bisects the bracket under
-    ``refine``), so resolution errs wide.
+    ``refine``), so resolution errs wide.  On a Monte-Carlo bound the
+    accepted radii are swept exactly and ``grid_points``/``refine`` do not
+    change the result (see ``winner_interval_grid``).
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     x, bound, alpha = problem.x, problem.bound, problem.alpha
     win = top_indices(x, k)
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-    grid = np.linspace(0.0, r0, grid_points)
-    step = r0 / (grid_points - 1)
     if isinstance(bound, MonteCarloBound):
-        accept = _topk_accept_mc(bound, x, win, grid, alpha)
+        # gap of coordinate j at radius r is relu(2 (X_(k) - r - X_j) / 3); the
+        # row condition any_j |xi_j| > max(r, gap_j/2) is, in r, the union of
+        # open intervals (dhat_j - 3 |xi_j|, |xi_j|) with dhat_j = X_(k) - X_j
+        dhat = x[win[-1]] - x
+        points, accept = _mc_sweep(bound, alpha, lambda a: (dhat - 3.0 * a, a), 0.0, r0)
+        step, refine = 0.0, False
     else:
-        accept = _topk_accept_union(bound, x, win, grid, alpha)
+        points = np.linspace(0.0, r0, grid_points)
+        step = r0 / (grid_points - 1)
+        accept = _topk_accept_union(bound, x, win, points, alpha)
     accept[0] = True  # the zero radius never leaves the region
-    last = grid_points - 1 - int(np.argmax(accept[::-1]))
-    bridged = not bool(accept[:last + 1].all())
-    if refine and last < grid_points - 1:
-        r_max = _bisect_edge(lambda r: _accept_scalar_topk(problem, win, r),
-                             grid[last] + step, grid[last])
+    _, last, bridged, accepted = _accepted_span(accept)
+    if isinstance(bound, MonteCarloBound):
+        r_max = points[last + 1]
+    elif refine and last < grid_points - 1:
+        r_max = _bisect_edges(lambda r: _topk_accept_union(bound, x, win, r, alpha),
+                              np.array([points[last] + step]), np.array([points[last]]))[0]
     else:
-        r_max = min(grid[last] + step, r0)
+        r_max = min(points[last] + step, r0)
     boxes = np.stack([x[win] - r_max, x[win] + r_max], axis=1)
     diagnostics = {
-        "grid_points": grid_points,
+        "grid_points": int(accept.size),
         "grid_step": step,
         "zero_gap_radius": r0,
-        "accepted_points": int(np.count_nonzero(accept)),
+        "accepted_points": accepted,
         "bridged": bridged,
         "refined": bool(refine),
     }

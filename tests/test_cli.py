@@ -139,6 +139,22 @@ class TestWinnerCi:
                                 "--method", "root"])
         assert env["result"]["width"] > 0
 
+    def test_stepdown_empirical_tail_many_far_rivals(self, capsys, tmp_path):
+        # a lone leader 8 above 49 rivals under a |t_5| tail: the upper
+        # walk's refunds exhaust the budget, which used to exit 3
+        rng = np.random.default_rng(0)
+        knots = tmp_path / "t5.txt"
+        knots.write_text("\n".join(repr(float(v)) for v in np.abs(rng.standard_t(5, size=500))))
+        x = rng.normal(size=50)
+        x[rng.integers(50)] = x.max() + 8.0
+        table = tmp_path / "lone.csv"
+        table.write_text("label,score\n" + "".join(f"c{j},{float(v)!r}\n" for j, v in enumerate(x)))
+        env = run_json(capsys, ["winner-ci", "--input", str(table), "--alpha", "0.1",
+                                "--tail", f"empirical:{knots}", "--method", "stepdown"])
+        r_bonf = parse_tail_spec(f"empirical:{knots}").isf(0.1 / 50)
+        assert env["result"]["radius_upper"] == pytest.approx(r_bonf, abs=1e-12)
+        assert env["result"]["radius_lower"] <= r_bonf
+
     def test_table_noise_runs_without_seed(self, capsys, scores_csv, tmp_path):
         rng = np.random.default_rng(1)
         rows = tmp_path / "noise.csv"
@@ -231,6 +247,15 @@ class TestExitCodes:
         assert code == 3
         assert "infeasible" in err
 
+    def test_internal_check_exits_4(self, capsys, scores_csv, monkeypatch):
+        # no grid point accepted breaks the t = X_winner membership invariant
+        monkeypatch.setattr("zoomcurse.core._winner_accept_union",
+                            lambda bound, x, winner, grid, alpha: np.zeros(grid.size, bool))
+        code, out, err = run_cli(capsys, ["winner-ci", "--input", scores_csv,
+                                          "--alpha", "0.1", "--tail", "gaussian:1"])
+        assert code == 4 and out == ""
+        assert "internal error" in err
+
     def test_version_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -247,3 +272,8 @@ class TestByteStability:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         jsonschema.validate(json.loads(first.stdout), SCHEMA)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    code = "import sys, zoomcurse.cli; sys.exit('scipy.optimize' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True)

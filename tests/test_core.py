@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from zoomcurse.core import (Problem, _accept_scalar, _winner_accept_mc,
-                            _winner_accept_union, active_radius, contains,
-                            winner_interval_grid, winner_interval_root,
+from zoomcurse.core import (Problem, _mc_accept_threshold, _mc_sweep,
+                            _merged_pieces, _winner_accept_union, active_radius,
+                            contains, winner_interval_grid, winner_interval_root,
                             worst_case_theta)
 from zoomcurse.errors import InfeasibleAlphaError, UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
-from zoomcurse.tails import GaussianTail, MonteCarloBound, UnionBound
+from zoomcurse.tails import EmpiricalTail, GaussianTail, MonteCarloBound, UnionBound
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -94,7 +94,7 @@ class TestActiveRadius:
 
     def test_mc_matches_quantile_definition(self):
         bank = draw_bank(EquicorrelatedSampler(3, 0.4), 2000, seed=9)
-        b = MonteCarloBound(bank)
+        b = bank
         g = np.array([0.0, 1.0, 3.0])
         r = active_radius(b, g, 0.1).r
         # exactly the conservative order statistic: just feasible at r,
@@ -170,9 +170,15 @@ class TestWinnerIntervalRoot:
             assert iv.r_u <= iv.r_l + 1e-9
             assert iv.r_l <= iv.diagnostics["zero_gap_radius"] + 1e-12
 
+    def test_zero_noise_tail_gives_point_interval(self):
+        # an all-zero empirical table has zero-gap radius 0: nothing to bracket
+        bound = UnionBound((EmpiricalTail([0.0, 0.0, 0.0]),) * 2)
+        iv = winner_interval_root(Problem(np.array([1.0, 0.0]), bound, 0.1))
+        assert (iv.t_l, iv.t_u) == (1.0, 1.0)
+
     def test_rejects_mc_bound(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.0), 100, seed=0)
-        p = Problem(np.array([1.0, 0.0]), MonteCarloBound(bank), 0.1)
+        p = Problem(np.array([1.0, 0.0]), bank, 0.1)
         with pytest.raises(UnsupportedMethodError):
             winner_interval_root(p)
 
@@ -214,42 +220,88 @@ class TestWinnerIntervalGrid:
             winner_interval_grid(gaussian_problem([1.0]), 2)
 
 
+def _worst_case_widths(x, winner, t):
+    theta = worst_case_theta(x, winner, t)
+    return np.maximum(abs(x[winner] - t), 0.5 * (theta.max() - theta))
+
+
+def _direct_accepts(x, winner, t, abs_rows, alpha) -> bool:
+    """Acceptance of one winner value t from its definition: widths from the
+    worst case, then a direct count of exceeding rows."""
+    widths = _worst_case_widths(x, winner, t)
+    exceed = int(np.count_nonzero(np.any(abs_rows > widths, axis=1)))
+    return exceed >= _mc_accept_threshold(abs_rows.shape[0], alpha)
+
+
+def _small_mc_problem(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    bank = draw_bank(EquicorrelatedSampler(m, rng.uniform(0, 0.8)), 500, seed=seed + 100)
+    x = np.sort(rng.normal(size=m) * 3)[::-1].copy()
+    return Problem(x, bank, 0.1)
+
+
 class TestMonteCarloGridAcceptance:
-    """The interval-histogram fast path must agree with direct evaluation."""
+    """The exact breakpoint sweep must agree with direct row counts."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_accept_mask_matches_scalar_recompute(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 5))
-        bank = draw_bank(EquicorrelatedSampler(m, rng.uniform(0, 0.8)), 500,
-                         seed=seed + 100)
-        bound = MonteCarloBound(bank)
-        x = np.sort(rng.normal(size=m) * 3)[::-1].copy()
-        p = Problem(x, bound, 0.1)
-        r0 = active_radius(bound, np.zeros(m), 0.1).r
-        # interior points only: at t == x[0] +/- r0 the bank's own order
-        # statistic sits on the strict-> boundary and the decision comes down
-        # to float association; outward rounding makes both answers clamp to
-        # the same interval, so there is nothing to compare there
-        grid = np.linspace(x[0] - r0, x[0] + r0, 303)[1:-1]
-        fast = _winner_accept_mc(bound, x, 0, grid, 0.1)
-        slow = np.array([_accept_scalar(p, t) for t in grid])
-        np.testing.assert_array_equal(fast, slow)
+        p = _small_mc_problem(seed)
+        x, bank, a = p.x, p.bound, p.bound.abs_samples
+        r0 = active_radius(bank, np.zeros(p.m), 0.1).r
+        points, accept = _mc_sweep(
+            bank, 0.1, lambda rows: (x[0] - rows, np.minimum(x[0] + rows, x + 3.0 * rows)),
+            x[0] - r0, x[0] + r0)
+        # the count is constant on each open cell, so its midpoint decides it
+        mids = 0.5 * (points[:-1] + points[1:])
+        direct = np.array([_direct_accepts(x, 0, t, a, 0.1) for t in mids])
+        np.testing.assert_array_equal(accept, direct)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_dense_scan_never_accepts_outside_the_hull(self, seed):
+        p = _small_mc_problem(seed)
+        iv = winner_interval_grid(p)
+        r0 = iv.diagnostics["zero_gap_radius"]
+        a = p.bound.abs_samples
+        ts = np.linspace(p.x[0] - r0 - 0.5, p.x[0] + r0 + 0.5, 3001)
+        accepted = ts[[_direct_accepts(p.x, 0, t, a, 0.1) for t in ts]]
+        assert accepted.size > 0
+        assert iv.t_l <= accepted.min() and accepted.max() <= iv.t_u
+        # tight: the direct count accepts just inside both hull ends
+        assert _direct_accepts(p.x, 0, iv.t_l + 1e-9, a, 0.1)
+        assert _direct_accepts(p.x, 0, iv.t_u - 1e-9, a, 0.1)
+        assert not iv.diagnostics["refined"] and iv.diagnostics["grid_step"] == 0.0
+        assert winner_interval_grid(p, 101, refine=True) == iv
+
+    def test_hand_built_touching_pieces(self):
+        # three rows; row 0 has touching pieces (0,1),(1,2), row 2 a nested
+        # duplicate that must not count twice, and the last column is empty
+        L = np.array([[0.0, 1.0, 0.0], [0.5, 3.0, 0.0], [1.0, 1.6, 0.0]])
+        U = np.array([[1.0, 2.0, 0.0], [1.5, 4.0, 0.0], [3.0, 1.8, 0.0]])
+        starts, ends = _merged_pieces(L, U)
+        np.testing.assert_array_equal(starts, [0.0, 1.0, 0.5, 3.0, 1.0])
+        np.testing.assert_array_equal(ends, [1.0, 2.0, 1.5, 4.0, 3.0])
+        bank = MonteCarloBound(np.zeros((3, 3)))
+        # cells (0,.5) (.5,1) (1,1.5) (1.5,2) (2,3) (3,4) hold 1 2 3 2 1 1 rows
+        for alpha, expected in ((0.7, [0, 0, 1, 0, 0, 0]), (0.4, [0, 1, 1, 1, 0, 0])):
+            points, accept = _mc_sweep(bank, alpha, lambda rows: (L, U), 0.0, 4.0)
+            np.testing.assert_array_equal(points, [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+            np.testing.assert_array_equal(accept, np.array(expected, dtype=bool))
 
     def test_union_mask_matches_scalar_recompute(self):
         p = gaussian_problem([1.0, 0.3, -0.5])
         r0 = active_radius(p.bound, np.zeros(3), 0.1).r
         grid = np.linspace(1.0 - r0, 1.0 + r0, 101)
         fast = _winner_accept_union(p.bound, p.x, 0, grid, 0.1)
-        slow = np.array([_accept_scalar(p, t) for t in grid])
+        slow = np.array([p.bound.exceedance(_worst_case_widths(p.x, 0, t)) > 0.1
+                         for t in grid])
         np.testing.assert_array_equal(fast, slow)
 
     def test_mc_interval_against_wider_bank_brackets(self):
         # grid interval under the empirical bound contains the winner score
         # and stays within the zero-gap box
         bank = draw_bank(EquicorrelatedSampler(3, 0.5), 4000, seed=5)
-        bound = MonteCarloBound(bank)
-        p = Problem(np.array([2.0, 1.5, -1.0]), bound, 0.1)
+        p = Problem(np.array([2.0, 1.5, -1.0]), bank, 0.1)
         iv = winner_interval_grid(p, 401, refine=True)
         r0 = iv.diagnostics["zero_gap_radius"]
         assert iv.t_l <= 2.0 <= iv.t_u

@@ -6,7 +6,7 @@ from zoomcurse.errors import UnsupportedMethodError
 from zoomcurse.meta import (near_winner_interval, population_value_interval,
                             winner_identity_set)
 from zoomcurse.sampling import EquicorrelatedSampler, TableSampler, draw_bank
-from zoomcurse.tails import GaussianTail, MonteCarloBound, UnionBound
+from zoomcurse.tails import GaussianTail, UnionBound
 
 GAUSS = GaussianTail(1.0)
 
@@ -128,13 +128,13 @@ class TestSymmetryGate:
         rows = np.random.default_rng(0).normal(size=(200, 2))
         bank = draw_bank(TableSampler(rows), 200, seed=0)
         assert not bank.exchangeable
-        p = Problem(np.array([1.0, 0.0]), MonteCarloBound(bank), 0.1)
+        p = Problem(np.array([1.0, 0.0]), bank, 0.1)
         with pytest.raises(UnsupportedMethodError):
             winner_identity_set(p)
 
     def test_exchangeable_bank_accepted(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.3), 2000, seed=1)
-        p = Problem(np.array([4.0, 0.0]), MonteCarloBound(bank), 0.1)
+        p = Problem(np.array([4.0, 0.0]), bank, 0.1)
         ids = winner_identity_set(p, grid_points=401)
         assert 0 in ids
         pop = population_value_interval(p, grid_points=401)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from zoomcurse.sampling import (BLOCK_ROWS, DiagonalGaussianSampler,
-                                EquicorrelatedSampler, SampleBank, TableSampler,
-                                draw_bank, m_statistic, mc_order_index,
-                                mc_quantile)
+                                EquicorrelatedSampler, TableSampler, draw_bank,
+                                m_statistic, mc_order_index, mc_quantile)
+from zoomcurse.tails import MonteCarloBound
 
 
 class TestEquicorrelatedSampler:
@@ -73,53 +73,64 @@ class TestDrawBank:
         a = draw_bank(s, 1000, seed=7)
         b = draw_bank(s, 1000, seed=7)
         c = draw_bank(s, 1000, seed=8)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        np.testing.assert_array_equal(a.abs_samples, b.abs_samples)
+        assert not np.array_equal(a.abs_samples, c.abs_samples)
+
+    def test_holds_abs_of_the_block_draws(self):
+        s = EquicorrelatedSampler(3, 0.2)
+        rng = np.random.default_rng(np.random.SeedSequence([5, 0]))
+        signed = s.draw(rng, BLOCK_ROWS)[:100]
+        bank = draw_bank(s, 100, seed=5)
+        assert isinstance(bank, MonteCarloBound) and bank.exchangeable
+        np.testing.assert_array_equal(bank.abs_samples, np.abs(signed))
 
     def test_prefix_property_across_blocks(self):
         # growing the bank must never change the rows already drawn
         s = EquicorrelatedSampler(2, 0.0)
         small = draw_bank(s, BLOCK_ROWS + 10, seed=3)
         big = draw_bank(s, BLOCK_ROWS + 500, seed=3)
-        np.testing.assert_array_equal(small.samples, big.samples[:BLOCK_ROWS + 10])
+        np.testing.assert_array_equal(small.abs_samples, big.abs_samples[:BLOCK_ROWS + 10])
 
     def test_bank_is_read_only(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.0), 10, seed=0)
         with pytest.raises(ValueError):
-            bank.samples[0, 0] = 99.0
+            bank.abs_samples[0, 0] = 99.0
         assert bank.n == 10 and bank.m == 2
 
     def test_table_passthrough(self):
-        rows = np.arange(6.0).reshape(3, 2)
+        rows = np.arange(6.0).reshape(3, 2) - 2.5
         bank = draw_bank(TableSampler(rows), 3, seed=0)
-        np.testing.assert_array_equal(bank.samples, rows)
+        np.testing.assert_array_equal(bank.abs_samples, np.abs(rows))
+        assert not bank.exchangeable
+        assert rows[0, 0] == -2.5  # the table itself is left alone
 
 
 class TestMStatistic:
     def test_hand_example(self):
-        samples = np.array([[3.0, -1.0], [0.5, 2.0]])
-        out = m_statistic(samples, np.array([2.0, 5.0]))
+        bank = MonteCarloBound(np.array([[3.0, -1.0], [0.5, 2.0]]))
+        out = m_statistic(bank, np.array([2.0, 5.0]))
         # row 1: only |3| clears its half-gap 1; row 2: nothing clears
         np.testing.assert_array_equal(out, [3.0, 0.0])
 
     def test_infinite_gap_knocks_out_coordinate(self):
-        samples = np.array([[9.0, 1.0]])
-        out = m_statistic(samples, np.array([np.inf, 0.0]))
+        bank = MonteCarloBound(np.array([[9.0, 1.0]]))
+        out = m_statistic(bank, np.array([np.inf, 0.0]))
         np.testing.assert_array_equal(out, [1.0])
 
     def test_zero_gaps_give_row_max_abs(self):
         rng = np.random.default_rng(2)
         samples = rng.standard_normal((50, 4))
-        out = m_statistic(samples, np.zeros(4))
+        out = m_statistic(MonteCarloBound(samples), np.zeros(4))
         np.testing.assert_allclose(out, np.abs(samples).max(axis=1), rtol=1e-15)
 
     def test_validation(self):
+        bank = MonteCarloBound(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            m_statistic(np.ones((2, 2)), np.array([1.0]))
+            m_statistic(bank, np.array([1.0]))
         with pytest.raises(ValueError):
-            m_statistic(np.ones((2, 2)), np.array([1.0, -1.0]))
+            m_statistic(bank, np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
-            m_statistic(np.ones((2, 2)), np.array([1.0, np.nan]))
+            m_statistic(bank, np.array([1.0, np.nan]))
 
 
 class TestMcQuantile:

@@ -8,7 +8,7 @@ from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.scaled import (ScaledProblem, _accept_grid_t,
                               active_radius_scaled, scaled_worst_case,
                               winner_interval_scaled)
-from zoomcurse.tails import GaussianTail, MonteCarloBound, UnionBound
+from zoomcurse.tails import GaussianTail, UnionBound
 
 GAUSS_ISF_10 = 1.6448536269514722
 
@@ -167,7 +167,7 @@ class TestScaledInterval:
 
     def test_rejects_monte_carlo_bounds(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.0), 100, seed=0)
-        p = Problem(np.array([1.0, 0.0]), MonteCarloBound(bank), 0.1)
+        p = Problem(np.array([1.0, 0.0]), bank, 0.1)
         with pytest.raises(UnsupportedMethodError):
             winner_interval_scaled(ScaledProblem(p, np.ones(2)))
 

@@ -6,8 +6,7 @@ from zoomcurse.errors import InfeasibleAlphaError, UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.stepdown import (marginal_model, stepdown_lower, stepdown_upper,
                                 winner_interval_stepdown)
-from zoomcurse.tails import (GaussianTail, MonteCarloBound, SubGaussianTail,
-                             UnionBound)
+from zoomcurse.tails import GaussianTail, SubGaussianTail, UnionBound
 
 GAUSS = GaussianTail(1.0)
 
@@ -65,6 +64,28 @@ class TestUpperTrace:
         up = stepdown_upper(g, GAUSS, 0.1)
         assert low.n_steps == 1 and up.n_steps == 2
 
+    def test_many_far_rivals_clamp_at_bonferroni(self):
+        # rivals 7.9-9.5 below the winner: each refund S((gap + r_base)/3)
+        # outruns the per-rival share until the budget runs out
+        m = 1000
+        gaps = np.concatenate([[0.0], np.random.default_rng(0).uniform(7.9, 9.5, m - 1)])
+        tr = stepdown_upper(gaps, GAUSS, 0.1)
+        assert tr.steps[-1].radius > 4.5  # where the walk itself stopped
+        assert tr.radius == GAUSS.isf(0.1 / m)
+        s_u = _endpoint_sum(UnionBound((GAUSS,) * m), gaps, tr.radius, +1.0)
+        assert s_u <= 0.1
+        assert stepdown_lower(gaps, GAUSS, 0.1).radius <= tr.radius
+
+    def test_exhausted_budget_stops_at_bonferroni(self):
+        # 106 rivals 8.25 below: the budget runs out while every gap still
+        # exceeds two radii, which used to raise InfeasibleAlphaError
+        m = 107
+        gaps = np.concatenate([[0.0], np.full(m - 1, 8.25)])
+        tr = stepdown_upper(gaps, GAUSS, 0.1)
+        last = tr.steps[-1]
+        assert last.budget < 0 and last.stopped and last.gap > 2 * last.radius
+        assert tr.radius == GAUSS.isf(0.1 / m)
+
     def test_budget_never_below_refund(self):
         tr = stepdown_upper(np.array([0.0, 8.0, 9.0, 50.0]), GAUSS, 0.1)
         budgets = [s.budget for s in tr.steps]
@@ -116,7 +137,7 @@ class TestValidationAndInterval:
     def test_marginal_model_refusals(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.0), 50, seed=0)
         with pytest.raises(UnsupportedMethodError):
-            marginal_model(MonteCarloBound(bank))
+            marginal_model(bank)
         mixed = UnionBound((GaussianTail(1.0), GaussianTail(2.0)))
         with pytest.raises(UnsupportedMethodError):
             marginal_model(mixed)

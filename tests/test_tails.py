@@ -4,7 +4,6 @@ import pytest
 from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound, joint_exceedance,
                              marginal_radius)
-from zoomcurse.sampling import SampleBank
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF = {
@@ -158,10 +157,20 @@ class TestMonteCarloBound:
         assert b.exceedance(np.array([0.9, 2.0])) == 0.5
 
     def test_accepts_sample_bank(self):
-        bank = SampleBank(np.ones((5, 2)), seed=1, exchangeable=True)
-        b = MonteCarloBound(bank)
+        b = MonteCarloBound(-np.ones((5, 2)), exchangeable=True)
         assert b.exchangeable
         assert b.exceedance(np.array([0.5, 1.5])) == 1.0
+
+    def test_stores_one_read_only_abs_array(self):
+        signed = np.array([[1.0, -2.0], [-0.5, 2.0]])
+        b = MonteCarloBound(signed)
+        np.testing.assert_array_equal(b.abs_samples, np.abs(signed))
+        assert not b.abs_samples.flags.writeable
+        assert not np.shares_memory(b.abs_samples, signed)  # private copy
+        # a read-only |xi| array is adopted as is
+        assert MonteCarloBound(b.abs_samples).abs_samples is b.abs_samples
+        arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from zoomcurse.core import (Problem, active_radius, winner_interval_grid,
-                            worst_case_theta)
+from zoomcurse.core import (Problem, _mc_accept_threshold, _mc_sweep,
+                            active_radius, winner_interval_grid, worst_case_theta)
 from zoomcurse.errors import UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
-from zoomcurse.tails import GaussianTail, MonteCarloBound, UnionBound
-from zoomcurse.topk import (TopKResult, _accept_scalar_topk, _topk_accept_mc,
-                            gaps_topk, tilde_theta, top_indices, topk_interval,
-                            topk_stepdown)
+from zoomcurse.tails import GaussianTail, UnionBound
+from zoomcurse.topk import (TopKResult, gaps_topk, tilde_theta, top_indices,
+                            topk_interval, topk_stepdown)
 
 GAUSS = GaussianTail(1.0)
 
@@ -124,6 +123,14 @@ class TestTopkStepdown:
             topk_stepdown(p, 1)
 
 
+def _direct_topk_accepts(x, k, r, abs_rows, alpha) -> bool:
+    """Acceptance of one radius r from its definition: widths from
+    tilde_theta and gaps_topk, then a direct count of exceeding rows."""
+    widths = np.maximum(r, 0.5 * gaps_topk(tilde_theta(x, k, r), k))
+    exceed = int(np.count_nonzero(np.any(abs_rows > widths, axis=1)))
+    return exceed >= _mc_accept_threshold(abs_rows.shape[0], alpha)
+
+
 class TestTopkMonteCarlo:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_accept_mask_matches_scalar_recompute(self, seed):
@@ -132,20 +139,24 @@ class TestTopkMonteCarlo:
         k = int(rng.integers(1, m + 1))
         bank = draw_bank(EquicorrelatedSampler(m, rng.uniform(0, 0.7)), 400,
                          seed=seed + 31)
-        bound = MonteCarloBound(bank)
-        p = Problem(rng.normal(size=m) * 2, bound, 0.1)
-        win = top_indices(p.x, k)
-        r0 = active_radius(bound, np.zeros(m), 0.1).r
-        # interior radii: the bank's own order statistic sits exactly on the
-        # strict-> boundary at r0 (see the same note in test_core)
-        grid = np.linspace(0.0, r0, 203)[1:-1]
-        fast = _topk_accept_mc(bound, p.x, win, grid, 0.1)
-        slow = np.array([_accept_scalar_topk(p, win, r) for r in grid])
-        np.testing.assert_array_equal(fast, slow)
+        p = Problem(rng.normal(size=m) * 2, bank, 0.1)
+        dhat = p.x[top_indices(p.x, k)[-1]] - p.x
+        r0 = active_radius(bank, np.zeros(m), 0.1).r
+        points, accept = _mc_sweep(bank, 0.1, lambda a: (dhat - 3.0 * a, a), 0.0, r0)
+        mids = 0.5 * (points[:-1] + points[1:])
+        direct = [_direct_topk_accepts(p.x, k, r, bank.abs_samples, 0.1) for r in mids]
+        np.testing.assert_array_equal(accept, direct)
+        # no radius beyond r_max is accepted, and r_max is tight
+        res = topk_interval(p, k, refine=True)
+        rs = np.linspace(0.0, r0 + 0.5, 2001)
+        ok = [_direct_topk_accepts(p.x, k, r, bank.abs_samples, 0.1) for r in rs]
+        assert rs[ok].max() <= res.r_max
+        assert _direct_topk_accepts(p.x, k, res.r_max - 1e-9, bank.abs_samples, 0.1)
+        assert topk_interval(p, k, 101).r_max == res.r_max
 
     def test_mc_interval_runs_and_stays_in_budget_box(self):
         bank = draw_bank(EquicorrelatedSampler(3, 0.4), 3000, seed=4)
-        p = Problem(np.array([2.0, 1.8, -1.0]), MonteCarloBound(bank), 0.1)
+        p = Problem(np.array([2.0, 1.8, -1.0]), bank, 0.1)
         res = topk_interval(p, 2, 401, refine=True)
         assert isinstance(res, TopKResult)
         assert 0.0 < res.r_max <= res.diagnostics["zero_gap_radius"] + 1e-12
