@@ -18,7 +18,7 @@ m = x.size
 
 print("=== 1. Union bound (correlation-agnostic) ===")
 p_union = Problem(x, UnionBound((GaussianTail(1.0),) * m), ALPHA)
-iv_union = winner_interval_grid(p_union, grid_points=2001, refine=True)
+iv_union = winner_interval_grid(p_union)
 print(f"interval [{iv_union.t_l:.4f}, {iv_union.t_u:.4f}]  "
       f"width {iv_union.t_u - iv_union.t_l:.4f}")
 

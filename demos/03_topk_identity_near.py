@@ -18,12 +18,12 @@ x = np.array([12.4, 11.9, 10.2, 7.5, 3.1, 2.8])
 p = Problem(x, UnionBound((GaussianTail(1.0),) * x.size), ALPHA)
 
 print("=== 1. Simultaneous boxes for the top 3 ===")
-res = topk_interval(p, k=3, grid_points=2001, refine=True)
+res = topk_interval(p, k=3)
 print(f"common half-width r_max = {res.r_max:.4f}")
 for w, (lo, hi) in zip(res.winners, res.boxes):
     print(f"  {labels[w]:4s} score {x[w]:5.1f} -> [{lo:.4f}, {hi:.4f}]")
 sd = topk_stepdown(p, k=3)
-print(f"step-down variant: r_max = {sd.r_max:.4f} (closed form, >= grid)")
+print(f"step-down variant: r_max = {sd.r_max:.4f} (closed form, >= r_max above)")
 
 print()
 print("=== 2. Who could be the true best? ===")

@@ -9,8 +9,7 @@ valid after selection, under marginal tail bounds plus a union bound or an
 exact Monte-Carlo noise model.
 """
 from .core import (ActiveRadius, Problem, WinnerInterval, active_radius,
-                   contains, winner_interval_grid, winner_interval_root,
-                   worst_case_theta)
+                   winner_interval_grid, winner_interval_root)
 from .errors import InfeasibleAlphaError, UnsupportedMethodError
 from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
                    population_value_interval, winner_identity_set)
@@ -24,10 +23,8 @@ from .simulate import (SimConfig, SimReport, parse_config_text, run_simulation,
 from .stepdown import (StepdownStep, StepdownTrace, stepdown_lower,
                        stepdown_upper, winner_interval_stepdown)
 from .tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
-                    SubGaussianTail, TailModel, UnionBound, joint_exceedance,
-                    marginal_radius)
-from .topk import (TopKResult, gaps_topk, tilde_theta, top_indices,
-                   topk_interval, topk_stepdown)
+                    SubGaussianTail, TailModel, UnionBound)
+from .topk import TopKResult, top_indices, topk_interval, topk_stepdown
 
 __version__ = "0.1.0"
 
@@ -38,12 +35,11 @@ __all__ = [
     "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
     "StepdownTrace", "SubGaussianTail", "TableSampler", "TailModel",
     "TopKResult", "UnionBound", "UnsupportedMethodError", "WinnerInterval",
-    "active_radius", "active_radius_scaled", "contains", "draw_bank",
-    "gaps_topk", "joint_exceedance", "m_statistic", "marginal_radius",
+    "active_radius", "active_radius_scaled", "draw_bank", "m_statistic",
     "mc_order_index", "mc_quantile", "near_winner_interval",
     "parse_config_text", "population_value_interval", "run_simulation",
-    "scaled_worst_case", "stepdown_lower", "stepdown_upper", "tilde_theta",
-    "top_indices", "topk_interval", "topk_stepdown", "width_comparison",
+    "scaled_worst_case", "stepdown_lower", "stepdown_upper", "top_indices",
+    "topk_interval", "topk_stepdown", "width_comparison",
     "winner_identity_set", "winner_interval_grid", "winner_interval_root",
-    "winner_interval_scaled", "winner_interval_stepdown", "worst_case_theta",
+    "winner_interval_scaled", "winner_interval_stepdown",
 ]

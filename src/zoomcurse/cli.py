@@ -353,10 +353,10 @@ def _add_common(sub):
                      help="joint noise for the Monte-Carlo bound: "
                           "equicorrelated:<rho>|independent|table:<csv>")
     sub.add_argument("--grid-points", type=int, default=2001,
-                     help="grid size for union bounds (--noise bounds are swept exactly)")
+                     help="grid size of sigma-scaled intervals (no other "
+                          "interval uses a grid)")
     sub.add_argument("--refine", action="store_true",
-                     help="bisect the boundary brackets after the grid scan "
-                          "(union bounds only)")
+                     help="no effect: kept for compatibility")
     sub.add_argument("--mc-samples", type=int, default=None,
                      help="bank rows for --noise (default 100000, or the whole table)")
     sub.add_argument("--seed", type=int, default=None,

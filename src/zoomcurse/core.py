@@ -2,19 +2,19 @@
 
 The confidence interval for the empirically best candidate inverts a family
 of acceptance tests indexed by the candidate mean vector.  For a candidate
-value t of the winner's mean, only the least favorable configuration of the
-other means matters (``worst_case_theta``); membership then reduces to
-comparing the winner's displacement |X_win - t| against the configuration's
-active radius.
+value t of the winner's mean only the least favorable configuration of the
+other means matters: every rival mean rises to min((2 X_j + t)/3, t).
+Membership then reduces to comparing the winner's displacement |X_win - t|
+against that configuration's active radius.
 
-Two inversion strategies are provided: a grid scan of the acceptance
-predicate (union bounds; on a Monte-Carlo bank the same entry point sweeps
-the exact breakpoints of the exceed count instead) and a direct root solve
-of the endpoint equations (union bounds only).
+Each bound family has one inverter.  Under a union bound the
+inversion reduces to two endpoint equations in the radius r, solved by a
+certified cell search (``_union_radii``) that the top-k boxes share.  On a
+Monte-Carlo bank the exceed count is piecewise constant in t, and a sweep
+over its breakpoints gives the acceptance set exactly (``_mc_sweep``).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,47 +156,6 @@ def active_radius(bound, gaps, alpha: float, *, tol: float = RADIUS_TOL) -> Acti
     return ActiveRadius(float(r), tuple(int(j) for j in active), alpha)
 
 
-def worst_case_theta(x, winner: int, t: float) -> np.ndarray:
-    """Least favorable mean vector with the winner's mean pinned at t.
-
-    Every rival mean is pulled up to min((2*X_j + t) / 3, t): high enough to
-    maximize the active radius, but never above the winner.
-    """
-    x = _check_scores(x)
-    if not 0 <= winner < x.size:
-        raise ValueError(f"winner index {winner} out of range")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    theta = np.minimum((2.0 * x + t) / 3.0, t)
-    theta[winner] = t
-    return theta
-
-
-def _worst_case_halfgaps(x, winner: int, t) -> np.ndarray:
-    """Half-gaps of worst_case_theta for a column of candidate values t.
-
-    Closed form: gap_j = max(0, 2*(t - X_j)/3) for rivals, 0 for the winner.
-    ``t`` may be a scalar or a column vector (broadcast against x).
-    """
-    half = np.maximum(np.asarray(t) - x, 0.0) / 3.0
-    half[..., winner] = 0.0
-    return half
-
-
-def contains(problem: Problem, t: float) -> bool:
-    """Membership of t in the winner's confidence interval (closed at the boundary)."""
-    i_hat = problem.winner
-    theta = worst_case_theta(problem.x, i_hat, t)
-    gaps = np.max(theta) - theta
-    ar = active_radius(problem.bound, gaps, problem.alpha)
-    # the empirical winner is active in its own worst case (gap 0) -- keep
-    # the check as a tripwire for the construction above
-    if i_hat not in ar.active:
-        raise InternalCheckError("the winner must be active in its own worst case")
-    return bool(abs(problem.x[i_hat] - t) <= ar.r)
-
-
 def _mc_accept_threshold(n: int, alpha: float) -> int:
     """Count of strictly-exceeding rows above which a width is inside the radius.
 
@@ -274,140 +233,167 @@ def _accepted_span(accept) -> tuple[int, int, bool, int]:
     return first, last, not bool(accept[first:last + 1].all()), int(np.count_nonzero(accept))
 
 
-def _bisect_edges(accepted, bad, good, iters: int = 50) -> np.ndarray:
-    """Shrink brackets [bad, good] around acceptance boundaries in lockstep.
+# Steps allowed per radius search.  A sum lying within rounding error of
+# alpha over a long range keeps cells alive at every depth; at the cap the
+# search stops on its current cell, which is kept and so still conservative.
+MAX_SEARCH_STEPS = 200
 
-    ``accepted`` maps a vector of points to a boolean vector, one entry per
-    bracket.  Returns the rejected ends, so every edge errs outward.
+
+def _cell_widths(d, lower: bool, a, b) -> np.ndarray:
+    """Widths at which the endpoint sum is largest over radii r in [a, b].
+
+    Term j of the lower sum has width max(r, (d_j - r)/3), V-shaped with its
+    minimum at d_j/4; the upper width max(r, (d_j + r)/3) grows with r.  Each
+    tail S_j is non-increasing, so taking every term at its own smallest
+    width on the cell bounds the whole sum there.  With a == b this is the
+    sum at r = a itself.
     """
-    for _ in range(iters):
-        mid = 0.5 * (bad + good)
-        ok = accepted(mid)
-        good = np.where(ok, mid, good)
-        bad = np.where(ok, bad, mid)
-    return bad
+    if lower:
+        c = np.clip(d / 4.0, a, b)
+        return np.maximum(c, (d - c) / 3.0)
+    return np.maximum(a, (d + a) / 3.0)
 
 
-def _winner_accept_union(bound, x, winner: int, grid, alpha: float) -> np.ndarray:
-    w = np.abs(x[winner] - grid)
-    half = _worst_case_halfgaps(x, winner, grid[:, None])
-    vals = np.asarray(bound.exceedance(np.maximum(w[:, None], half)))
-    # strict: a point exactly on the radius is dropped here and restored by
-    # the outward rounding of the caller
-    return vals > alpha
+def _radius_search(lower: bool, hi: float, tol: float):
+    """Certified depth-first search for the largest accepted radius in [0, hi].
+
+    A generator: each step yields the halves of the current cell whose
+    bound of the endpoint sum is needed, and is sent, for each, whether
+    that bound exceeds alpha.  A cell whose bound is <= alpha holds no
+    accepted radius and is dropped whole.  The upper half is searched
+    first, so every radius above the current cell is rejected.  On the
+    upper side a cell's bound is the sum at its lower end, so the lower
+    half shares the bound of the kept current cell and only the upper half
+    is asked for: the search is a bisection.  Returns the upper end of the
+    first kept cell of width <= tol, or of the current (kept) cell after
+    MAX_SEARCH_STEPS steps.
+    """
+    a, b = 0.0, hi  # the cell holding r = 0 is never dropped: its sum has S(0) = 1
+    below = []      # kept cells under the current one, searched on backtracking
+    for _ in range(MAX_SEARCH_STEPS):
+        if b - a <= tol:
+            break
+        mid = 0.5 * (a + b)
+        keep = yield ((a, mid), (mid, b)) if lower else ((mid, b),)
+        keep_low, keep_high = keep if lower else (True, keep[0])
+        if keep_low:
+            below.append((a, mid))
+        if keep_high:
+            a = mid
+        elif below:
+            a, b = below.pop()
+        else:
+            raise InternalCheckError("the cell holding r = 0 was rejected, "
+                                     "though its sum contains S(0) = 1")
+    return b
+
+
+def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides,
+                 tol: float = RADIUS_TOL):
+    """Largest accepted radius in [0, hi] on each side of the endpoint equations.
+
+    ``sides`` holds one flag per wanted radius: True for the lower sum
+    sum_j S_j(max(r, (d_j - r)/3)), False for the upper sum with d_j + r.  A
+    side whose sum at hi already reaches alpha stays at hi (both reductions
+    to the zero-gap radius land there exactly); the others run
+    ``_radius_search`` in lockstep, one exceedance call per step.  Returns
+    the radii and the numbers of cells bounded and kept.
+    """
+    at_hi = bound.exceedance(np.stack([_cell_widths(d, lower, hi, hi) for lower in sides]))
+    radii = [hi] * len(sides)
+    searches = {i: _radius_search(lower, hi, tol) for i, lower in enumerate(sides)
+                if at_hi[i] - alpha < (-1e-12 if lower else 0.0)}
+    sent = dict.fromkeys(searches)  # None starts each generator
+    bounded = kept = 0
+    while searches:
+        cells = {}
+        for i, search in list(searches.items()):
+            try:
+                cells[i] = search.send(sent[i])
+            except StopIteration as stop:
+                radii[i] = stop.value
+                del searches[i]
+        if cells:
+            rows = [_cell_widths(d, sides[i], a, b) for i in cells for a, b in cells[i]]
+            keep = (np.asarray(bound.exceedance(np.stack(rows))) > alpha).tolist()
+            bounded += len(keep)
+            kept += sum(keep)
+            answers = iter(keep)
+            sent = {i: [next(answers) for _ in cells[i]] for i in cells}
+    return radii, bounded, kept
+
+
+def _union_winner(problem: Problem, tol: float) -> tuple[float, float, dict]:
+    """Both winner radii of a union-bound problem, plus their diagnostics."""
+    x, bound, alpha = problem.x, problem.bound, problem.alpha
+    i_hat = problem.winner
+    r0 = active_radius(bound, np.zeros(problem.m), alpha).r
+    (r_l, r_u), bounded, kept = _union_radii(bound, x[i_hat] - x, alpha, r0,
+                                             (True, False), tol)
+    if r_l < r_u - 1e-9:
+        raise InternalCheckError("lower radius cannot undercut the upper radius")
+    return r_l, r_u, {
+        "zero_gap_radius": r0,
+        "bonferroni_lower": bool(r_l == r0),
+        "bonferroni_upper": bool(r_u == r0),
+        "grid_points": bounded,
+        "accepted_points": kept,
+    }
+
+
+def winner_interval_root(problem: Problem, *, tol: float = RADIUS_TOL) -> WinnerInterval:
+    """Solve the endpoint equations of the winner interval (union bounds).
+
+    The upper sum is non-increasing in r, and its search bisects.  The
+    lower sum need not be monotone, so its search bounds the sum on whole
+    cells and drops only cells it can certify; a narrow accepted bump cannot
+    be stepped over.  Each radius is the upper end of a kept cell of width
+    ``tol``, so it errs wide by at most about ``tol``.  The diagnostics count
+    the cells bounded (``grid_points``) and kept (``accepted_points``).
+    """
+    if not isinstance(problem.bound, UnionBound):
+        raise UnsupportedMethodError("root inversion requires a union bound")
+    r_l, r_u, diagnostics = _union_winner(problem, tol)
+    xw = float(problem.x[problem.winner])
+    return WinnerInterval(xw - r_l, xw + r_u, xw, problem.winner, problem.alpha,
+                          "root", diagnostics)
 
 
 def winner_interval_grid(problem: Problem, grid_points: int = 2001, *,
                          refine: bool = False) -> WinnerInterval:
-    """Invert the acceptance test on a uniform grid over the widest possible interval.
+    """Winner interval from the one inverter of the problem's bound.
 
-    Endpoints round outward by one grid step (clamped to the zero-gap radius
-    box), so grid resolution can only widen the interval.  With ``refine``
-    the two boundary brackets are bisected down to ~1e-12 and the rejected
-    ends returned, which stays conservative while removing the one-step
-    slack.
-
-    On a Monte-Carlo bound the acceptance set is found exactly instead, by a
-    sweep over the breakpoints of the exceed count; ``grid_points`` and
-    ``refine`` then do not change the result.  The diagnostics count the
-    sweep's cells as ``grid_points``/``accepted_points``, with ``grid_step``
-    0 and ``refined`` false.
+    A union bound is inverted by the certified radius solver of
+    ``winner_interval_root``, with the same endpoints bit for bit.  On a
+    Monte-Carlo bound the acceptance set is found by a sweep over the
+    breakpoints of the exceed count, whose cells the diagnostics count as
+    ``grid_points``/``accepted_points``.  Neither uses a grid: ``grid_points``
+    (still validated) and ``refine`` change no result, ``grid_step`` is 0
+    and ``refined`` false.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     x, bound, alpha = problem.x, problem.bound, problem.alpha
     i_hat = problem.winner
-    r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-    lo, hi = x[i_hat] - r0, x[i_hat] + r0
+    xw = float(x[i_hat])
     if isinstance(bound, MonteCarloBound):
-        xw = x[i_hat]
-        # row exceeds at t iff t falls in some (X_win - |xi_j|,
-        # min(X_win + |xi_j|, X_j + 3 |xi_j|)): the membership condition
-        # |xi_j| > max(|X_win - t|, halfgap_j(t)) rewritten as a t-interval
-        points, accept = _mc_sweep(
-            bound, alpha, lambda a: (xw - a, np.minimum(xw + a, x + 3.0 * a)), lo, hi)
-        first, last, bridged, accepted = _accepted_span(accept)
-        t_l, t_u, step, refine = points[first], points[last + 1], 0.0, False
+        r0 = active_radius(bound, np.zeros(problem.m), alpha).r
+        if r0 > 0.0:
+            # row exceeds at t iff t falls in some (X_win - |xi_j|,
+            # min(X_win + |xi_j|, X_j + 3 |xi_j|)): the membership condition
+            # |xi_j| > max(|X_win - t|, halfgap_j(t)) rewritten as a t-interval
+            points, accept = _mc_sweep(
+                bound, alpha, lambda a: (xw - a, np.minimum(xw + a, x + 3.0 * a)),
+                xw - r0, xw + r0)
+            first, last, bridged, accepted = _accepted_span(accept)
+            t_l, t_u, cells = float(points[first]), float(points[last + 1]), accept.size
+        else:  # a zero-gap radius of 0 accepts t = X_winner alone
+            t_l = t_u = xw
+            cells, accepted, bridged = 0, 0, False
+        diagnostics = {"grid_points": int(cells), "grid_step": 0.0, "zero_gap_radius": r0,
+                       "accepted_points": accepted, "bridged": bridged, "refined": False}
     else:
-        grid = np.linspace(lo, hi, grid_points)
-        step = (hi - lo) / (grid_points - 1)
-        accept = _winner_accept_union(bound, x, i_hat, grid, alpha)
-        first, last, bridged, accepted = _accepted_span(accept)
-        t_l = max(grid[first] - step, lo)
-        t_u = min(grid[last] + step, hi)
-        inner = np.array([first > 0, last < grid_points - 1])
-        if refine and inner.any():
-            bad = np.array([grid[first] - step, grid[last] + step])
-            good = np.array([grid[first], grid[last]])
-            bad[inner] = _bisect_edges(
-                lambda t: _winner_accept_union(bound, x, i_hat, t, alpha),
-                bad[inner], good[inner])
-            t_l, t_u = np.where(inner, bad, (t_l, t_u))
-    diagnostics = {
-        "grid_points": int(accept.size),
-        "grid_step": step,
-        "zero_gap_radius": r0,
-        "accepted_points": accepted,
-        "bridged": bridged,
-        "refined": bool(refine),
-    }
-    return WinnerInterval(float(t_l), float(t_u), float(x[i_hat]), i_hat, alpha,
-                          "grid", diagnostics)
-
-
-def _endpoint_sum(bound: UnionBound, dhat, r, sign):
-    """Union bound along the worst case at radius r: sum_j S_j(max(r, (dhat_j +- r)/3)).
-
-    ``sign`` (+1 upper, -1 lower) broadcasts against ``r``.
-    """
-    r = np.asarray(r, dtype=float)[..., None]
-    widths = np.maximum(r, (dhat + np.asarray(sign)[..., None] * r) / 3.0)
-    return bound.exceedance(widths)
-
-
-def winner_interval_root(problem: Problem, *, tol: float = RADIUS_TOL,
-                         scan_steps: int = 1024) -> WinnerInterval:
-    """Solve the endpoint equations of the winner interval directly (union bounds).
-
-    The upper-radius equation is strictly decreasing and has a unique root.
-    The lower-radius equation need not be monotone, so the largest root is
-    located by scanning downward from the zero-gap radius in ``scan_steps``
-    coarse steps before bracketing.  Both brackets are bisected in lockstep
-    to width ``tol`` and their rejected (outer) ends returned, so each
-    radius errs wide by at most ``tol``.
-    """
-    bound = problem.bound
-    if not isinstance(bound, UnionBound):
-        raise UnsupportedMethodError("root inversion requires a union bound")
-    x, alpha = problem.x, problem.alpha
-    i_hat = problem.winner
-    dhat = x[i_hat] - x
-    r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-    sign = np.array([-1.0, 1.0])  # lower, upper
-    # a radius stays at r0 when the sum there already reaches alpha; both
-    # reductions to the zero-gap radius land here exactly
-    inner = np.array([float(_endpoint_sum(bound, dhat, r0, -1.0)) - alpha < -1e-12,
-                      float(_endpoint_sum(bound, dhat, r0, +1.0)) - alpha < 0.0])
-    bad = np.array([r0, r0])
-    good = np.zeros(2)
-    if inner[0]:
-        rs = np.linspace(r0, 0.0, scan_steps + 1)
-        vals = np.asarray(_endpoint_sum(bound, dhat, rs, -1.0)) - alpha
-        k = int(np.argmax(vals >= 0.0))  # exists: the sum is >= 1 - alpha at r = 0
-        bad[0], good[0] = rs[k - 1], rs[k]
-    if inner.any():
-        iters = int(np.ceil(np.log2(max(r0, tol) / tol)))  # r0 is 0 for a zero-noise tail
-        bad[inner] = _bisect_edges(
-            lambda r: np.asarray(_endpoint_sum(bound, dhat, r, sign[inner])) >= alpha,
-            bad[inner], good[inner], iters)
-    r_l, r_u = float(bad[0]), float(bad[1])
-    if r_l < r_u - 1e-9:
-        raise InternalCheckError("lower radius cannot undercut the upper radius")
-    diagnostics = {
-        "zero_gap_radius": r0,
-        "scan_steps": scan_steps,
-        "bonferroni_lower": bool(r_l == r0),
-        "bonferroni_upper": bool(r_u == r0),
-    }
-    return WinnerInterval(float(x[i_hat] - r_l), float(x[i_hat] + r_u), float(x[i_hat]),
-                          i_hat, alpha, "root", diagnostics)
+        r_l, r_u, diagnostics = _union_winner(problem, RADIUS_TOL)
+        t_l, t_u = xw - r_l, xw + r_u
+        diagnostics.update(grid_step=0.0, refined=False)
+    return WinnerInterval(t_l, t_u, xw, i_hat, alpha, "grid", diagnostics)

@@ -122,11 +122,6 @@ class EmpiricalTail:
 TailModel = Union[GaussianTail, SubGaussianTail, EmpiricalTail]
 
 
-def marginal_radius(model: TailModel, q: float) -> float:
-    """Smallest radius r with S(r) <= q."""
-    return model.isf(q)
-
-
 @dataclass(frozen=True)
 class UnionBound:
     """Union (Bonferroni-style) joint bound: sum of marginal tails, clamped to 1.
@@ -152,10 +147,6 @@ class UnionBound:
     @property
     def identical_marginals(self) -> bool:
         return self._identical
-
-    @property
-    def exchangeable(self) -> bool:
-        return self.identical_marginals
 
     def exceedance(self, widths) -> np.ndarray | float:
         """Bound on P(exists j: |xi_j| > widths_j).
@@ -215,12 +206,3 @@ class MonteCarloBound:
         if w.shape != (self.m,):
             raise ValueError(f"width vector must have shape ({self.m},)")
         return float(np.mean(np.any(self.abs_samples > w, axis=1)))
-
-
-JointBound = Union[UnionBound, MonteCarloBound]
-
-
-def joint_exceedance(bound: JointBound, widths) -> float:
-    """Evaluate a joint bound at a single width vector."""
-    out = bound.exceedance(np.asarray(widths, dtype=float).reshape(-1))
-    return float(out)

@@ -2,10 +2,11 @@
 
 The k empirically best candidates share one box half-width r, found by
 inverting an acceptance test along the one-parameter path of least
-favorable mean vectors ``tilde_theta(x, k, r)``: winners pinned at
-X_j - r, every loser pulled up toward the k-th winner's value.  Accepted
-radii form an interval starting at 0, so the grid scan keeps the largest
-accepted point and rounds outward; a Monte-Carlo bank is swept exactly.
+favorable mean vectors: winners pinned at X_j - r, every loser pulled up
+toward the k-th winner's shifted value X_(k) - r.  The accepted radii need
+not form an interval, so the largest one is found by the certified cell
+search of ``core`` (union bounds) or by the exact breakpoint sweep
+(Monte-Carlo banks); r = 0 is always accepted.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Problem, _accepted_span, _bisect_edges, _check_scores, _mc_sweep,
+from .core import (Problem, _accepted_span, _check_scores, _mc_sweep, _union_radii,
                    active_radius)
 from .stepdown import marginal_model, stepdown_lower
 from .tails import MonteCarloBound
@@ -41,92 +42,40 @@ def top_indices(x, k: int) -> np.ndarray:
     return order[:k]
 
 
-def gaps_topk(theta, k: int) -> np.ndarray:
-    """Gap of each coordinate to the k-th largest entry, floored at zero."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise ValueError("theta must form a non-empty 1-d vector")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    if not 1 <= k <= theta.size:
-        raise ValueError(f"k must lie in [1, {theta.size}], got {k}")
-    kth = np.partition(theta, theta.size - k)[theta.size - k]
-    return np.maximum(kth - theta, 0.0)
-
-
-def tilde_theta(x, k: int, r: float) -> np.ndarray:
-    """Least favorable means at box half-width r.
-
-    Winners sit at X_j - r; each loser rises to
-    min((2 X_j + b) / 3, b) with b the shifted anchor X_(k) - r, mirroring
-    the single-winner worst case with the anchor in the winner's role.
-    """
-    x = _check_scores(x)
-    win = top_indices(x, k)
-    b = x[win[-1]] - float(r)
-    theta = np.minimum((2.0 * x + b) / 3.0, b)
-    theta[win] = x[win] - r
-    return theta
-
-
-def _topk_halfgaps(x, win, r) -> np.ndarray:
-    """Half of gaps_topk(tilde_theta(x, k, r), k), closed form, r column-friendly."""
-    b = x[win[-1]] - np.asarray(r)
-    half = np.maximum(b - x, 0.0) / 3.0
-    half[..., win] = 0.0
-    return half
-
-
-def _topk_accept_union(bound, x, win, grid, alpha) -> np.ndarray:
-    widths = np.maximum(grid[:, None], _topk_halfgaps(x, win, grid[:, None]))
-    return np.asarray(bound.exceedance(widths)) > alpha
-
-
 def topk_interval(problem: Problem, k: int, grid_points: int = 2001, *,
                   refine: bool = False) -> TopKResult:
-    """Largest accepted half-width on a radius grid over [0, zero-gap radius].
+    """Largest accepted common half-width of the top-k boxes.
 
-    r = 0 is always a member; the returned radius rounds one step outward
-    past the last accepted grid point (or bisects the bracket under
-    ``refine``), so resolution errs wide.  On a Monte-Carlo bound the
-    accepted radii are swept exactly and ``grid_points``/``refine`` do not
-    change the result (see ``winner_interval_grid``).
+    Along the least favorable path, coordinate j's width at radius r is
+    max(r, (d_j - r)/3) with d_j = X_(k) - X_j: the winner's lower endpoint
+    equation anchored at the k-th score.  A union bound is inverted by the
+    certified radius solver of ``winner_interval_root`` (for k = 1 the box's
+    lower end is that interval's t_l, bit for bit); a Monte-Carlo bank is
+    swept exactly.  As in
+    ``winner_interval_grid``, ``grid_points`` and ``refine`` change no result.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     x, bound, alpha = problem.x, problem.bound, problem.alpha
     win = top_indices(x, k)
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
+    d = x[win[-1]] - x
     if isinstance(bound, MonteCarloBound):
-        # gap of coordinate j at radius r is relu(2 (X_(k) - r - X_j) / 3); the
-        # row condition any_j |xi_j| > max(r, gap_j/2) is, in r, the union of
-        # open intervals (dhat_j - 3 |xi_j|, |xi_j|) with dhat_j = X_(k) - X_j
-        dhat = x[win[-1]] - x
-        points, accept = _mc_sweep(bound, alpha, lambda a: (dhat - 3.0 * a, a), 0.0, r0)
-        step, refine = 0.0, False
+        # the row condition any_j |xi_j| > max(r, relu(d_j - r)/3) is, in r,
+        # the union of open intervals (d_j - 3 |xi_j|, |xi_j|)
+        points, accept = _mc_sweep(bound, alpha, lambda a: (d - 3.0 * a, a), 0.0, r0)
+        accept[0] = True  # the zero radius never leaves the region
+        _, last, bridged, accepted = _accepted_span(accept)
+        r_max = float(points[last + 1])
+        diagnostics = {"grid_points": int(accept.size), "grid_step": 0.0,
+                       "zero_gap_radius": r0, "accepted_points": accepted,
+                       "bridged": bridged, "refined": False}
     else:
-        points = np.linspace(0.0, r0, grid_points)
-        step = r0 / (grid_points - 1)
-        accept = _topk_accept_union(bound, x, win, points, alpha)
-    accept[0] = True  # the zero radius never leaves the region
-    _, last, bridged, accepted = _accepted_span(accept)
-    if isinstance(bound, MonteCarloBound):
-        r_max = points[last + 1]
-    elif refine and last < grid_points - 1:
-        r_max = _bisect_edges(lambda r: _topk_accept_union(bound, x, win, r, alpha),
-                              np.array([points[last] + step]), np.array([points[last]]))[0]
-    else:
-        r_max = min(points[last] + step, r0)
+        (r_max,), bounded, kept = _union_radii(bound, d, alpha, r0, (True,))
+        diagnostics = {"grid_points": bounded, "grid_step": 0.0, "zero_gap_radius": r0,
+                       "accepted_points": kept, "refined": False}
     boxes = np.stack([x[win] - r_max, x[win] + r_max], axis=1)
-    diagnostics = {
-        "grid_points": int(accept.size),
-        "grid_step": step,
-        "zero_gap_radius": r0,
-        "accepted_points": accepted,
-        "bridged": bridged,
-        "refined": bool(refine),
-    }
-    return TopKResult(int(k), tuple(int(j) for j in win), float(r_max), boxes,
+    return TopKResult(int(k), tuple(int(j) for j in win), r_max, boxes,
                       alpha, "grid", diagnostics)
 
 

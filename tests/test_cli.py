@@ -164,6 +164,27 @@ class TestWinnerCi:
                                 "--grid-points", "301"])
         assert env["result"]["width"] > 0
 
+    @pytest.mark.parametrize("noise", ["table", "empirical"])
+    def test_zero_gap_radius_gives_point_results(self, capsys, scores_csv, tmp_path, noise):
+        # 95 of 100 noise rows are zero (Monte-Carlo bound), or every tail
+        # value is (union bound): the zero-gap radius is 0, so only the
+        # observed scores are accepted
+        if noise == "table":
+            rows = tmp_path / "noise.csv"
+            rows.write_text("".join("0.0,0.0\n" if j < 95 else "1.0,-2.0\n"
+                                    for j in range(100)))
+            spec = ["--noise", f"table:{rows}"]
+        else:
+            zeros = tmp_path / "zeros.txt"
+            zeros.write_text("0\n0\n0\n")
+            spec = ["--tail", f"empirical:{zeros}"]
+        env = run_json(capsys, ["winner-ci", "--input", scores_csv, "--alpha", "0.1",
+                                "--method", "grid", *spec])
+        assert env["result"]["interval"] == [10.0, 10.0]
+        env = run_json(capsys, ["topk-ci", "--input", scores_csv, "--alpha", "0.1",
+                                "--k", "1", *spec])
+        assert env["result"]["r_max"] == 0.0
+
 
 class TestOtherModes:
     def test_topk(self, capsys, tmp_path):
@@ -248,9 +269,10 @@ class TestExitCodes:
         assert "infeasible" in err
 
     def test_internal_check_exits_4(self, capsys, scores_csv, monkeypatch):
-        # no grid point accepted breaks the t = X_winner membership invariant
-        monkeypatch.setattr("zoomcurse.core._winner_accept_union",
-                            lambda bound, x, winner, grid, alpha: np.zeros(grid.size, bool))
+        # infinite cell widths bound every sum by 0, so the radius solver drops
+        # the cell holding r = 0, which S(0) = 1 keeps for every real tail
+        monkeypatch.setattr("zoomcurse.core._cell_widths",
+                            lambda d, lower, a, b: np.full(np.shape(d), np.inf))
         code, out, err = run_cli(capsys, ["winner-ci", "--input", scores_csv,
                                           "--alpha", "0.1", "--tail", "gaussian:1"])
         assert code == 4 and out == ""

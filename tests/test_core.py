@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
-from zoomcurse.core import (Problem, _mc_accept_threshold, _mc_sweep,
-                            _merged_pieces, _winner_accept_union, active_radius,
-                            contains, winner_interval_grid, winner_interval_root,
-                            worst_case_theta)
+from zoomcurse.core import (Problem, _cell_widths, _mc_accept_threshold, _mc_sweep,
+                            _merged_pieces, active_radius, winner_interval_grid,
+                            winner_interval_root)
 from zoomcurse.errors import InfeasibleAlphaError, UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
-from zoomcurse.tails import EmpiricalTail, GaussianTail, MonteCarloBound, UnionBound
+from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
+                             SubGaussianTail, UnionBound)
+from zoomcurse.topk import topk_interval
+
+from oracles import contains, endpoint_sum, worst_case_theta
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -189,7 +193,9 @@ class TestWinnerIntervalGrid:
         iv = winner_interval_grid(p, 2001, refine=True)
         assert iv.r_l == pytest.approx(ROOT_LOWER_RADIUS, abs=1e-8)
         assert iv.r_u == pytest.approx(ROOT_UPPER_RADIUS, abs=1e-8)
-        assert iv.diagnostics["refined"]
+        # no grid is left to refine: refine changes nothing
+        assert not iv.diagnostics["refined"]
+        assert iv == winner_interval_grid(p, 101)
 
     def test_unrefined_grid_brackets_roots_conservatively(self):
         rng = np.random.default_rng(11)
@@ -288,15 +294,6 @@ class TestMonteCarloGridAcceptance:
             np.testing.assert_array_equal(points, [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
             np.testing.assert_array_equal(accept, np.array(expected, dtype=bool))
 
-    def test_union_mask_matches_scalar_recompute(self):
-        p = gaussian_problem([1.0, 0.3, -0.5])
-        r0 = active_radius(p.bound, np.zeros(3), 0.1).r
-        grid = np.linspace(1.0 - r0, 1.0 + r0, 101)
-        fast = _winner_accept_union(p.bound, p.x, 0, grid, 0.1)
-        slow = np.array([p.bound.exceedance(_worst_case_widths(p.x, 0, t)) > 0.1
-                         for t in grid])
-        np.testing.assert_array_equal(fast, slow)
-
     def test_mc_interval_against_wider_bank_brackets(self):
         # grid interval under the empirical bound contains the winner score
         # and stays within the zero-gap box
@@ -306,3 +303,52 @@ class TestMonteCarloGridAcceptance:
         r0 = iv.diagnostics["zero_gap_radius"]
         assert iv.t_l <= 2.0 <= iv.t_u
         assert 2.0 - r0 - 1e-12 <= iv.t_l and iv.t_u <= 2.0 + r0 + 1e-12
+
+
+# alpha 0.1, Gaussian tails: above 1.75 the lower sum exceeds alpha only on a
+# narrow bump around R1 (by 1e-6 at R1); a search that steps over the bump
+# returns a lower radius near 1.748
+R1 = 3.0961058
+BUMP_SCORES = np.concatenate([[0.0], np.full(50, -4.0 * R1), np.full(500, -100.0)])
+
+
+class TestUnionRadiusSolver:
+    def test_narrow_bump_is_not_stepped_over(self):
+        x = BUMP_SCORES
+        d = x[0] - x
+        # independently of the package: the lower sum at R1 exceeds alpha
+        lower_sum = np.sum(2.0 * norm.sf(np.maximum(R1, (d - R1) / 3.0)))
+        assert lower_sum > 0.1
+        p = gaussian_problem(x)
+        for iv in (winner_interval_root(p), winner_interval_grid(p),
+                   winner_interval_grid(p, refine=True)):
+            assert iv.r_l >= R1
+        assert topk_interval(p, 1).r_max >= R1
+
+    def test_cell_bound_dominates_worst_case_sum(self):
+        rng = np.random.default_rng(23)
+        models = (GaussianTail(1.0), SubGaussianTail(1.3),
+                  EmpiricalTail(np.linspace(0.0, 4.0, 41)))
+        for trial in range(120):
+            model = models[trial % 3]
+            m = int(rng.integers(1, 30))
+            x = rng.normal(size=m) * rng.uniform(0.5, 6.0)
+            bound = UnionBound((model,) * m)
+            i_hat = int(np.argmax(x))
+            d = x[i_hat] - x
+            a, b = np.sort(rng.uniform(0.0, 5.0, size=2))
+            for lower in (True, False):
+                widths = _cell_widths(d, lower, a, b)
+                cell = bound.exceedance(widths)
+                for r in rng.uniform(a, b, size=20):
+                    # the sum at r, straight from the worst-case configuration
+                    # (its own rounding may pass the bound's by an ulp)
+                    t = x[i_hat] - r if lower else x[i_hat] + r
+                    theta = worst_case_theta(x, i_hat, t)
+                    direct_widths = np.maximum(r, 0.5 * (theta.max() - theta))
+                    assert cell >= bound.exceedance(direct_widths) - 1e-12
+                    # term by term: no cell width exceeds the width at r
+                    assert np.all(widths <= direct_widths + 1e-12)
+            # a point cell is the sum at that point
+            assert (bound.exceedance(_cell_widths(d, True, a, a))
+                    == endpoint_sum(bound, d, a, -1.0))

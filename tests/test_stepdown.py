@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from zoomcurse.core import (Problem, _endpoint_sum, winner_interval_root)
+from zoomcurse.core import Problem, winner_interval_root
 from zoomcurse.errors import InfeasibleAlphaError, UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.stepdown import (marginal_model, stepdown_lower, stepdown_upper,
                                 winner_interval_stepdown)
 from zoomcurse.tails import GaussianTail, SubGaussianTail, UnionBound
+
+from oracles import endpoint_sum
 
 GAUSS = GaussianTail(1.0)
 
@@ -72,7 +74,7 @@ class TestUpperTrace:
         tr = stepdown_upper(gaps, GAUSS, 0.1)
         assert tr.steps[-1].radius > 4.5  # where the walk itself stopped
         assert tr.radius == GAUSS.isf(0.1 / m)
-        s_u = _endpoint_sum(UnionBound((GAUSS,) * m), gaps, tr.radius, +1.0)
+        s_u = endpoint_sum(UnionBound((GAUSS,) * m), gaps, tr.radius, +1.0)
         assert s_u <= 0.1
         assert stepdown_lower(gaps, GAUSS, 0.1).radius <= tr.radius
 
@@ -109,8 +111,8 @@ class TestDominance:
             assert sd.r_l >= root.r_l - 1e-9
             assert sd.r_u >= root.r_u - 1e-9
             dhat = x[p.winner] - x
-            assert _endpoint_sum(bound, dhat, sd.r_l, -1.0) <= 0.1 + 1e-9
-            assert _endpoint_sum(bound, dhat, sd.r_u, +1.0) <= 0.1 + 1e-9
+            assert endpoint_sum(bound, dhat, sd.r_l, -1.0) <= 0.1 + 1e-9
+            assert endpoint_sum(bound, dhat, sd.r_u, +1.0) <= 0.1 + 1e-9
 
     def test_subgaussian_marginals(self):
         x = np.array([4.0, 0.0, -2.0])

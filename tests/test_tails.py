@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
-                             SubGaussianTail, UnionBound, joint_exceedance,
-                             marginal_radius)
+                             SubGaussianTail, UnionBound)
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF = {
@@ -106,11 +105,6 @@ class TestEmpiricalTail:
             EmpiricalTail([np.nan])
 
 
-def test_marginal_radius_matches_isf():
-    g = GaussianTail(1.0)
-    assert marginal_radius(g, 0.1) == g.isf(0.1)
-
-
 class TestUnionBound:
     def test_sum_of_marginals_clamped(self):
         b = UnionBound((GaussianTail(1.0), SubGaussianTail(1.0), GaussianTail(2.0)))
@@ -125,7 +119,7 @@ class TestUnionBound:
     def test_identical_marginals_fast_path(self):
         models = (GaussianTail(1.0),) * 4
         b = UnionBound(models)
-        assert b.identical_marginals and b.exchangeable
+        assert b.identical_marginals
         w = np.abs(np.sin(np.arange(12.0))).reshape(3, 4) + 0.5
         rows = b.exceedance(w)
         assert rows.shape == (3,)
@@ -177,11 +171,3 @@ class TestMonteCarloBound:
             MonteCarloBound(np.ones(4))
         with pytest.raises(ValueError):
             MonteCarloBound(np.array([[np.inf, 0.0]]))
-
-
-def test_joint_exceedance_dispatch():
-    w = np.array([1.0, 1.0])
-    union = UnionBound((GaussianTail(1.0),) * 2)
-    mc = MonteCarloBound(np.array([[0.5, 1.5], [2.0, 0.1]]))
-    assert joint_exceedance(union, w) == union.exceedance(w)
-    assert joint_exceedance(mc, w) == mc.exceedance(w)

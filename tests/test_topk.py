@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from zoomcurse.core import (Problem, _mc_accept_threshold, _mc_sweep,
-                            active_radius, winner_interval_grid, worst_case_theta)
+                            active_radius, winner_interval_grid)
 from zoomcurse.errors import UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.tails import GaussianTail, UnionBound
-from zoomcurse.topk import (TopKResult, gaps_topk, tilde_theta, top_indices,
-                            topk_interval, topk_stepdown)
+from zoomcurse.topk import TopKResult, top_indices, topk_interval, topk_stepdown
+
+from oracles import gaps_topk, tilde_theta, worst_case_theta
 
 GAUSS = GaussianTail(1.0)
 
