@@ -7,7 +7,7 @@ scales equal it reproduces the basic construction exactly.
 """
 import numpy as np
 
-from zoomcurse import GaussianTail, Problem, UnionBound, winner_interval_grid
+from zoomcurse import GaussianTail, Problem, UnionBound, winner_interval_root
 from zoomcurse.scaled import ScaledProblem, winner_interval_scaled
 
 ALPHA = 0.1
@@ -15,36 +15,34 @@ x = np.array([10.0, 9.4, 7.0])
 base = Problem(x, UnionBound((GaussianTail(1.0),) * x.size), ALPHA)
 
 print("=== 1. Equal scales reproduce the basic interval ===")
-equal = winner_interval_scaled(ScaledProblem(base, np.ones(x.size)),
-                               grid_points=1001)
-basic = winner_interval_grid(base)
-step = equal.diagnostics["grid_step"]
+equal = winner_interval_scaled(ScaledProblem(base, np.ones(x.size)))
+basic = winner_interval_root(base)
 print(f"scaled sigma=1: [{equal.t_l:.6f}, {equal.t_u:.6f}]")
-print(f"basic (exact):  [{basic.t_l:.6f}, {basic.t_u:.6f}]")
-within = (basic.t_l - step <= equal.t_l <= basic.t_l
-          and basic.t_u <= equal.t_u <= basic.t_u + step)
-print(f"the scaled grid walk rounds outward, within one step ({step:.4f}): {within}")
+print(f"basic (root):   [{basic.t_l:.6f}, {basic.t_u:.6f}]")
+print(f"the same endpoints bit for bit: "
+      f"{(equal.t_l, equal.t_u) == (basic.t_l, basic.t_u)}")
 
 print()
 print("=== 2. A precise winner vs a noisy runner-up ===")
 for sigma in (np.array([1.0, 1.0, 1.0]),
               np.array([0.3, 1.0, 1.0]),
               np.array([0.3, 2.5, 1.0])):
-    iv = winner_interval_scaled(ScaledProblem(base, sigma),
-                                grid_points=1001)
+    iv = winner_interval_scaled(ScaledProblem(base, sigma))
     print(f"sigma {sigma} -> [{iv.t_l:.4f}, {iv.t_u:.4f}]  "
           f"width {iv.t_u - iv.t_l:.4f}")
 print("a precisely measured winner earns a narrow interval even when the")
-print("runner-up is close; extra runner-up noise costs width because a")
-print("noisy rival is harder to rule out as the true best.")
+print("runner-up is close.  With a rival this close both intervals sit on the")
+print("box X_win +- r0 * sigma_win, so extra runner-up noise changes nothing.")
 
 print()
-print("=== 3. Diagnostics: where the secondary optimum is probed ===")
-iv = winner_interval_scaled(ScaledProblem(base, np.array([0.3, 2.5, 1.0])),
-                            grid_points=1001)
+print("=== 3. Diagnostics: what the certified search bounded ===")
+far = Problem(np.array([10.0, 4.0, 2.0]), base.bound, ALPHA)
+iv = winner_interval_scaled(ScaledProblem(far, np.array([0.5, 2.0, 0.5])))
 d = iv.diagnostics
-print(f"method {iv.method}: {d['accepted_points']} accepted grid points, "
-      f"{d['secondary_points']} secondary probe points, "
-      f"{d['secondary_edge_hits']} edge hits")
-print("edge hits would mean the probe range is too short; zero means the")
-print("inner maximization stayed interior.")
+print(f"x {far.x}, sigma [0.5 2.  0.5] -> [{iv.t_l:.4f}, {iv.t_u:.4f}]")
+print(f"method {iv.method}: {d['grid_points']} radius cells bounded, "
+      f"{d['accepted_points']} kept, {d['star_cells']} (i*, t*) cells bounded")
+print("a radius cell is dropped only when the sum is at most alpha on every")
+print("(i*, t*) cell, so every value beyond each end is rejected.  Ends on the")
+print(f"box edge need no search (lower {d['bonferroni_lower']}, "
+      f"upper {d['bonferroni_upper']}).")

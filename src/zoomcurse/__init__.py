@@ -16,8 +16,7 @@ from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
 from .sampling import (DiagonalGaussianSampler, EquicorrelatedSampler,
                        TableSampler, draw_bank, m_statistic, mc_order_index,
                        mc_quantile)
-from .scaled import (ScaledProblem, active_radius_scaled, scaled_worst_case,
-                     winner_interval_scaled)
+from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import (SimConfig, SimReport, parse_config_text, run_simulation,
                        width_comparison)
 from .stepdown import (StepdownStep, StepdownTrace, stepdown_lower,
@@ -35,10 +34,10 @@ __all__ = [
     "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
     "StepdownTrace", "SubGaussianTail", "TableSampler", "TailModel",
     "TopKResult", "UnionBound", "UnsupportedMethodError", "WinnerInterval",
-    "active_radius", "active_radius_scaled", "draw_bank", "m_statistic",
+    "active_radius", "draw_bank", "m_statistic",
     "mc_order_index", "mc_quantile", "near_winner_interval",
     "parse_config_text", "population_value_interval", "run_simulation",
-    "scaled_worst_case", "stepdown_lower", "stepdown_upper", "top_indices",
+    "stepdown_lower", "stepdown_upper", "top_indices",
     "topk_interval", "topk_stepdown", "width_comparison",
     "winner_identity_set", "winner_interval_grid", "winner_interval_root",
     "winner_interval_scaled", "winner_interval_stepdown",

@@ -275,15 +275,15 @@ def cmd_identity_set(args) -> dict:
     if table.sigma is not None:
         raise InputError("identity sets do not take per-candidate sigma")
     problem = Problem(table.x, _build_bound(args, table.x.size), args.alpha)
-    method = None if args.method == "auto" else args.method
-    ids = winner_identity_set(problem, method, args.grid_points, refine=args.refine)
+    ids = winner_identity_set(problem)
     result = {
         "members": [table.labels[j] for j in ids.indices],
         "member_indices": list(ids.indices),
         "threshold": ids.threshold,
         "size": len(ids),
     }
-    return _envelope("identity-set", args, args.method,
+    # the set is read off winner_interval_grid's interval
+    return _envelope("identity-set", args, "grid",
                      table.labels[problem.winner], result, {})
 
 
@@ -302,9 +302,7 @@ def cmd_near_winner(args) -> dict:
         if not 0 <= index < len(table.labels):
             raise InputError(f"--index must lie in [0, {len(table.labels) - 1}]")
     problem = Problem(table.x, _build_bound(args, table.x.size), args.alpha)
-    method = None if args.method == "auto" else args.method
-    nw = near_winner_interval(problem, index, method, args.grid_points,
-                              refine=args.refine)
+    nw = near_winner_interval(problem, index)
     result = {
         "index": nw.index,
         "label": table.labels[nw.index],
@@ -313,7 +311,7 @@ def cmd_near_winner(args) -> dict:
     }
     diagnostics = {"deficit": nw.diagnostics["deficit"],
                    "winner_interval": nw.diagnostics["winner_interval"]}
-    return _envelope("near-winner", args, args.method,
+    return _envelope("near-winner", args, diagnostics["winner_interval"].method,
                      table.labels[problem.winner], result, diagnostics)
 
 
@@ -353,8 +351,7 @@ def _add_common(sub):
                      help="joint noise for the Monte-Carlo bound: "
                           "equicorrelated:<rho>|independent|table:<csv>")
     sub.add_argument("--grid-points", type=int, default=2001,
-                     help="grid size of sigma-scaled intervals (no other "
-                          "interval uses a grid)")
+                     help="no effect on any result: kept for compatibility")
     sub.add_argument("--refine", action="store_true",
                      help="no effect: kept for compatibility")
     sub.add_argument("--mc-samples", type=int, default=None,
@@ -384,13 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("identity-set",
                             help="candidates not separable from the population best")
     _add_common(p)
-    p.add_argument("--method", choices=("auto", "grid", "root"), default="auto")
     p.set_defaults(func=cmd_identity_set)
 
     p = commands.add_parser("near-winner",
                             help="interval for any post-hoc candidate of interest")
     _add_common(p)
-    p.add_argument("--method", choices=("auto", "grid", "root"), default="auto")
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--label", default=None)
     p.set_defaults(func=cmd_near_winner)

@@ -239,19 +239,20 @@ def _accepted_span(accept) -> tuple[int, int, bool, int]:
 MAX_SEARCH_STEPS = 200
 
 
-def _cell_widths(d, lower: bool, a, b) -> np.ndarray:
+def _cell_widths(d, lower: bool, a, b, k=3.0, s=1.0) -> np.ndarray:
     """Widths at which the endpoint sum is largest over radii r in [a, b].
 
-    Term j of the lower sum has width max(r, (d_j - r)/3), V-shaped with its
-    minimum at d_j/4; the upper width max(r, (d_j + r)/3) grows with r.  Each
-    tail S_j is non-increasing, so taking every term at its own smallest
-    width on the cell bounds the whole sum there.  With a == b this is the
-    sum at r = a itself.
+    Term j of the lower sum has width max(r, (d_j - s r)/k_j), V-shaped with
+    its minimum at d_j/(k_j + s); the upper width max(r, (d_j + s r)/k_j)
+    grows with r.  The basic test has k = 3 and s = 1 (the sigma-scaled one
+    passes its own).  Each tail S_j is non-increasing, so taking every term
+    at its own smallest width on the cell bounds the whole sum there.  With
+    a == b this is the sum at r = a itself.
     """
     if lower:
-        c = np.clip(d / 4.0, a, b)
-        return np.maximum(c, (d - c) / 3.0)
-    return np.maximum(a, (d + a) / 3.0)
+        c = np.clip(d / (k + s), a, b)
+        return np.maximum(c, (d - c * s) / k)
+    return np.maximum(a, (d + a * s) / k)
 
 
 def _radius_search(lower: bool, hi: float, tol: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Problem, WinnerInterval, winner_interval_grid, winner_interval_root
+from .core import Problem, WinnerInterval, winner_interval_grid
 from .errors import UnsupportedMethodError
 from .tails import MonteCarloBound, UnionBound
 
@@ -62,20 +62,7 @@ def _require_symmetric(bound) -> None:
         raise UnsupportedMethodError(f"unrecognized bound type {type(bound)!r}")
 
 
-def _winner_interval(problem: Problem, method: str | None, grid_points: int,
-                     refine: bool) -> WinnerInterval:
-    if method is None:
-        method = "root" if isinstance(problem.bound, UnionBound) else "grid"
-    if method == "root":
-        return winner_interval_root(problem)
-    if method == "grid":
-        return winner_interval_grid(problem, grid_points, refine=refine)
-    raise UnsupportedMethodError(f"unknown interval method {method!r}")
-
-
-def population_value_interval(problem: Problem, method: str | None = None,
-                              grid_points: int = 2001, *,
-                              refine: bool = False) -> WinnerInterval:
+def population_value_interval(problem: Problem) -> WinnerInterval:
     """Interval for the largest population mean, max_j theta_j.
 
     Under exchangeable noise the winner's interval already covers the
@@ -83,28 +70,25 @@ def population_value_interval(problem: Problem, method: str | None = None,
     that interval.
     """
     _require_symmetric(problem.bound)
-    iv = _winner_interval(problem, method, grid_points, refine)
+    iv = winner_interval_grid(problem)
     return dataclasses.replace(
         iv, diagnostics={**iv.diagnostics, "target": "population_max"})
 
 
-def winner_identity_set(problem: Problem, method: str | None = None,
-                        grid_points: int = 2001, *, refine: bool = False) -> IdentitySet:
+def winner_identity_set(problem: Problem) -> IdentitySet:
     """Set of candidates whose score reaches X_win - 2 * r_l.
 
     Any candidate scoring below that threshold cannot be a population-best
     coordinate at level alpha; the rest are retained.
     """
     _require_symmetric(problem.bound)
-    iv = _winner_interval(problem, method, grid_points, refine)
+    iv = winner_interval_grid(problem)
     threshold = iv.x_winner - 2.0 * iv.r_l
     indices = np.nonzero(problem.x >= threshold)[0]
     return IdentitySet(tuple(int(j) for j in indices), float(threshold), problem.alpha)
 
 
-def near_winner_interval(problem: Problem, index: int, method: str | None = None,
-                         grid_points: int = 2001, *,
-                         refine: bool = False) -> NearWinnerInterval:
+def near_winner_interval(problem: Problem, index: int) -> NearWinnerInterval:
     """Confidence region for the mean of candidate ``index`` (winner allowed).
 
     Two mechanisms cover theta_index: either it tracks the winner's mean
@@ -119,7 +103,7 @@ def near_winner_interval(problem: Problem, index: int, method: str | None = None
     if not 0 <= int(index) < x.size:
         raise ValueError(f"index {index} out of range")
     index = int(index)
-    iv = _winner_interval(problem, method, grid_points, refine)
+    iv = winner_interval_grid(problem)
     i_hat = iv.winner
     r_l, r_u = iv.r_l, iv.r_u
     deficit = float(x[i_hat] - x[index])

@@ -5,11 +5,12 @@ error, P(|xi_j| / sigma_j > r) <= S(r), and Monte-Carlo banks hold
 standardized draws.  Radii r are therefore in standardized units and all
 acceptance widths come out as r * sigma_j in score units.
 
-Inverting the scaled test is genuinely harder than the basic case: the
-least favorable configuration is indexed by a candidate population winner
-i* and its mean t* >= t, so membership of t scans (i*, t*) pairs for one
-that accepts.  With equal sigmas every operation here reduces exactly to
-its basic counterpart.
+The least favorable configuration is indexed by a population winner i* and
+its mean t* >= t: the winner value t is accepted when some (i*, t*) accepts.
+The t* range needs no upper end: beyond max(t, X_win) every width grows with
+t*, so no t* there accepts more than t* = max(t, X_win).  Above X_win only
+t* = t is left; below it t* ranges over [t, X_win].  With equal sigmas every
+operation here reduces exactly to its basic counterpart.
 """
 from __future__ import annotations
 
@@ -17,12 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ActiveRadius, Problem, WinnerInterval, _accepted_span,
-                   _check_scores, active_radius)
+from .core import (RADIUS_TOL, Problem, WinnerInterval, _cell_widths,
+                   _radius_search, active_radius)
 from .errors import UnsupportedMethodError
 from .tails import UnionBound
-
-N_SECONDARY = 256
 
 
 def _check_sigma(sigma, m: int) -> np.ndarray:
@@ -53,117 +52,136 @@ class ScaledProblem:
         return self.base.winner
 
 
-def active_radius_scaled(bound, theta, sigma, alpha: float) -> ActiveRadius:
-    """Standardized active radius of the scaled test at mean vector theta.
+class _ScaledTest:
+    """Bounds on the scaled test's sums, in the winner's standardized radius r.
 
-    Solves S(max(r, d_j)) <= alpha for the scaled gaps
-    d_j = (max theta - theta_j) / (sigma_j + sigma_i*); the active set is
-    {j : d_j <= r}.
+    Below X_win, t = X_win - r s and t* = X_win - u, u in [0, r s] (s the
+    winner's sigma, d_j = X_win - X_j).  The pair (i*, t*) gives coordinate j
+    the width max(r_req, g_j): r_req = max(r, |u - d_i*| / sigma_i*,
+    max_k (u - d_k)+ / sigma_k), g_j = (d_j - u)+ / (2 sigma_j + sigma_i*)
+    (the exact gaps of the winner and of i* stay below r_req).  Each piece is
+    monotone or V-shaped in r and u, so a cell's bound takes each at its
+    smallest there.  Above X_win, t* = t.
     """
-    theta = _check_scores(theta)
-    sigma = _check_sigma(sigma, theta.size)
-    i_star = int(np.argmax(theta))
-    gaps = theta[i_star] - theta
-    d = gaps / (sigma + sigma[i_star])
-    return active_radius(bound, 2.0 * d, alpha)
+
+    def __init__(self, problem: ScaledProblem):
+        base = problem.base
+        self.bound, self.alpha, self.win = base.bound, base.alpha, problem.winner
+        self.sigma, self.s = problem.sigma, float(problem.sigma[problem.winner])
+        self.d = base.x[self.win] - base.x
+        self.bounded = self.kept = self.star_cells = 0
+
+    def over(self, widths) -> np.ndarray:
+        return np.asarray(self.bound.exceedance(widths)) > self.alpha
+
+    def upper_rows(self, r: float) -> np.ndarray:
+        """Widths of every i* at t = X_win + r s; each grows with r."""
+        sigma = self.sigma
+        c_star = (r * self.s + self.d) / sigma  # |X_i* - t| / sigma_i*
+        c_star[self.win] = r
+        gapped = _cell_widths(self.d, False, r, r, 2.0 * sigma + sigma[:, None], self.s)
+        return np.maximum(gapped, c_star[:, None])
+
+    def winner_row(self, a: float, b: float) -> np.ndarray:
+        """Smallest widths of i* = winner (t* = t) over r in [a, b]: the basic
+        lower cell bound with the scaled gaps (bit for bit the basic one at
+        unit sigma), raised to the pinned rivals' requirement at r = a."""
+        ahead = (np.maximum(a * self.s - self.d, 0.0) / self.sigma).max()
+        scaled = _cell_widths(self.d, True, a, b, 2.0 * self.sigma + self.s, self.s)
+        return np.maximum(scaled, ahead)
+
+    def rival_rows(self, a: float, i_star, ua, ub) -> np.ndarray:
+        """Smallest widths over r >= a and each cell (i*, [ua, ub]) of u."""
+        d, sigma = self.d, self.sigma
+        d_star, s_star = d[i_star], sigma[i_star]
+        r_req = np.maximum(np.maximum(a, np.abs(np.clip(d_star, ua, ub) - d_star) / s_star),
+                           (np.maximum(ua[:, None] - d, 0.0) / sigma).max(axis=1))
+        gaps = np.maximum(d - ub[:, None], 0.0) / (2.0 * sigma + s_star[:, None])
+        return np.maximum(r_req[:, None], gaps)
+
+    def lower_cell(self, a: float, b: float, i_star, ua, ub):
+        """Live (i*, u) cells of the radius cell [a, b], or None to drop it.
+
+        [a, b] is kept at once if the winner's row bound exceeds alpha.
+        Otherwise u cells whose bound is <= alpha go, and [a, b] is kept as
+        soon as an exact point (r = a, u mid-cell but <= a s) accepts or a
+        live cell is no wider than [a, b], as only splitting [a, b] can
+        tighten its bound; wider live cells are halved.
+        """
+        ub = np.minimum(ub, b * self.s)  # t* >= t caps u at r s
+        feasible = ua <= ub
+        i_star, ua, ub = i_star[feasible], ua[feasible], ub[feasible]
+        if self.over(self.winner_row(a, b)):
+            return i_star, ua, ub
+        while i_star.size:
+            self.star_cells += i_star.size
+            u = np.minimum(0.5 * (ua + ub), a * self.s)
+            exact, live = self.over(self.rival_rows(
+                a, np.tile(i_star, 2), np.concatenate([u, ua]), np.concatenate([u, ub])
+            )).reshape(2, -1)
+            i_star, ua, ub = i_star[live], ua[live], ub[live]
+            if exact.any() or np.any(ub - ua <= (b - a) * self.s):
+                return i_star, ua, ub
+            mid = 0.5 * (ua + ub)
+            i_star, ua, ub = np.tile(i_star, 2), np.concatenate([ua, mid]), np.concatenate([mid, ub])
+        return None
+
+    def search(self, lower: bool, r0: float) -> float:
+        """Largest accepted radius of one side, by ``_radius_search`` on [0, r0].
+
+        The upper sums fall with r, so that side bisects.  A kept lower cell
+        passes its live (i*, u) cells to its halves: what its bound dropped
+        stays dropped on any part of it.
+        """
+        search = _radius_search(lower, r0, RADIUS_TOL)
+        rivals = np.delete(np.arange(self.d.size), self.win)
+        live = {(0.0, r0): (rivals, 0.0 * rivals, r0 * self.s + 0.0 * rivals)}
+        keep = None
+        try:
+            while True:
+                halves = search.send(keep)
+                if lower:
+                    parent = live.pop((halves[0][0], halves[-1][1]))
+                    for a, b in halves:
+                        live[(a, b)] = self.lower_cell(a, b, *parent)
+                    keep = [live[half] is not None for half in halves]
+                else:
+                    keep = [bool(self.over(self.upper_rows(halves[0][0])).any())]
+                self.bounded += len(keep)
+                self.kept += sum(keep)
+        except StopIteration as stop:
+            return stop.value
 
 
-def scaled_worst_case(x, winner: int, t: float, t_star: float, i_star: int,
-                      sigma) -> np.ndarray:
-    """Least favorable means given the winner's value t and a population
-    winner (i_star, t_star).
+def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001) -> WinnerInterval:
+    """Certified inversion of the scaled test for the winner's mean.
 
-    Rivals rise to min((X_j (sigma_j + sigma_i*) + t* sigma_j) /
-    (2 sigma_j + sigma_i*), t*), the point where the selection width and the
-    interval width bind simultaneously.
-    """
-    x = _check_scores(x)
-    sigma = _check_sigma(sigma, x.size)
-    if not 0 <= winner < x.size:
-        raise ValueError(f"winner index {winner} out of range")
-    if not 0 <= i_star < x.size:
-        raise ValueError(f"i_star index {i_star} out of range")
-    t, t_star = float(t), float(t_star)
-    if t_star < t:
-        raise ValueError("t_star must not fall below t")
-    if i_star == winner and t_star != t:
-        raise ValueError("when i_star is the winner, t_star must equal t")
-    s_star = sigma[i_star]
-    theta = np.minimum((x * (sigma + s_star) + t_star * sigma) / (2.0 * sigma + s_star),
-                       t_star)
-    theta[winner] = t
-    theta[i_star] = t_star
-    return theta
-
-
-def _accept_grid_t(x, sigma, bound, alpha, i_hat, t, t_hi, n_star):
-    """Does any least-favorable pair (i*, t*) accept the winner value t?
-
-    Vectorized over a t* grid and all i* at once; returns (accepted,
-    hit_grid_edge) where the edge flag marks acceptances only realized at
-    the top of the t* grid.
-    """
-    m = x.size
-    w0 = abs(x[i_hat] - t) / sigma[i_hat]
-    ts = np.linspace(t, max(t_hi, t), n_star)
-    c = np.abs(x[None, :] - ts[:, None]) / sigma[None, :]
-    base_req = np.where(x[None, :] >= ts[:, None], c, -np.inf).max(axis=1)
-    # r needed in coordinate i* and in every coordinate above t*
-    r_req = np.maximum(w0, np.maximum(base_req[None, :], c.T))  # (m, S)
-    d = np.maximum(ts[None, :, None] - x[None, None, :], 0.0) \
-        / (2.0 * sigma[None, None, :] + sigma[:, None, None])
-    d[:, :, i_hat] = (ts[None, :] - t) / (sigma[i_hat] + sigma[:, None])
-    d[np.arange(m), :, np.arange(m)] = 0.0
-    vals = np.asarray(bound.exceedance(np.maximum(r_req[:, :, None], d)))
-    vals[i_hat, 1:] = 0.0  # i* = winner forces t* = t
-    hits = vals > alpha
-    if hits.any():
-        edge_only = not hits[:, :-1].any()
-        return True, edge_only
-    return False, False
-
-
-def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001, *,
-                           n_star: int = N_SECONDARY) -> WinnerInterval:
-    """Grid inversion of the scaled test for the winner's mean.
-
-    For each candidate value t the least favorable configurations are
-    scanned over all i* and an ``n_star``-point secondary grid of t* values
-    spanning [t, X_win + r0 * max(sigma)]; endpoints round one grid step
-    outward.  Union bounds only: the (i*, t*) scan needs cheap vectorized
-    re-evaluation of the joint bound.
+    Each side searches the standardized radius like ``winner_interval_root``,
+    and a lower radius cell is dropped only when its bound is <= alpha for
+    every i* and every cell of t*, so every radius beyond each end is
+    rejected.  At unit sigma the endpoints are ``winner_interval_root``'s, bit
+    for bit.  Union bounds only; ``grid_points`` is validated and changes no
+    result.  The diagnostics count the radius cells bounded (``grid_points``)
+    and kept (``accepted_points``) and the (i*, t*) cells bounded.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     bound = problem.base.bound
     if not isinstance(bound, UnionBound):
-        raise UnsupportedMethodError(
-            "scaled interval inversion supports union bounds only")
-    x, sigma, alpha = problem.base.x, problem.sigma, problem.base.alpha
-    i_hat = problem.winner
+        raise UnsupportedMethodError("scaled interval inversion supports union bounds only")
+    alpha, i_hat = problem.base.alpha, problem.winner
+    xw = float(problem.base.x[i_hat])
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-    lo, hi = x[i_hat] - r0 * sigma[i_hat], x[i_hat] + r0 * sigma[i_hat]
-    t_hi = x[i_hat] + r0 * float(sigma.max())
-    grid = np.linspace(lo, hi, grid_points)
-    step = (hi - lo) / (grid_points - 1)
-    accept = np.zeros(grid_points, dtype=bool)
-    edge_hits = 0
-    for s, t in enumerate(grid):
-        ok, edge_only = _accept_grid_t(x, sigma, bound, alpha, i_hat, float(t),
-                                       t_hi, n_star)
-        accept[s] = ok
-        edge_hits += int(ok and edge_only)
-    first, last, bridged, accepted = _accepted_span(accept)
-    t_l = max(grid[first] - step, lo)
-    t_u = min(grid[last] + step, hi)
-    diagnostics = {
-        "grid_points": grid_points,
-        "grid_step": step,
-        "zero_gap_radius": r0,
-        "secondary_points": n_star,
-        "secondary_edge_hits": edge_hits,
-        "accepted_points": accepted,
-        "bridged": bridged,
-    }
-    return WinnerInterval(float(t_l), float(t_u), float(x[i_hat]), i_hat, alpha,
+    test = _ScaledTest(problem)
+    # as in the basic solver, a side whose sum at r0 reaches alpha stays there
+    r_l = r_u = r0
+    if bound.exceedance(test.winner_row(r0, r0)) - alpha < -1e-12:
+        r_l = test.search(True, r0)
+    if np.max(bound.exceedance(test.upper_rows(r0))) < alpha:
+        r_u = test.search(False, r0)
+    diagnostics = {"zero_gap_radius": r0, "bonferroni_lower": r_l == r0,
+                   "bonferroni_upper": r_u == r0, "grid_points": test.bounded,
+                   "accepted_points": test.kept, "star_cells": test.star_cells,
+                   "grid_step": 0.0}
+    return WinnerInterval(xw - r_l * test.s, xw + r_u * test.s, xw, i_hat, alpha,
                           "scaled-grid", diagnostics)

@@ -1,17 +1,16 @@
 """Reference forms that the tests compare the package against.
 
 Direct, unoptimized statements of the least favorable configurations and
-of the acceptance test, plus a uniform t-grid walk of the winner's
-union-bound test: the sigma-scaled inversion walks the same grid, so at
-unit sigma it must match this walk bit for bit.  The package itself uses
+of the acceptance tests, basic and sigma-scaled.  The package itself uses
 none of them.
 """
 import math
 
 import numpy as np
 
-from zoomcurse.core import _check_scores, active_radius
+from zoomcurse.core import ActiveRadius, _check_scores, active_radius
 from zoomcurse.errors import InternalCheckError
+from zoomcurse.scaled import _check_sigma
 from zoomcurse.topk import top_indices
 
 
@@ -82,33 +81,64 @@ def endpoint_sum(bound, d, r, sign):
     return bound.exceedance(widths)
 
 
-def union_grid_accepts(bound, x, winner: int, grid, alpha: float) -> np.ndarray:
-    """Strict acceptance of each winner value on ``grid`` under a union bound.
+def active_radius_scaled(bound, theta, sigma, alpha: float) -> ActiveRadius:
+    """Standardized active radius of the scaled test at mean vector theta.
 
-    The half-gaps of worst_case_theta in closed form: max(0, t - X_j)/3 for
-    rivals, 0 for the winner.
+    Solves S(max(r, d_j)) <= alpha for the scaled gaps
+    d_j = (max theta - theta_j) / (sigma_j + sigma_i*); the active set is
+    {j : d_j <= r}.
     """
-    w = np.abs(x[winner] - grid)
-    half = np.maximum(grid[:, None] - x, 0.0) / 3.0
-    half[:, winner] = 0.0
-    return np.asarray(bound.exceedance(np.maximum(w[:, None], half))) > alpha
+    theta = _check_scores(theta)
+    sigma = _check_sigma(sigma, theta.size)
+    i_star = int(np.argmax(theta))
+    gaps = theta[i_star] - theta
+    d = gaps / (sigma + sigma[i_star])
+    return active_radius(bound, 2.0 * d, alpha)
 
 
-def union_grid_interval(problem, grid_points: int) -> tuple:
-    """The uniform t-grid walk over the zero-gap box, one step outward.
+def scaled_worst_case(x, winner: int, t, t_star, i_star: int, sigma) -> np.ndarray:
+    """Least favorable means given the winner's value t and a population
+    winner (i_star, t_star).
 
-    Endpoints round outward by one grid step past the first and last
-    accepted points, clamped to the box.
+    Rivals rise to min((X_j (sigma_j + sigma_i*) + t* sigma_j) /
+    (2 sigma_j + sigma_i*), t*), the point where the selection width and the
+    interval width bind simultaneously.  t and t_star broadcast; the means
+    run along the last axis.
     """
-    x, bound, alpha = problem.x, problem.bound, problem.alpha
-    i_hat = problem.winner
-    r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-    lo, hi = x[i_hat] - r0, x[i_hat] + r0
-    grid = np.linspace(lo, hi, grid_points)
-    step = (hi - lo) / (grid_points - 1)
-    accept = union_grid_accepts(bound, x, i_hat, grid, alpha)
-    if not accept.any():
-        raise InternalCheckError("no point accepted; t = X_winner must be a member")
-    first = int(np.argmax(accept))
-    last = accept.size - 1 - int(np.argmax(accept[::-1]))
-    return float(max(grid[first] - step, lo)), float(min(grid[last] + step, hi))
+    x = _check_scores(x)
+    sigma = _check_sigma(sigma, x.size)
+    if not 0 <= winner < x.size:
+        raise ValueError(f"winner index {winner} out of range")
+    if not 0 <= i_star < x.size:
+        raise ValueError(f"i_star index {i_star} out of range")
+    t, t_star = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                    np.asarray(t_star, dtype=float))
+    if np.any(t_star < t):
+        raise ValueError("t_star must not fall below t")
+    if i_star == winner and np.any(t_star != t):
+        raise ValueError("when i_star is the winner, t_star must equal t")
+    s_star = sigma[i_star]
+    top = t_star[..., None]
+    theta = np.minimum((x * (sigma + s_star) + top * sigma) / (2.0 * sigma + s_star), top)
+    theta[..., winner] = t
+    theta[..., i_star] = t_star
+    return theta
+
+
+def scaled_sums(problem, t, t_star, i_star: int):
+    """Union bound of the scaled test at the least favorable means of (t, i*, t*).
+
+    The widths are max(r_req, d_j) with the scaled gaps d_j of
+    active_radius_scaled and r_req the largest standardized displacement
+    |X_j - theta_j| / sigma_j among the coordinates pinned at t or t*.  A
+    rival below t* sits where its displacement equals its gap, so it needs
+    no radius.  t is accepted when some (i*, t*) gives a sum above alpha.
+    """
+    x, sigma, win = problem.base.x, problem.sigma, problem.winner
+    theta = scaled_worst_case(x, win, t, t_star, i_star, sigma)
+    top = np.asarray(t_star, dtype=float)[..., None]
+    gaps = (top - theta) / (sigma + sigma[i_star])
+    pinned = x >= top
+    pinned[..., win] = pinned[..., i_star] = True
+    r_req = np.where(pinned, np.abs(x - theta) / sigma, 0.0).max(axis=-1)
+    return problem.base.bound.exceedance(np.maximum(r_req[..., None], gaps))

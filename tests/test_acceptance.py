@@ -23,8 +23,6 @@ from zoomcurse.stepdown import stepdown_lower, stepdown_upper, winner_interval_s
 from zoomcurse.tails import GaussianTail, UnionBound
 from zoomcurse.topk import topk_interval, topk_stepdown
 
-from oracles import union_grid_interval
-
 GAUSS = GaussianTail(1.0)
 MARGINAL_RADIUS = 1.6448536269514722  # two-sided standard normal, level 0.1
 
@@ -188,11 +186,10 @@ def test_c08_population_value_equals_winner_interval():
         m = int(rng.integers(2, 8))
         p = gaussian_problem(rng.normal(size=m) * rng.uniform(0.5, 5.0))
         if trial % 20 == 0:
-            pop = population_value_interval(p, "grid", 301)
             iv = winner_interval_grid(p, 301)
         else:
-            pop = population_value_interval(p)
             iv = winner_interval_root(p)
+        pop = population_value_interval(p)
         assert pop.t_l == iv.t_l and pop.t_u == iv.t_u
     print("[criterion 8] PASS — 1000 instances: population-max endpoints "
           "bit-identical to the winner interval")
@@ -257,24 +254,20 @@ def test_c10_equal_sigma_reduction():
         if trial % 4 != 0:  # unit scales: reduction is exact
             p = gaussian_problem(x)
             scaled = winner_interval_scaled(ScaledProblem(p, np.ones(m)), 301)
-            assert (scaled.t_l, scaled.t_u) == union_grid_interval(p, 301)
-            basic = winner_interval_grid(p)
-            # outward rounding covers the exact interval, up to the rounding
-            # of grid points (one step short of the box edge can miss it by an ulp)
-            assert scaled.t_l <= basic.t_l + 1e-12 and basic.t_u <= scaled.t_u + 1e-12
+            basic = winner_interval_root(p)
+            assert (scaled.t_l, scaled.t_u) == (basic.t_l, basic.t_u)
             exact += 1
-        else:  # one shared non-unit scale: same interval up to grid noise
+        else:  # one shared non-unit scale: the same interval in score units
             c = float(rng.uniform(0.5, 2.0))
-            basic = winner_interval_grid(
-                Problem(x, UnionBound((GaussianTail(c),) * m), 0.1), 301)
+            basic = winner_interval_root(
+                Problem(x, UnionBound((GaussianTail(c),) * m), 0.1))
             scaled = winner_interval_scaled(
                 ScaledProblem(gaussian_problem(x), np.full(m, c)), 301)
-            tol = 2.0 * max(basic.diagnostics["grid_step"],
-                            scaled.diagnostics["grid_step"])
-            assert abs(scaled.t_l - basic.t_l) <= tol
-            assert abs(scaled.t_u - basic.t_u) <= tol
-    print(f"[criterion 10] PASS — 200 instances: {exact} bit-exact against the "
-          f"t-grid oracle at unit sigma, rest within 2 grid steps at a shared scale")
+            # both solvers stop within 1e-10 of their radius, standardized or not
+            assert abs(scaled.t_l - basic.t_l) <= 1e-9
+            assert abs(scaled.t_u - basic.t_u) <= 1e-9
+    print(f"[criterion 10] PASS — 200 instances: {exact} bit-exact against "
+          f"winner_interval_root at unit sigma, rest within 1e-9 at a shared scale")
 
 
 def test_c11_cli_byte_determinism(tmp_path):

@@ -202,6 +202,10 @@ class TestOtherModes:
                                 "--alpha", "0.1", "--tail", "gaussian:1"])
         assert env["result"]["members"] == ["alpha"]
         assert env["result"]["size"] == 1
+        assert env["method"] == "grid"
+        with pytest.raises(SystemExit):  # the inverter switch is gone
+            main(["identity-set", "--input", scores_csv, "--alpha", "0.1",
+                  "--tail", "gaussian:1", "--method", "root"])
 
     def test_near_winner_by_label(self, capsys, scores_csv):
         env = run_json(capsys, ["near-winner", "--input", scores_csv,
@@ -211,6 +215,7 @@ class TestOtherModes:
         assert lo == pytest.approx(-11.645356533678048, abs=1e-6)
         assert hi == pytest.approx(3.8817855112260161, abs=1e-6)
         assert env["result"]["hull"] == [lo, hi]
+        assert env["method"] == "grid"
 
     def test_simulate_writes_files(self, capsys, tmp_path):
         cfg = tmp_path / "cell.cfg"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zoomcurse.core import Problem, winner_interval_grid, winner_interval_root
+from zoomcurse.core import Problem, winner_interval_root
 from zoomcurse.errors import UnsupportedMethodError
 from zoomcurse.meta import (near_winner_interval, population_value_interval,
                             winner_identity_set)
@@ -28,16 +28,6 @@ class TestPopulationValueInterval:
         iv = winner_interval_root(p)
         assert (pop.t_l, pop.t_u) == (iv.t_l, iv.t_u)
         assert pop.diagnostics["target"] == "population_max"
-
-    def test_grid_method_passthrough(self):
-        p = gaussian_problem([3.0, 1.0, -2.0])
-        pop = population_value_interval(p, "grid", 501, refine=True)
-        iv = winner_interval_grid(p, 501, refine=True)
-        assert (pop.t_l, pop.t_u) == (iv.t_l, iv.t_u)
-
-    def test_unknown_method(self):
-        with pytest.raises(UnsupportedMethodError):
-            population_value_interval(gaussian_problem([1.0, 0.0]), "magic")
 
 
 class TestWinnerIdentitySet:
@@ -135,7 +125,7 @@ class TestSymmetryGate:
     def test_exchangeable_bank_accepted(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.3), 2000, seed=1)
         p = Problem(np.array([4.0, 0.0]), bank, 0.1)
-        ids = winner_identity_set(p, grid_points=401)
+        ids = winner_identity_set(p)
         assert 0 in ids
-        pop = population_value_interval(p, grid_points=401)
+        pop = population_value_interval(p)
         assert pop.t_l <= 4.0 <= pop.t_u

@@ -4,12 +4,11 @@ import pytest
 from zoomcurse.core import Problem, active_radius, winner_interval_grid
 from zoomcurse.errors import UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
-from zoomcurse.scaled import (ScaledProblem, _accept_grid_t,
-                              active_radius_scaled, scaled_worst_case,
-                              winner_interval_scaled)
-from zoomcurse.tails import GaussianTail, UnionBound
+from zoomcurse.scaled import ScaledProblem, _ScaledTest, winner_interval_scaled
+from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 
-from oracles import union_grid_interval, worst_case_theta
+from oracles import (active_radius_scaled, scaled_sums, scaled_worst_case,
+                     worst_case_theta)
 
 GAUSS_ISF_10 = 1.6448536269514722
 
@@ -19,31 +18,20 @@ def gaussian_problem(x, alpha=0.1):
     return Problem(x, UnionBound((GaussianTail(1.0),) * x.size), alpha)
 
 
-def slow_accept(x, sigma, bound, alpha, i_hat, t, t_hi, n_star):
-    """Unvectorized re-derivation of the (i*, t*) membership scan."""
-    m = x.size
-    ts = np.linspace(t, max(t_hi, t), n_star)
-    w0 = abs(x[i_hat] - t) / sigma[i_hat]
-    for i_star in range(m):
-        for s, t_star in enumerate(ts):
-            if i_star == i_hat and s > 0:
-                continue
-            req = max(w0, abs(x[i_star] - t_star) / sigma[i_star])
-            for j in range(m):
-                if x[j] >= t_star:
-                    req = max(req, abs(x[j] - t_star) / sigma[j])
-            v = np.empty(m)
-            for j in range(m):
-                if j == i_star:
-                    d = 0.0
-                elif j == i_hat:
-                    d = (t_star - t) / (sigma[i_hat] + sigma[i_star])
-                else:
-                    d = max(t_star - x[j], 0.0) / (2.0 * sigma[j] + sigma[i_star])
-                v[j] = max(req, d)
-            if bound.exceedance(v) > alpha:
-                return True
-    return False
+def random_scaled_problem(rng, family: int, alpha: float = 0.1) -> ScaledProblem:
+    """m = 2..5 with a Gaussian, sub-Gaussian or empirical tail.  About half
+    the draws are a lone leader, each rival 1 to 4 times (2 sigma_win +
+    sigma_j) below it, so that some lower ends leave the Bonferroni box."""
+    m = int(rng.integers(2, 6))
+    model = (GaussianTail(1.0), SubGaussianTail(1.2),
+             EmpiricalTail(np.abs(rng.standard_t(5, size=300))))[family]
+    sigma = rng.uniform(0.3, 3.0, size=m)
+    if rng.random() < 0.5:
+        x = rng.normal(size=m) * rng.uniform(0.5, 6.0)
+    else:
+        x = np.concatenate([[0.0], -(2.0 * sigma[0] + sigma[1:])
+                            * rng.uniform(1.0, 4.0, size=m - 1)])
+    return ScaledProblem(Problem(x, UnionBound((model,) * m), alpha), sigma)
 
 
 class TestScaledProblem:
@@ -113,22 +101,97 @@ class TestScaledWorstCase:
             scaled_worst_case(x, 0, 2.0, 2.0, -1, s)
 
 
-class TestMembershipScan:
+class TestCellBound:
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_unvectorized_scan(self, seed):
+    def test_bound_dominates_direct_sum(self, seed):
+        # at random points of random cells, and for every i*, each bound the
+        # solver drops cells with is >= the sum built from scaled_worst_case
+        # (1e-12 slack for the direct path's own rounding)
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 4))
-        scales = rng.uniform(0.5, 2.0, size=m)
-        bound = UnionBound(tuple(GaussianTail(1.0) for _ in range(m)))
-        x = rng.normal(size=m) * 2
-        sigma = scales
-        i_hat = int(np.argmax(x))
-        t_hi = float(x.max() + 2 * sigma.max())
-        for t in rng.uniform(x[i_hat] - 4, x[i_hat] + 4, size=8):
-            fast, _ = _accept_grid_t(x, sigma, bound, 0.1, i_hat, float(t),
-                                     t_hi, 16)
-            slow = slow_accept(x, sigma, bound, 0.1, i_hat, float(t), t_hi, 16)
-            assert fast == slow
+        sp = random_scaled_problem(rng, seed % 3)
+        test = _ScaledTest(sp)
+        bound, win = sp.base.bound, sp.winner
+        xw, s = sp.base.x[win], sp.sigma[win]
+        r0 = active_radius(bound, np.zeros(sp.m), sp.base.alpha).r
+        for _ in range(25):
+            a, b = np.sort(rng.uniform(0.0, r0, size=2))
+            r = rng.uniform(a, b)
+            t = xw - r * s
+            assert bound.exceedance(test.winner_row(a, b)) >= \
+                scaled_sums(sp, t, t, win) - 1e-12
+            ua = rng.uniform(0.0, r * s)
+            ub = rng.uniform(ua, b * s)
+            u = rng.uniform(ua, min(ub, r * s))
+            for i in range(sp.m):
+                if i != win:
+                    cell = (np.array([i]), np.array([ua]), np.array([ub]))
+                    assert bound.exceedance(test.rival_rows(a, *cell))[0] >= \
+                        scaled_sums(sp, t, xw - u, i) - 1e-12
+            t_up = xw + rng.uniform(a, r0) * s
+            rows = bound.exceedance(test.upper_rows(a))
+            for i in range(sp.m):
+                assert rows[i] >= scaled_sums(sp, t_up, t_up, i) - 1e-12
+
+
+class TestTStarLemma:
+    @pytest.mark.parametrize("family", range(3))
+    def test_sum_never_rises_beyond_max_of_t_and_winner_score(self, family):
+        # the reason the solver needs no upper end for t*
+        rng = np.random.default_rng(40 + family)
+        for _ in range(15):
+            sp = random_scaled_problem(rng, family)
+            win = sp.winner
+            xw = sp.base.x[win]
+            r0 = active_radius(sp.base.bound, np.zeros(sp.m), sp.base.alpha).r
+            reach = r0 * float(sp.sigma.max())
+            for t in rng.uniform(xw - 3.0 * reach, xw + reach, size=6):
+                t_star = max(t, xw) + np.sort(rng.uniform(0.0, 3.0 * reach, size=40))
+                t_star[0] = max(t, xw)
+                for i in range(sp.m):
+                    if i != win:
+                        sums = scaled_sums(sp, t, t_star, i)
+                        # 1e-15: rounding of the direct path
+                        assert np.all(np.diff(sums) <= 1e-15)
+
+
+class TestBruteForce:
+    """The solver against a dense (t, i*, t*) scan of the direct sums.
+
+    t runs over the Bonferroni box and t* over the long range
+    [t, X_win + r0 * max(sigma)] the former t* grid spanned.
+    """
+
+    N_T = N_STAR = 301
+
+    def accepted(self, sp):
+        x, sigma, win, alpha = sp.base.x, sp.sigma, sp.winner, sp.base.alpha
+        r0 = active_radius(sp.base.bound, np.zeros(sp.m), alpha).r
+        ts = np.linspace(x[win] - r0 * sigma[win], x[win] + r0 * sigma[win], self.N_T)
+        top = x[win] + r0 * sigma.max()
+        accept = np.asarray(scaled_sums(sp, ts, ts, win)) > alpha
+        frac = np.linspace(0.0, 1.0, self.N_STAR)
+        t_star = ts[:, None] + frac * np.maximum(top - ts, 0.0)[:, None]
+        for i in range(sp.m):
+            if i != win:
+                accept |= (np.asarray(scaled_sums(sp, ts[:, None], t_star, i))
+                           > alpha).any(axis=1)
+        return ts, accept, ts[1] - ts[0]
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.2))
+    def test_no_accepted_value_outside_and_hull_is_tight(self, alpha):
+        rng = np.random.default_rng(int(alpha * 1000))
+        interior = 0
+        for k in range(12):
+            sp = random_scaled_problem(rng, k % 3, alpha)
+            iv = winner_interval_scaled(sp)
+            ts, accept, step = self.accepted(sp)
+            # grid points at the box edge may land an ulp beyond it
+            assert not np.any(accept & ((ts < iv.t_l - 1e-12) | (ts > iv.t_u + 1e-12)))
+            hull = ts[accept]
+            assert iv.t_l >= hull.min() - 2.0 * step
+            assert iv.t_u <= hull.max() + 2.0 * step
+            interior += not iv.diagnostics["bonferroni_lower"]
+        assert interior > 0  # some lower ends come from the search, not the box
 
 
 class TestScaledInterval:
@@ -137,13 +200,18 @@ class TestScaledInterval:
         for _ in range(8):
             m = int(rng.integers(2, 5))
             p = gaussian_problem(rng.normal(size=m) * 3)
-            sp = ScaledProblem(p, np.ones(m))
-            scaled = winner_interval_scaled(sp, 301)
-            assert (scaled.t_l, scaled.t_u) == union_grid_interval(p, 301)
-            exact = winner_interval_grid(p)
-            # outward rounding covers the exact interval, up to the rounding
-            # of grid points (one step short of the box edge can miss it by an ulp)
-            assert scaled.t_l <= exact.t_l + 1e-12 and exact.t_u <= scaled.t_u + 1e-12
+            scaled = winner_interval_scaled(ScaledProblem(p, np.ones(m)), 301)
+            basic = winner_interval_grid(p)
+            assert (scaled.t_l, scaled.t_u) == (basic.t_l, basic.t_u)
+
+    def test_grid_points_change_nothing(self):
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            sp = random_scaled_problem(rng, 0)
+            coarse = winner_interval_scaled(sp, 3)
+            fine = winner_interval_scaled(sp, 2001)
+            assert (coarse.t_l, coarse.t_u) == (fine.t_l, fine.t_u)
+            assert coarse.diagnostics == fine.diagnostics
 
     def test_single_candidate_scales_the_marginal(self):
         p = gaussian_problem([3.0])
