@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import Problem, winner_interval_grid, winner_interval_root
-from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
+from .errors import InfeasibleAlphaError, InternalCheckError
 from .meta import near_winner_interval, winner_identity_set
 from .sampling import EquicorrelatedSampler, DiagonalGaussianSampler, TableSampler, draw_bank
 from .scaled import ScaledProblem, winner_interval_scaled
@@ -407,10 +407,7 @@ def main(argv=None) -> int:
         return 2
     try:
         envelope = args.func(args)
-    except InputError as exc:
-        print(f"zoomcurse: {exc}", file=sys.stderr)
-        return 2
-    except (UnsupportedMethodError, ValueError) as exc:
+    except ValueError as exc:  # InputError and UnsupportedMethodError included
         print(f"zoomcurse: {exc}", file=sys.stderr)
         return 2
     except InfeasibleAlphaError as exc:

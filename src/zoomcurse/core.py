@@ -7,11 +7,15 @@ other means matters: every rival mean rises to min((2 X_j + t)/3, t).
 Membership then reduces to comparing the winner's displacement |X_win - t|
 against that configuration's active radius.
 
-Each bound family has one inverter.  Under a union bound the
-inversion reduces to two endpoint equations in the radius r, solved by a
-certified cell search (``_union_radii``) that the top-k boxes share.  On a
-Monte-Carlo bank the exceed count is piecewise constant in t, and a sweep
-over its breakpoints gives the acceptance set exactly (``_mc_sweep``).
+The inversion reduces to two endpoint equations in the radius r below and
+above the anchor, and one function (``_radii``) solves them for the winner
+interval and, anchored at the k-th score, for the top-k boxes.  Each bound
+family has a lower side that is searched and an upper side that is monotone.
+Under a union bound the lower side is a certified cell search and the upper
+side a bisection (``_union_radii``).  On a Monte-Carlo bank the lower exceed
+count is piecewise constant in r and a sweep over its breakpoints gives it
+exactly (``_mc_sweep``); above the anchor each row exceeds up to its own
+reach, so the upper radius is an order statistic of the reaches.
 """
 from __future__ import annotations
 
@@ -81,27 +85,24 @@ class ActiveRadius:
 
 @dataclass(frozen=True)
 class WinnerInterval:
-    """Confidence interval [t_l, t_u] for the winner's mean."""
+    """Confidence interval [t_l, t_u] = [x_winner - r_l, x_winner + r_u] for
+    the winner's mean; the radii are the solver's, the endpoints follow."""
 
-    t_l: float
-    t_u: float
+    r_l: float
+    r_u: float
     x_winner: float
     winner: int
     alpha: float
     method: str
     diagnostics: dict = field(default_factory=dict, compare=False)
+    t_l: float = field(init=False)
+    t_u: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.t_l <= self.x_winner <= self.t_u):
-            raise ValueError("interval must contain the observed winner score")
-
-    @property
-    def r_l(self) -> float:
-        return self.x_winner - self.t_l
-
-    @property
-    def r_u(self) -> float:
-        return self.t_u - self.x_winner
+        if not (self.r_l >= 0.0 and self.r_u >= 0.0):
+            raise InternalCheckError(f"radii must be non-negative, got {self.r_l}, {self.r_u}")
+        object.__setattr__(self, "t_l", self.x_winner - self.r_l)
+        object.__setattr__(self, "t_u", self.x_winner + self.r_u)
 
     @property
     def width(self) -> float:
@@ -128,7 +129,7 @@ def _union_feasible_radius(bound: UnionBound, q: float) -> float:
             f"error budget too small for the marginal tail model: {exc}") from exc
 
 
-def active_radius(bound, gaps, alpha: float, *, tol: float = RADIUS_TOL) -> ActiveRadius:
+def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
     """Smallest radius r whose widened test max(r, gaps/2) passes the joint bound.
 
     Union bounds are inverted by bisection; Monte-Carlo bounds come directly
@@ -145,7 +146,7 @@ def active_radius(bound, gaps, alpha: float, *, tol: float = RADIUS_TOL) -> Acti
         lo = 0.0
         # exceedance(max(r, gaps/2)) is non-increasing in r and equals 1 at
         # r = 0 (the anchored coordinate contributes S(0) = 1)
-        while hi - lo > tol:
+        while hi - lo > RADIUS_TOL:
             mid = 0.5 * (lo + hi)
             if bound.exceedance(np.maximum(mid, halfgaps)) <= alpha:
                 hi = mid
@@ -223,16 +224,6 @@ def _mc_sweep(bound: MonteCarloBound, alpha: float, intervals, lo: float, hi: fl
     return points, count >= _mc_accept_threshold(n, alpha)
 
 
-def _accepted_span(accept) -> tuple[int, int, bool, int]:
-    """First and last accepted cell, whether rejected cells lie between them,
-    and how many cells were accepted."""
-    if not accept.any():
-        raise InternalCheckError("no point accepted; t = X_winner must be a member")
-    first = int(np.argmax(accept))
-    last = accept.size - 1 - int(np.argmax(accept[::-1]))
-    return first, last, not bool(accept[first:last + 1].all()), int(np.count_nonzero(accept))
-
-
 # Steps allowed per radius search.  A sum lying within rounding error of
 # alpha over a long range keeps cells alive at every depth; at the cap the
 # search stops on its current cell, which is kept and so still conservative.
@@ -255,7 +246,7 @@ def _cell_widths(d, lower: bool, a, b, k=3.0, s=1.0) -> np.ndarray:
     return np.maximum(a, (d + a * s) / k)
 
 
-def _radius_search(lower: bool, hi: float, tol: float):
+def _radius_search(lower: bool, hi: float):
     """Certified depth-first search for the largest accepted radius in [0, hi].
 
     A generator: each step yields the halves of the current cell whose
@@ -266,13 +257,13 @@ def _radius_search(lower: bool, hi: float, tol: float):
     upper side a cell's bound is the sum at its lower end, so the lower
     half shares the bound of the kept current cell and only the upper half
     is asked for: the search is a bisection.  Returns the upper end of the
-    first kept cell of width <= tol, or of the current (kept) cell after
-    MAX_SEARCH_STEPS steps.
+    first kept cell of width <= RADIUS_TOL, or of the current (kept) cell
+    after MAX_SEARCH_STEPS steps.
     """
     a, b = 0.0, hi  # the cell holding r = 0 is never dropped: its sum has S(0) = 1
     below = []      # kept cells under the current one, searched on backtracking
     for _ in range(MAX_SEARCH_STEPS):
-        if b - a <= tol:
+        if b - a <= RADIUS_TOL:
             break
         mid = 0.5 * (a + b)
         keep = yield ((a, mid), (mid, b)) if lower else ((mid, b),)
@@ -289,8 +280,7 @@ def _radius_search(lower: bool, hi: float, tol: float):
     return b
 
 
-def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides,
-                 tol: float = RADIUS_TOL):
+def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides):
     """Largest accepted radius in [0, hi] on each side of the endpoint equations.
 
     ``sides`` holds one flag per wanted radius: True for the lower sum
@@ -302,7 +292,7 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides,
     """
     at_hi = bound.exceedance(np.stack([_cell_widths(d, lower, hi, hi) for lower in sides]))
     radii = [hi] * len(sides)
-    searches = {i: _radius_search(lower, hi, tol) for i, lower in enumerate(sides)
+    searches = {i: _radius_search(lower, hi) for i, lower in enumerate(sides)
                 if at_hi[i] - alpha < (-1e-12 if lower else 0.0)}
     sent = dict.fromkeys(searches)  # None starts each generator
     bounded = kept = 0
@@ -324,77 +314,88 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides,
     return radii, bounded, kept
 
 
-def _union_winner(problem: Problem, tol: float) -> tuple[float, float, dict]:
-    """Both winner radii of a union-bound problem, plus their diagnostics."""
-    x, bound, alpha = problem.x, problem.bound, problem.alpha
-    i_hat = problem.winner
+def _mc_reach(bound: MonteCarloBound, d) -> np.ndarray:
+    """Per row, the radius above the anchor up to which the row exceeds.
+
+    At t = X_anchor + r coordinate j exceeds iff |xi_j| > max(r, (d_j + r)/3),
+    that is r < min(|xi_j|, 3 |xi_j| - d_j); the row exceeds iff r is below
+    the largest of these.
+    """
+    a_all = bound.abs_samples
+    chunk = max(1, _MC_CHUNK_ELEMS // bound.m)
+    return np.concatenate([
+        np.minimum(a, 3.0 * a - d).max(axis=1)
+        for a in (a_all[s:s + chunk] for s in range(0, bound.n, chunk))])
+
+
+def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
+    """Lower radius, and the upper one if ``upper``, for the gaps d = X_anchor - X.
+
+    Both lie in [0, r0], r0 the zero-gap radius.  Under a union bound the
+    lower side is a certified cell search and the upper side a bisection
+    (``_union_radii``).  On a Monte-Carlo bank a row exceeds at radius r
+    below the anchor iff r lies in some open interval (d_j - 3 |xi_j|,
+    |xi_j|), and a sweep of those gives the lower side exactly; the cell
+    holding r = 0 is always kept, so the anchor itself is never left out.
+    Above the anchor the exceed count falls with r, so the upper radius is
+    the conservative order statistic of the rows' reaches, like r0.  The
+    diagnostics count the lower and upper cells bounded (``grid_points``)
+    and kept (``accepted_points``); Monte-Carlo ones are the lower side's.
+    """
+    bound, alpha = problem.bound, problem.alpha
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-    (r_l, r_u), bounded, kept = _union_radii(bound, x[i_hat] - x, alpha, r0,
-                                             (True, False), tol)
-    if r_l < r_u - 1e-9:
+    diagnostics = {"zero_gap_radius": r0}
+    if isinstance(bound, MonteCarloBound):
+        points, accept = _mc_sweep(bound, alpha, lambda a: (d - 3.0 * a, a), 0.0, r0)
+        accept[0] = True
+        last = accept.size - 1 - int(np.argmax(accept[::-1]))
+        radii = [float(points[last + 1])]
+        if upper:
+            radii.append(mc_quantile(_mc_reach(bound, d), 1.0 - alpha))
+        bounded, kept = accept.size, int(np.count_nonzero(accept))
+        diagnostics["bridged"] = not bool(accept[:last + 1].all())
+    else:
+        radii, bounded, kept = _union_radii(bound, d, alpha, r0, (True, False)[:1 + upper])
+    if upper and radii[0] < radii[1] - 1e-9:
         raise InternalCheckError("lower radius cannot undercut the upper radius")
-    return r_l, r_u, {
-        "zero_gap_radius": r0,
-        "bonferroni_lower": bool(r_l == r0),
-        "bonferroni_upper": bool(r_u == r0),
-        "grid_points": bounded,
-        "accepted_points": kept,
-    }
+    diagnostics.update(bonferroni_lower=bool(radii[0] == r0), grid_points=bounded,
+                       accepted_points=kept)
+    if upper:
+        diagnostics["bonferroni_upper"] = bool(radii[1] == r0)
+    return radii, diagnostics
 
 
-def winner_interval_root(problem: Problem, *, tol: float = RADIUS_TOL) -> WinnerInterval:
+def _winner_interval(problem: Problem, method: str) -> WinnerInterval:
+    xw = float(problem.x[problem.winner])
+    (r_l, r_u), diagnostics = _radii(problem, xw - problem.x, upper=True)
+    return WinnerInterval(r_l, r_u, xw, problem.winner, problem.alpha, method, diagnostics)
+
+
+def winner_interval_root(problem: Problem) -> WinnerInterval:
     """Solve the endpoint equations of the winner interval (union bounds).
 
     The upper sum is non-increasing in r, and its search bisects.  The
     lower sum need not be monotone, so its search bounds the sum on whole
     cells and drops only cells it can certify; a narrow accepted bump cannot
     be stepped over.  Each radius is the upper end of a kept cell of width
-    ``tol``, so it errs wide by at most about ``tol``.  The diagnostics count
-    the cells bounded (``grid_points``) and kept (``accepted_points``).
+    ``RADIUS_TOL``, so it errs wide by at most about that much.  The
+    diagnostics count the cells bounded (``grid_points``) and kept
+    (``accepted_points``).
     """
     if not isinstance(problem.bound, UnionBound):
         raise UnsupportedMethodError("root inversion requires a union bound")
-    r_l, r_u, diagnostics = _union_winner(problem, tol)
-    xw = float(problem.x[problem.winner])
-    return WinnerInterval(xw - r_l, xw + r_u, xw, problem.winner, problem.alpha,
-                          "root", diagnostics)
+    return _winner_interval(problem, "root")
 
 
 def winner_interval_grid(problem: Problem, grid_points: int = 2001, *,
                          refine: bool = False) -> WinnerInterval:
-    """Winner interval from the one inverter of the problem's bound.
+    """Winner interval from the one solver of the problem's bound (``_radii``).
 
-    A union bound is inverted by the certified radius solver of
-    ``winner_interval_root``, with the same endpoints bit for bit.  On a
-    Monte-Carlo bound the acceptance set is found by a sweep over the
-    breakpoints of the exceed count, whose cells the diagnostics count as
-    ``grid_points``/``accepted_points``.  Neither uses a grid: ``grid_points``
-    (still validated) and ``refine`` change no result, ``grid_step`` is 0
-    and ``refined`` false.
+    A union bound gets the endpoints of ``winner_interval_root`` bit for
+    bit; a Monte-Carlo bank is swept below X_win and read off an order
+    statistic above it.  Neither uses a grid: ``grid_points`` (still
+    validated) and ``refine`` change no result.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    x, bound, alpha = problem.x, problem.bound, problem.alpha
-    i_hat = problem.winner
-    xw = float(x[i_hat])
-    if isinstance(bound, MonteCarloBound):
-        r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-        if r0 > 0.0:
-            # row exceeds at t iff t falls in some (X_win - |xi_j|,
-            # min(X_win + |xi_j|, X_j + 3 |xi_j|)): the membership condition
-            # |xi_j| > max(|X_win - t|, halfgap_j(t)) rewritten as a t-interval
-            points, accept = _mc_sweep(
-                bound, alpha, lambda a: (xw - a, np.minimum(xw + a, x + 3.0 * a)),
-                xw - r0, xw + r0)
-            first, last, bridged, accepted = _accepted_span(accept)
-            t_l, t_u, cells = float(points[first]), float(points[last + 1]), accept.size
-        else:  # a zero-gap radius of 0 accepts t = X_winner alone
-            t_l = t_u = xw
-            cells, accepted, bridged = 0, 0, False
-        diagnostics = {"grid_points": int(cells), "grid_step": 0.0, "zero_gap_radius": r0,
-                       "accepted_points": accepted, "bridged": bridged, "refined": False}
-    else:
-        r_l, r_u, diagnostics = _union_winner(problem, RADIUS_TOL)
-        t_l, t_u = xw - r_l, xw + r_u
-        diagnostics.update(grid_step=0.0, refined=False)
-    return WinnerInterval(t_l, t_u, xw, i_hat, alpha, "grid", diagnostics)
+    return _winner_interval(problem, "grid")

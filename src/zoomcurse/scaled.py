@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RADIUS_TOL, Problem, WinnerInterval, _cell_widths,
-                   _radius_search, active_radius)
+from .core import Problem, WinnerInterval, _cell_widths, _radius_search, active_radius
 from .errors import UnsupportedMethodError
 from .tails import UnionBound
 
@@ -133,7 +132,7 @@ class _ScaledTest:
         passes its live (i*, u) cells to its halves: what its bound dropped
         stays dropped on any part of it.
         """
-        search = _radius_search(lower, r0, RADIUS_TOL)
+        search = _radius_search(lower, r0)
         rivals = np.delete(np.arange(self.d.size), self.win)
         live = {(0.0, r0): (rivals, 0.0 * rivals, r0 * self.s + 0.0 * rivals)}
         keep = None
@@ -181,7 +180,5 @@ def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001) -> W
         r_u = test.search(False, r0)
     diagnostics = {"zero_gap_radius": r0, "bonferroni_lower": r_l == r0,
                    "bonferroni_upper": r_u == r0, "grid_points": test.bounded,
-                   "accepted_points": test.kept, "star_cells": test.star_cells,
-                   "grid_step": 0.0}
-    return WinnerInterval(xw - r_l * test.s, xw + r_u * test.s, xw, i_hat, alpha,
-                          "scaled-grid", diagnostics)
+                   "accepted_points": test.kept, "star_cells": test.star_cells}
+    return WinnerInterval(r_l * test.s, r_u * test.s, xw, i_hat, alpha, "scaled", diagnostics)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Problem, _check_alpha, winner_interval_grid
-from .sampling import EquicorrelatedSampler, draw_bank, m_statistic, mc_quantile
+from .core import Problem, _check_alpha, active_radius, winner_interval_grid
+from .sampling import EquicorrelatedSampler, draw_bank
 from .stepdown import winner_interval_stepdown
 from .tails import GaussianTail, UnionBound
 from .topk import topk_interval
@@ -133,7 +133,7 @@ def simultaneous_radius(config: SimConfig) -> float:
     sampler = EquicorrelatedSampler(config.m, config.rho)
     bank_seed = int(np.random.SeedSequence([config.seed, 0]).generate_state(1)[0])
     bank = draw_bank(sampler, config.n_mc, bank_seed)
-    return mc_quantile(m_statistic(bank, np.zeros(config.m)), 1.0 - config.alpha)
+    return active_radius(bank, np.zeros(config.m), config.alpha).r
 
 
 def run_simulation(config: SimConfig, *, include_raw: bool = False) -> SimReport:

@@ -131,5 +131,5 @@ def winner_interval_stepdown(problem: Problem) -> WinnerInterval:
     lower = stepdown_lower(gaps, model, problem.alpha)
     upper = stepdown_upper(gaps, model, problem.alpha)
     diagnostics = {"lower_trace": lower, "upper_trace": upper}
-    return WinnerInterval(float(x[i_hat] - lower.radius), float(x[i_hat] + upper.radius),
-                          float(x[i_hat]), i_hat, problem.alpha, "stepdown", diagnostics)
+    return WinnerInterval(lower.radius, upper.radius, float(x[i_hat]), i_hat,
+                          problem.alpha, "stepdown", diagnostics)

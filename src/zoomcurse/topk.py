@@ -3,10 +3,12 @@
 The k empirically best candidates share one box half-width r, found by
 inverting an acceptance test along the one-parameter path of least
 favorable mean vectors: winners pinned at X_j - r, every loser pulled up
-toward the k-th winner's shifted value X_(k) - r.  The accepted radii need
-not form an interval, so the largest one is found by the certified cell
-search of ``core`` (union bounds) or by the exact breakpoint sweep
-(Monte-Carlo banks); r = 0 is always accepted.
+toward the k-th winner's shifted value X_(k) - r.  Along that path the
+test is the winner interval's lower endpoint equation anchored at X_(k), so
+the radius comes from the same solver (``core._radii``, lower side only):
+a certified cell search under a union bound, an exact breakpoint sweep on a
+Monte-Carlo bank.  The accepted radii need not form an interval; the
+largest one is returned, and r = 0 is always accepted.
 """
 from __future__ import annotations
 
@@ -14,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Problem, _accepted_span, _check_scores, _mc_sweep, _union_radii,
-                   active_radius)
+from .core import Problem, _check_scores, _radii
 from .stepdown import marginal_model, stepdown_lower
-from .tails import MonteCarloBound
 
 
 @dataclass(frozen=True)
@@ -48,35 +48,19 @@ def topk_interval(problem: Problem, k: int, grid_points: int = 2001, *,
 
     Along the least favorable path, coordinate j's width at radius r is
     max(r, (d_j - r)/3) with d_j = X_(k) - X_j: the winner's lower endpoint
-    equation anchored at the k-th score.  A union bound is inverted by the
-    certified radius solver of ``winner_interval_root`` (for k = 1 the box's
-    lower end is that interval's t_l, bit for bit); a Monte-Carlo bank is
-    swept exactly.  As in
-    ``winner_interval_grid``, ``grid_points`` and ``refine`` change no result.
+    equation anchored at the k-th score, solved as for the winner interval,
+    so for k = 1 ``r_max`` is the winner interval's ``r_l`` bit for bit.  As
+    in ``winner_interval_grid``, ``grid_points`` and ``refine`` change no
+    result.
     """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    x, bound, alpha = problem.x, problem.bound, problem.alpha
+    x = problem.x
     win = top_indices(x, k)
-    r0 = active_radius(bound, np.zeros(problem.m), alpha).r
-    d = x[win[-1]] - x
-    if isinstance(bound, MonteCarloBound):
-        # the row condition any_j |xi_j| > max(r, relu(d_j - r)/3) is, in r,
-        # the union of open intervals (d_j - 3 |xi_j|, |xi_j|)
-        points, accept = _mc_sweep(bound, alpha, lambda a: (d - 3.0 * a, a), 0.0, r0)
-        accept[0] = True  # the zero radius never leaves the region
-        _, last, bridged, accepted = _accepted_span(accept)
-        r_max = float(points[last + 1])
-        diagnostics = {"grid_points": int(accept.size), "grid_step": 0.0,
-                       "zero_gap_radius": r0, "accepted_points": accepted,
-                       "bridged": bridged, "refined": False}
-    else:
-        (r_max,), bounded, kept = _union_radii(bound, d, alpha, r0, (True,))
-        diagnostics = {"grid_points": bounded, "grid_step": 0.0, "zero_gap_radius": r0,
-                       "accepted_points": kept, "refined": False}
+    (r_max,), diagnostics = _radii(problem, x[win[-1]] - x, upper=False)
     boxes = np.stack([x[win] - r_max, x[win] + r_max], axis=1)
     return TopKResult(int(k), tuple(int(j) for j in win), r_max, boxes,
-                      alpha, "grid", diagnostics)
+                      problem.alpha, "grid", diagnostics)
 
 
 def topk_stepdown(problem: Problem, k: int) -> TopKResult:

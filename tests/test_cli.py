@@ -125,7 +125,7 @@ class TestWinnerCi:
         env = run_json(capsys, ["winner-ci", "--input", sigma_csv,
                                 "--alpha", "0.1", "--tail", "gaussian:1",
                                 "--grid-points", "401"])
-        assert env["method"] == "scaled-grid"
+        assert env["method"] == "scaled"
         lo, hi = env["result"]["interval"]
         assert lo <= 10.0 <= hi
 
@@ -184,6 +184,29 @@ class TestWinnerCi:
         env = run_json(capsys, ["topk-ci", "--input", scores_csv, "--alpha", "0.1",
                                 "--k", "1", *spec])
         assert env["result"]["r_max"] == 0.0
+
+    @pytest.mark.parametrize("scores, rows, alpha, expected", [
+        # no radius cell reaches the acceptance count: only the zero radius
+        # (kept by convention) is left; this used to exit 4
+        ({"a": 1.1, "b": 3.0, "c": -4.4},
+         [[0.0] * 3] * 6 + [[-0.4, 0.1, 0.0]] + [[0.0] * 3] * 2 + [[0.0, 0.0, -0.2]]
+         + [[0.0] * 3] * 2 + [[-0.5, 0.0, 0.0]], 0.1, (2.9, 3.0)),
+        # the accepted winner values all lie below X_win; this used to exit 2
+        ({"a": 0.3, "b": 2.6}, [[0.5, 0.0], [-0.7, 0.0]], 0.2, (1.9, 2.6)),
+    ], ids=["no-cell-accepted", "accepted-below-winner"])
+    def test_degenerate_bank_keeps_the_winner_score(self, capsys, tmp_path,
+                                                    scores, rows, alpha, expected):
+        table = tmp_path / "s.csv"
+        table.write_text("label,score\n" + "".join(f"{k},{v}\n" for k, v in scores.items()))
+        bank = tmp_path / "bank.csv"
+        bank.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        spec = ["--input", str(table), "--alpha", str(alpha), "--noise", f"table:{bank}"]
+        env = run_json(capsys, ["winner-ci", *spec])
+        lo, hi = env["result"]["interval"]
+        assert lo <= max(scores.values()) <= hi
+        assert (lo, hi) == pytest.approx(expected, abs=1e-12)
+        top1 = run_json(capsys, ["topk-ci", *spec, "--k", "1"])
+        assert env["result"]["radius_lower"] == top1["result"]["r_max"]
 
 
 class TestOtherModes:

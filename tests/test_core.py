@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from zoomcurse.core import (Problem, _cell_widths, _mc_accept_threshold, _mc_sweep,
-                            _merged_pieces, active_radius, winner_interval_grid,
+from zoomcurse.core import (Problem, WinnerInterval, _cell_widths, _mc_accept_threshold,
+                            _mc_sweep, _merged_pieces, active_radius, winner_interval_grid,
                             winner_interval_root)
-from zoomcurse.errors import InfeasibleAlphaError, UnsupportedMethodError
-from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
+from zoomcurse.errors import (InfeasibleAlphaError, InternalCheckError,
+                              UnsupportedMethodError)
+from zoomcurse.sampling import EquicorrelatedSampler, draw_bank, mc_quantile
 from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
 from zoomcurse.topk import topk_interval
@@ -180,6 +181,13 @@ class TestWinnerIntervalRoot:
         iv = winner_interval_root(Problem(np.array([1.0, 0.0]), bound, 0.1))
         assert (iv.t_l, iv.t_u) == (1.0, 1.0)
 
+    def test_stores_the_radii_and_rejects_negative_ones(self):
+        iv = WinnerInterval(0.25, 0.5, 3.0, 0, 0.1, "root")
+        assert (iv.r_l, iv.r_u, iv.t_l, iv.t_u) == (0.25, 0.5, 2.75, 3.5)
+        for r_l, r_u in ((-1e-300, 0.0), (0.0, -1.0), (np.nan, 0.0)):
+            with pytest.raises(InternalCheckError):
+                WinnerInterval(r_l, r_u, 3.0, 0, 0.1, "root")
+
     def test_rejects_mc_bound(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.0), 100, seed=0)
         p = Problem(np.array([1.0, 0.0]), bank, 0.1)
@@ -194,7 +202,6 @@ class TestWinnerIntervalGrid:
         assert iv.r_l == pytest.approx(ROOT_LOWER_RADIUS, abs=1e-8)
         assert iv.r_u == pytest.approx(ROOT_UPPER_RADIUS, abs=1e-8)
         # no grid is left to refine: refine changes nothing
-        assert not iv.diagnostics["refined"]
         assert iv == winner_interval_grid(p, 101)
 
     def test_unrefined_grid_brackets_roots_conservatively(self):
@@ -203,12 +210,11 @@ class TestWinnerIntervalGrid:
             x = rng.normal(size=rng.integers(2, 6)) * 2
             p = gaussian_problem(x)
             root = winner_interval_root(p)
-            grid = winner_interval_grid(p, 501)
-            step = grid.diagnostics["grid_step"]
-            assert grid.t_l <= root.t_l + 1e-9
-            assert grid.t_u >= root.t_u - 1e-9
-            assert grid.t_l >= root.t_l - 2 * step
-            assert grid.t_u <= root.t_u + 2 * step
+            # no grid is left: every variant is the root solver's interval
+            for grid in (winner_interval_grid(p, 501),
+                         winner_interval_grid(p, 501, refine=True)):
+                assert (grid.r_l, grid.r_u) == (root.r_l, root.r_u)
+                assert (grid.t_l, grid.t_u) == (root.t_l, root.t_u)
 
     def test_single_candidate_is_marginal(self):
         iv = winner_interval_grid(gaussian_problem([3.0]), 101)
@@ -276,8 +282,22 @@ class TestMonteCarloGridAcceptance:
         # tight: the direct count accepts just inside both hull ends
         assert _direct_accepts(p.x, 0, iv.t_l + 1e-9, a, 0.1)
         assert _direct_accepts(p.x, 0, iv.t_u - 1e-9, a, 0.1)
-        assert not iv.diagnostics["refined"] and iv.diagnostics["grid_step"] == 0.0
         assert winner_interval_grid(p, 101, refine=True) == iv
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_radii_are_the_top1_radius_and_the_reach_quantile(self, seed):
+        p = _small_mc_problem(seed)
+        iv = winner_interval_grid(p)
+        assert topk_interval(p, 1).r_max == iv.r_l
+        # a row exceeds at t = X_win + r iff r < min(|xi_j|, 3 |xi_j| - d_j)
+        # for some j: its reach, so the upper radius is their order statistic
+        d = p.x[0] - p.x
+        reach = [max(min(a, 3.0 * a - dj) for a, dj in zip(row, d))
+                 for row in p.bound.abs_samples.tolist()]
+        assert iv.r_u == mc_quantile(reach, 0.9)
+        a = p.bound.abs_samples
+        for r in np.linspace(0.0, iv.r_u, 7)[:-1] + 1e-9:
+            assert _direct_accepts(p.x, 0, p.x[0] + r, a, 0.1)
 
     def test_hand_built_touching_pieces(self):
         # three rows; row 0 has touching pieces (0,1),(1,2), row 2 a nested

@@ -56,10 +56,8 @@ def test_grid_root_and_meta_endpoints_are_bit_identical(p):
 @SETTINGS
 @given(union_problems())
 def test_top1_radius_is_the_winner_lower_radius(p):
-    # r_l is recomputed as x_winner - t_l, which rounds; the top-1 box's
-    # lower end X_win - r_max is the very operation that gives t_l
     root = winner_interval_root(p)
-    assert topk_interval(p, 1).boxes[0, 0] == root.t_l
+    assert topk_interval(p, 1).r_max == root.r_l
 
 
 @SETTINGS

@@ -234,7 +234,7 @@ class TestScaledInterval:
         iv = winner_interval_scaled(ScaledProblem(gaussian_problem(x), sigma), 501)
         r0 = iv.diagnostics["zero_gap_radius"]
         assert 2.0 - r0 * 0.5 - 1e-12 <= iv.t_l <= iv.t_u <= 2.0 + r0 * 0.5 + 1e-12
-        assert iv.method == "scaled-grid"
+        assert iv.method == "scaled"
 
     def test_rejects_monte_carlo_bounds(self):
         bank = draw_bank(EquicorrelatedSampler(2, 0.0), 100, seed=0)
