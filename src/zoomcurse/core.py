@@ -121,9 +121,10 @@ def _check_gaps(gaps, m: int) -> np.ndarray:
 
 
 def _union_feasible_radius(bound: UnionBound, q: float) -> float:
-    """A radius at which the union bound is certainly <= m * q."""
+    """A radius at which the union bound is certainly <= m * q: the largest
+    marginal S_inv(q), from one call per marginal family."""
     try:
-        return max(model.isf(q) for model in bound.models)
+        return bound.max_isf(q)
     except ValueError as exc:
         raise InfeasibleAlphaError(
             f"error budget too small for the marginal tail model: {exc}") from exc
@@ -154,7 +155,7 @@ def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
                 lo = mid
         r = hi
     active = np.nonzero(gaps <= 2.0 * r)[0]
-    return ActiveRadius(float(r), tuple(int(j) for j in active), alpha)
+    return ActiveRadius(float(r), tuple(active.tolist()), alpha)
 
 
 def _mc_accept_threshold(n: int, alpha: float) -> int:
@@ -193,9 +194,6 @@ def _merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
     return ls[rows, cols], umax[rows, np.where(last, m - 1, next_col - 1)]
 
 
-_MC_CHUNK_ELEMS = 4_000_000
-
-
 def _mc_sweep(bound: MonteCarloBound, alpha: float, intervals, lo: float, hi: float):
     """Exact acceptance cells of a Monte-Carlo bank on [lo, hi].
 
@@ -206,12 +204,9 @@ def _mc_sweep(bound: MonteCarloBound, alpha: float, intervals, lo: float, hi: fl
     sorted breakpoints (lo and hi included) and, for each open cell between
     neighbours, whether its count reaches the acceptance threshold.
     """
-    a_all = bound.abs_samples
-    n, m = a_all.shape
-    chunk = max(1, _MC_CHUNK_ELEMS // m)
     starts, ends = [], []
-    for s in range(0, n, chunk):
-        low, high = intervals(a_all[s:s + chunk])
+    for block in bound.blocks():
+        low, high = intervals(block)
         piece_starts, piece_ends = _merged_pieces(np.maximum(low, lo), np.minimum(high, hi))
         starts.append(piece_starts)
         ends.append(piece_ends)
@@ -221,7 +216,7 @@ def _mc_sweep(bound: MonteCarloBound, alpha: float, intervals, lo: float, hi: fl
     points = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
     count = (np.searchsorted(starts, points[:-1], side="right")
              - np.searchsorted(ends, points[:-1], side="right"))
-    return points, count >= _mc_accept_threshold(n, alpha)
+    return points, count >= _mc_accept_threshold(bound.n, alpha)
 
 
 # Steps allowed per radius search.  A sum lying within rounding error of
@@ -321,11 +316,7 @@ def _mc_reach(bound: MonteCarloBound, d) -> np.ndarray:
     that is r < min(|xi_j|, 3 |xi_j| - d_j); the row exceeds iff r is below
     the largest of these.
     """
-    a_all = bound.abs_samples
-    chunk = max(1, _MC_CHUNK_ELEMS // bound.m)
-    return np.concatenate([
-        np.minimum(a, 3.0 * a - d).max(axis=1)
-        for a in (a_all[s:s + chunk] for s in range(0, bound.n, chunk))])
+    return np.concatenate([np.minimum(a, 3.0 * a - d).max(axis=1) for a in bound.blocks()])
 
 
 def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:

@@ -128,15 +128,17 @@ def m_statistic(bound: MonteCarloBound, gaps) -> np.ndarray:
     """Per-row max of |xi_j| over coordinates with |xi_j| > gaps_j / 2.
 
     Rows where no coordinate clears its half-gap contribute 0.  Infinite
-    gaps knock their coordinate out entirely.
+    gaps knock their coordinate out entirely.  The bank is scanned in
+    blocks (``MonteCarloBound.blocks``), so the temporaries stay bounded.
     """
-    a = bound.abs_samples
     gaps = np.asarray(gaps, dtype=float)
-    if gaps.ndim != 1 or gaps.size != a.shape[1]:
+    if gaps.ndim != 1 or gaps.size != bound.m:
         raise ValueError("gaps must be 1-d with one entry per coordinate")
     if np.any(np.isnan(gaps)) or np.any(gaps < 0):
         raise ValueError("gaps must be non-negative")
-    return np.max(np.where(a > 0.5 * gaps, a, 0.0), axis=1)
+    half = 0.5 * gaps
+    return np.concatenate([np.max(np.where(a > half, a, 0.0), axis=1)
+                           for a in bound.blocks()])
 
 
 def mc_order_index(level: float, n: int) -> int:

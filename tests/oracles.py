@@ -1,8 +1,8 @@
 """Reference forms that the tests compare the package against.
 
 Direct, unoptimized statements of the least favorable configurations and
-of the acceptance tests, basic and sigma-scaled.  The package itself uses
-none of them.
+of the acceptance tests, basic and sigma-scaled, and the union bound
+summed model by model.  The package itself uses none of them.
 """
 import math
 
@@ -142,3 +142,10 @@ def scaled_sums(problem, t, t_star, i_star: int):
     pinned[..., win] = pinned[..., i_star] = True
     r_req = np.where(pinned, np.abs(x - theta) / sigma, 0.0).max(axis=-1)
     return problem.base.bound.exceedance(np.maximum(r_req[..., None], gaps))
+
+
+def sequential_exceedance(bound, widths):
+    """Union bound summed one marginal model at a time, left to right."""
+    w = np.asarray(widths, dtype=float)
+    total = sum(np.asarray(model.sf(w[..., j])) for j, model in enumerate(bound.models))
+    return np.minimum(total, 1.0)

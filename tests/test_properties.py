@@ -1,23 +1,53 @@
-"""Property tests of the union-bound radius solver over random problems.
+"""Property tests of the union bound and its radius solver over random problems.
 
-Four tail families, up to 40 candidates, alpha in [1e-3, 0.5], and scores
-that may tie.  Hypothesis keeps no example database here, so a run writes
-no files.
+Marginals from every tail family, alone and mixed, up to 40 candidates,
+alpha in [1e-3, 0.5], and scores that may tie.  Hypothesis keeps no example
+database here, so a run writes no files.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoomcurse.core import Problem, winner_interval_grid, winner_interval_root
+from zoomcurse.core import (Problem, _union_feasible_radius, winner_interval_grid,
+                            winner_interval_root)
 from zoomcurse.meta import population_value_interval
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 from zoomcurse.topk import topk_interval
 
-from oracles import endpoint_sum
+from oracles import endpoint_sum, sequential_exceedance
 
-EMPIRICAL = EmpiricalTail(np.abs(np.random.default_rng(5).standard_t(5, size=300)))
+_T5 = np.random.default_rng(5)
+EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
+TABLES = (EMPIRICAL, EmpiricalTail(np.abs(_T5.standard_t(3, size=40))),
+          EmpiricalTail(np.abs(_T5.normal(0.0, 1.5, size=120))))
 TIED_SCORES = (-4.0, -1.5, 0.0, 0.5, 0.75, 2.0)
+FAMILIES = ("gaussian", "subgaussian", "empirical", "scales", "proxies", "tables", "mixed")
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def union_bounds(draw, m):
+    """A union bound over m marginals of one of FAMILIES."""
+    family = draw(st.sampled_from(FAMILIES))
+    scales = st.lists(st.floats(0.25, 4.0), min_size=m, max_size=m)
+    if family == "gaussian":
+        models = (GaussianTail(1.0),) * m
+    elif family == "subgaussian":
+        models = (SubGaussianTail(1.3),) * m
+    elif family == "empirical":
+        models = (EMPIRICAL,) * m
+    elif family == "scales":
+        models = tuple(GaussianTail(s) for s in draw(scales))
+    elif family == "proxies":
+        models = tuple(SubGaussianTail(s) for s in draw(scales))
+    elif family == "tables":
+        models = tuple(draw(st.lists(st.sampled_from(TABLES), min_size=m, max_size=m)))
+    else:
+        kinds = st.sampled_from((GaussianTail, SubGaussianTail, EmpiricalTail))
+        models = tuple(TABLES[int(s) % 3] if kind is EmpiricalTail else kind(s)
+                       for kind, s in zip(draw(st.lists(kinds, min_size=m, max_size=m)),
+                                          draw(scales)))
+    return UnionBound(models)
 
 
 @st.composite
@@ -28,18 +58,44 @@ def union_problems(draw):
     else:
         score = st.floats(-20.0, 20.0, allow_nan=False)
     x = np.array(draw(st.lists(score, min_size=m, max_size=m)))
-    family = draw(st.sampled_from(("gaussian", "subgaussian", "empirical", "scales")))
-    if family == "gaussian":
-        models = (GaussianTail(1.0),) * m
-    elif family == "subgaussian":
-        models = (SubGaussianTail(1.3),) * m
-    elif family == "empirical":
-        models = (EMPIRICAL,) * m
-    else:
-        scales = draw(st.lists(st.floats(0.25, 4.0), min_size=m, max_size=m))
-        models = tuple(GaussianTail(s) for s in scales)
     alpha = draw(st.floats(1e-3, 0.5))
-    return Problem(x, UnionBound(models), alpha)
+    return Problem(x, draw(union_bounds(m)), alpha)
+
+
+@st.composite
+def bounds_and_widths(draw):
+    """A union bound and a (rows, m) stack of widths, some zero or infinite."""
+    m = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 6))
+    width = st.one_of(st.floats(0.0, 12.0), st.sampled_from((0.0, np.inf)))
+    widths = np.array(draw(st.lists(width, min_size=rows * m, max_size=rows * m)))
+    return draw(union_bounds(m)), widths.reshape(rows, m)
+
+
+@SETTINGS
+@given(bounds_and_widths())
+def test_a_row_of_a_stack_is_the_single_row_bound(case):
+    bound, widths = case
+    stacked = bound.exceedance(widths)
+    for i, row in enumerate(widths):
+        assert stacked[i] == bound.exceedance(row)
+    assert bound.exceedance(widths[None])[0].tolist() == stacked.tolist()
+
+
+@SETTINGS
+@given(bounds_and_widths())
+def test_family_groups_match_the_model_by_model_sum(case):
+    bound, widths = case
+    grouped, ref = bound.exceedance(widths), sequential_exceedance(bound, widths)
+    # the tails agree bit for bit; only the order of summation differs
+    assert np.all(np.abs(grouped - ref) <= bound.m * np.spacing(ref))
+
+
+@SETTINGS
+@given(bounds_and_widths(), st.floats(1e-12, 1.0))
+def test_feasible_radius_is_the_largest_marginal_quantile(case, q):
+    bound, _ = case
+    assert _union_feasible_radius(bound, q) == max(model.isf(q) for model in bound.models)
 
 
 @SETTINGS

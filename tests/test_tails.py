@@ -126,6 +126,24 @@ class TestUnionBound:
         slow = np.minimum(1.0, sum(models[j].sf(w[:, j]) for j in range(4)))
         np.testing.assert_allclose(rows, slow, rtol=1e-14)
 
+    def test_equal_models_are_identical_marginals(self):
+        table = np.abs(np.random.default_rng(3).standard_t(5, size=50))
+        assert UnionBound((GaussianTail(2.0), GaussianTail(2.0))).identical_marginals
+        assert not UnionBound((GaussianTail(2.0), GaussianTail(1.0))).identical_marginals
+        assert not UnionBound((SubGaussianTail(1.0), SubGaussianTail(1.5))).identical_marginals
+        assert UnionBound((EmpiricalTail(table), EmpiricalTail(table))).identical_marginals
+        assert not UnionBound((EmpiricalTail(table), EmpiricalTail(table[1:]))).identical_marginals
+        assert not UnionBound((GaussianTail(1.0), SubGaussianTail(1.0))).identical_marginals
+
+    def test_mixed_families_fill_their_own_columns(self):
+        table = EmpiricalTail([0.5, 1.0, 4.0])
+        models = (table, GaussianTail(2.0), SubGaussianTail(1.5), table, GaussianTail(0.5))
+        b = UnionBound(models)
+        w = np.array([[0.7, 1.0, 2.0, 3.0, 0.2], [5.0, 0.0, 9.0, 0.1, 4.0]])
+        tails = np.array([[model.sf(v) for model, v in zip(models, row)] for row in w])
+        np.testing.assert_allclose(b.exceedance(w), np.minimum(tails.sum(axis=1), 1.0),
+                                   rtol=1e-15)
+
     def test_shape_errors(self):
         b = UnionBound((GaussianTail(1.0),) * 2)
         with pytest.raises(ValueError):
