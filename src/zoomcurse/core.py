@@ -14,8 +14,12 @@ family has a lower side that is searched and an upper side that is monotone.
 Under a union bound the lower side is a certified cell search and the upper
 side a bisection (``_union_radii``).  On a Monte-Carlo bank the lower exceed
 count is piecewise constant in r and a sweep over its breakpoints gives it
-exactly (``_mc_sweep``); above the anchor each row exceeds up to its own
-reach, so the upper radius is an order statistic of the reaches.
+exactly (``_mc_sweep``).  Each row's exceed set is merged into pieces first:
+most rows exceed on one piece from r = 0 to the largest end among their
+intervals that start at or below 0; the few whose intervals reach past it
+are grown by vectorized max passes (``_lower_pieces``), and only the rest
+are sorted (``_merged_pieces``).  Above the anchor each row exceeds up to its
+own reach, so the upper radius is an order statistic of the reaches.
 """
 from __future__ import annotations
 
@@ -194,22 +198,67 @@ def _merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
     return ls[rows, cols], umax[rows, np.where(last, m - 1, next_col - 1)]
 
 
-def _mc_sweep(bound: MonteCarloBound, alpha: float, intervals, lo: float, hi: float):
+# Growth passes allowed per row in ``_lower_pieces``.  Each pass joins the
+# intervals that start inside a row's current piece, so a row needs one pass
+# per link of a chain of overlapping intervals; rows still growing at the cap
+# go to the sort merge, which is exact for any row.
+MAX_MERGE_PASSES = 16
+
+
+def _lower_pieces(a, d, r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Merged exceed pieces of a block of |xi| rows below the anchor, on [0, r0].
+
+    Row i exceeds at radius r on the open intervals (max(L_j, 0), U_j) with
+    L = d - 3 |xi| and U = min(|xi|, r0): these are the pieces
+    ``_merged_pieces`` gives, bit for bit, without sorting most rows.  The
+    piece that starts at 0 is grown from its seed E = max U over the
+    intervals with L <= 0 by passes E <- max(E, max U over intervals with
+    L < E).  A pass joins only intervals that start strictly inside the
+    piece, so the piece stays one interval (0, E); an interval that starts
+    at E touches it and stays out, as in the sort merge.  If E > 0 and every
+    non-empty interval ends by E, each of them starts below its end, so
+    inside (0, E), and the row's union is exactly (0, E); most rows are so
+    at the seed and take no pass.  A row is grown only while its last end
+    lies past E, and goes through ``_merged_pieces`` if it has no piece at 0
+    (E = 0), stops growing short of its last end (a later piece), or is
+    still growing after MAX_MERGE_PASSES passes.  L is compared as rounded,
+    exactly as the sort merge compares it.
+    """
+    L = np.multiply(a, 3.0)
+    np.subtract(d, L, out=L)
+    U = np.minimum(a, r0)
+    scratch = np.multiply(U, L <= 0.0)  # U >= 0, so a masked-out U is 0
+    E = scratch.max(axis=1)
+    np.multiply(U, U > L, out=scratch)
+    last_end = scratch.max(axis=1)  # of the row's non-empty intervals
+    live = np.flatnonzero((E > 0.0) & (last_end > E))
+    for _ in range(MAX_MERGE_PASSES):
+        if live.size == 0:
+            break
+        grown = np.max(U[live] * (L[live] < E[live, None]), axis=1)
+        keep = (grown > E[live]) & (last_end[live] > grown)
+        E[live] = grown
+        live = live[keep]
+    single = (E > 0.0) & (last_end <= E)
+    if single.all():
+        return np.zeros(E.size), E
+    starts, ends = _merged_pieces(np.maximum(L[~single], 0.0), U[~single])
+    return (np.concatenate([np.zeros(np.count_nonzero(single)), starts]),
+            np.concatenate([E[single], ends]))
+
+
+def _mc_sweep(bound: MonteCarloBound, alpha: float, pieces, lo: float, hi: float):
     """Exact acceptance cells of a Monte-Carlo bank on [lo, hi].
 
-    ``intervals(a)`` maps rows of |xi| to the open per-coordinate intervals
-    (L, U) on which each row exceeds.  Clipped to [lo, hi] and merged per
-    row, their pieces make the exceed count piecewise constant: just right
-    of a breakpoint p it is #{starts <= p} - #{ends <= p}.  Returns the
+    ``pieces(block)`` maps a block of |xi| rows to the flat (starts, ends) of
+    the open pieces, merged per row and lying in [lo, hi], on which each row
+    exceeds (``_lower_pieces``, or ``_merged_pieces`` of clipped intervals).
+    Since each row counts once, the exceed count is piecewise constant: just
+    right of a breakpoint p it is #{starts <= p} - #{ends <= p}.  Returns the
     sorted breakpoints (lo and hi included) and, for each open cell between
     neighbours, whether its count reaches the acceptance threshold.
     """
-    starts, ends = [], []
-    for block in bound.blocks():
-        low, high = intervals(block)
-        piece_starts, piece_ends = _merged_pieces(np.maximum(low, lo), np.minimum(high, hi))
-        starts.append(piece_starts)
-        ends.append(piece_ends)
+    starts, ends = zip(*(pieces(block) for block in bound.blocks()))
     starts = np.sort(np.concatenate(starts))
     ends = np.sort(np.concatenate(ends))
     inside = np.unique(np.concatenate([starts, ends]))
@@ -326,8 +375,10 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     lower side is a certified cell search and the upper side a bisection
     (``_union_radii``).  On a Monte-Carlo bank a row exceeds at radius r
     below the anchor iff r lies in some open interval (d_j - 3 |xi_j|,
-    |xi_j|), and a sweep of those gives the lower side exactly; the cell
-    holding r = 0 is always kept, so the anchor itself is never left out.
+    |xi_j|); ``_lower_pieces`` merges each row's intervals on [0, r0], by
+    max passes where the row is one piece from 0 and by the sort merge
+    otherwise, and the sweep of the pieces gives the lower side exactly; the
+    cell holding r = 0 is always kept, so the anchor itself is never left out.
     Above the anchor the exceed count falls with r, so the upper radius is
     the conservative order statistic of the rows' reaches, like r0.  The
     diagnostics count the lower and upper cells bounded (``grid_points``)
@@ -337,7 +388,7 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
     diagnostics = {"zero_gap_radius": r0}
     if isinstance(bound, MonteCarloBound):
-        points, accept = _mc_sweep(bound, alpha, lambda a: (d - 3.0 * a, a), 0.0, r0)
+        points, accept = _mc_sweep(bound, alpha, lambda a: _lower_pieces(a, d, r0), 0.0, r0)
         accept[0] = True
         last = accept.size - 1 - int(np.argmax(accept[::-1]))
         radii = [float(points[last + 1])]

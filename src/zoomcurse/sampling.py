@@ -23,7 +23,9 @@ class EquicorrelatedSampler:
     """Unit-variance Gaussian noise with a common pairwise correlation.
 
     Draws xi_i = sqrt(rho) * Z0 + sqrt(1 - rho) * Z_i with Z0, Z_i iid
-    standard normal (Z0 first in the stream, then the Z block).
+    standard normal (Z0 first in the stream, then the Z block).  The Z block
+    is scaled in place and the common term added into it, so a draw keeps
+    one block-sized array alive.
     """
 
     m: int
@@ -42,7 +44,9 @@ class EquicorrelatedSampler:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z0 = rng.standard_normal(n)
         z = rng.standard_normal((n, self.m))
-        return math.sqrt(self.rho) * z0[:, None] + math.sqrt(1.0 - self.rho) * z
+        z *= math.sqrt(1.0 - self.rho)
+        z += math.sqrt(self.rho) * z0[:, None]
+        return z
 
 
 @dataclass(frozen=True)

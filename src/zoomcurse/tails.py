@@ -24,12 +24,15 @@ from scipy.special import ndtr, ndtri
 # tail are numerically meaningless for every model we expose.
 MIN_TAIL_PROB = 1e-12
 
-# Entries per block of a Monte-Carlo bank scan (MonteCarloBound.blocks): 4 MB
-# float temporaries.  Blocks of 4M entries ran Monte-Carlo winner and top-k
-# calls about 20% slower on 100k x 100 and 20k x 250 banks, and their 32 MB
-# temporaries stayed resident between calls, which raised the peak RSS of
-# repeated simulation calls (343 against 320 MB).
-_MC_CHUNK_ELEMS = 500_000
+# Entries per block of a Monte-Carlo bank scan (MonteCarloBound.blocks): 512 KB
+# float temporaries, so a block's few live temporaries fit about one core's
+# 2 MB L2 cache.  Blocks of 500k entries (4 MB temporaries, in the shared L3)
+# made the three scans of a winner call on a 100k x 100 bank about 40% slower
+# (287 against 200 ms) and less even while another process streamed memory;
+# blocks of 4M entries were slower still, and their 32 MB temporaries stayed
+# resident between calls (peak RSS of repeated simulation calls 343 against
+# 320 MB).
+_MC_CHUNK_ELEMS = 65_536
 
 
 def _as_radii(r) -> np.ndarray:
@@ -287,8 +290,9 @@ class MonteCarloBound:
         return (self.abs_samples[s:s + rows] for s in range(0, self.n, rows))
 
     def exceedance(self, widths) -> float:
-        """Fraction of bank rows with some |xi_j| strictly above widths_j."""
+        """Fraction of bank rows with some |xi_j| strictly above widths_j,
+        counted block by block (``blocks``)."""
         w = _as_radii(widths)
         if w.shape != (self.m,):
             raise ValueError(f"width vector must have shape ({self.m},)")
-        return float(np.mean(np.any(self.abs_samples > w, axis=1)))
+        return sum(int(np.count_nonzero((a > w).any(axis=1))) for a in self.blocks()) / self.n

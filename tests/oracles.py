@@ -1,8 +1,9 @@
 """Reference forms that the tests compare the package against.
 
 Direct, unoptimized statements of the least favorable configurations and
-of the acceptance tests, basic and sigma-scaled, and the union bound
-summed model by model.  The package itself uses none of them.
+of the acceptance tests, basic and sigma-scaled, the union bound summed
+model by model, and a canonical order for comparing merged Monte-Carlo
+exceed pieces.  The package itself uses none of them.
 """
 import math
 
@@ -149,3 +150,10 @@ def sequential_exceedance(bound, widths):
     w = np.asarray(widths, dtype=float)
     total = sum(np.asarray(model.sf(w[..., j])) for j, model in enumerate(bound.models))
     return np.minimum(total, 1.0)
+
+
+def sorted_pieces(starts, ends):
+    """Flat (starts, ends) of merged pieces in one canonical order, by start
+    then end, so two merges that list their rows differently compare."""
+    order = np.lexsort((ends, starts))
+    return starts[order], ends[order]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from zoomcurse.core import (Problem, WinnerInterval, _cell_widths, _mc_accept_threshold,
-                            _mc_sweep, _merged_pieces, active_radius, winner_interval_grid,
-                            winner_interval_root)
+from zoomcurse import core
+from zoomcurse.core import (MAX_MERGE_PASSES, Problem, WinnerInterval, _cell_widths,
+                            _lower_pieces, _mc_accept_threshold, _mc_sweep, _merged_pieces,
+                            active_radius, winner_interval_grid, winner_interval_root)
 from zoomcurse.errors import (InfeasibleAlphaError, InternalCheckError,
                               UnsupportedMethodError)
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank, mc_quantile
@@ -12,7 +13,7 @@ from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
 from zoomcurse.topk import topk_interval
 
-from oracles import contains, endpoint_sum, worst_case_theta
+from oracles import contains, endpoint_sum, sorted_pieces, worst_case_theta
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -261,9 +262,13 @@ class TestMonteCarloGridAcceptance:
         p = _small_mc_problem(seed)
         x, bank, a = p.x, p.bound, p.bound.abs_samples
         r0 = active_radius(bank, np.zeros(p.m), 0.1).r
-        points, accept = _mc_sweep(
-            bank, 0.1, lambda rows: (x[0] - rows, np.minimum(x[0] + rows, x + 3.0 * rows)),
-            x[0] - r0, x[0] + r0)
+        lo, hi = x[0] - r0, x[0] + r0
+
+        def pieces(rows):  # the t-axis exceed intervals, clipped to [lo, hi]
+            upper = np.minimum(x[0] + rows, x + 3.0 * rows)
+            return _merged_pieces(np.maximum(x[0] - rows, lo), np.minimum(upper, hi))
+
+        points, accept = _mc_sweep(bank, 0.1, pieces, lo, hi)
         # the count is constant on each open cell, so its midpoint decides it
         mids = 0.5 * (points[:-1] + points[1:])
         direct = np.array([_direct_accepts(x, 0, t, a, 0.1) for t in mids])
@@ -310,7 +315,7 @@ class TestMonteCarloGridAcceptance:
         bank = MonteCarloBound(np.zeros((3, 3)))
         # cells (0,.5) (.5,1) (1,1.5) (1.5,2) (2,3) (3,4) hold 1 2 3 2 1 1 rows
         for alpha, expected in ((0.7, [0, 0, 1, 0, 0, 0]), (0.4, [0, 1, 1, 1, 0, 0])):
-            points, accept = _mc_sweep(bank, alpha, lambda rows: (L, U), 0.0, 4.0)
+            points, accept = _mc_sweep(bank, alpha, lambda rows: _merged_pieces(L, U), 0.0, 4.0)
             np.testing.assert_array_equal(points, [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
             np.testing.assert_array_equal(accept, np.array(expected, dtype=bool))
 
@@ -323,6 +328,64 @@ class TestMonteCarloGridAcceptance:
         r0 = iv.diagnostics["zero_gap_radius"]
         assert iv.t_l <= 2.0 <= iv.t_u
         assert 2.0 - r0 - 1e-12 <= iv.t_l and iv.t_u <= 2.0 + r0 + 1e-12
+
+
+def _count_sorted_rows(monkeypatch) -> list:
+    """Wrap core._merged_pieces so each call records how many rows it merged."""
+    rows, merge = [], core._merged_pieces
+
+    def counted(L, U):
+        rows.append(L.shape[0])
+        return merge(L, U)
+
+    monkeypatch.setattr(core, "_merged_pieces", counted)
+    return rows
+
+
+class TestLowerPieces:
+    """The grown single piece at 0 and its fallback to the sort merge."""
+
+    def test_rows_off_the_fast_path_take_the_sort(self, monkeypatch):
+        # chain j covers (j/2, j/2 + 1): each pass joins one more link, so
+        # a chain longer than the cap is still growing when the passes stop
+        links = MAX_MERGE_PASSES + 2
+        j = np.arange(links, dtype=float)
+        chain = (0.5 * j + 1.0, 2.0 * j + 3.0)  # |xi| and d with L = j/2
+        rows = [
+            chain,
+            (chain[0][:3], chain[1][:3]),  # the same chain, short: one piece (0, 2)
+            (np.array([1.0, 2.0]), np.array([3.0, 7.0])),  # touching: (0, 1), (1, 2)
+            (np.array([1.0]), np.array([3.5])),  # no piece at 0: (0.5, 1)
+            (np.array([0.0, 1.0]), np.array([0.0, 2.0])),  # zero gap at |xi| 0: (0, 1)
+            (np.array([0.5, 1.0]), np.array([0.0, 4.0])),  # empty (1, 1) past the piece: (0, 0.5)
+        ]
+        width = max(a.size for a, _ in rows)
+        # pad with empty intervals (|xi| 0 at a positive gap)
+        a = np.array([np.pad(r, (0, width - r.size)) for r, _ in rows])
+        d = np.array([np.pad(g, (0, width - g.size), constant_values=1.0) for _, g in rows])
+        r0 = 100.0
+        sorted_rows = _count_sorted_rows(monkeypatch)
+        starts, ends = _lower_pieces(a, d, r0)
+        assert sorted_rows == [3]  # the long chain, the touching pair, the late piece
+        expected = _merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
+        got = sorted_pieces(starts, ends)
+        for have, want in zip(got, sorted_pieces(*expected)):
+            assert have.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got[0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(got[1], [0.5, 1.0, 1.0, 2.0, 0.5 * links + 0.5, 1.0, 2.0])
+
+    def test_fast_path_serves_an_equicorrelated_winner_call(self, monkeypatch):
+        # scores and bank as in the benchmark's m = 250 bank: the sort
+        # merge must stay a fallback for a few rows, not the common path
+        m, n = 250, 20_000
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 1.0, m)
+        x[:3] += (2.0, 1.5, 1.0)
+        p = Problem(x, draw_bank(EquicorrelatedSampler(m, 0.5), n, seed=11), 0.1)
+        sorted_rows = _count_sorted_rows(monkeypatch)
+        iv = winner_interval_grid(p)
+        assert iv.t_l < x[0] < iv.t_u
+        assert len(sorted_rows) >= 1 and sum(sorted_rows) < 0.01 * n
 
 
 # alpha 0.1, Gaussian tails: above 1.75 the lower sum exceeds alpha only on a

@@ -1,20 +1,22 @@
 """Property tests of the union bound and its radius solver over random problems.
 
 Marginals from every tail family, alone and mixed, up to 40 candidates,
-alpha in [1e-3, 0.5], and scores that may tie.  Hypothesis keeps no example
-database here, so a run writes no files.
+alpha in [1e-3, 0.5], and scores that may tie.  A last test pins the
+Monte-Carlo lower sweep's per-row pieces to the sort merge on tables built
+to tie, touch and chain.  Hypothesis keeps no example database here, so a
+run writes no files.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoomcurse.core import (Problem, _union_feasible_radius, winner_interval_grid,
-                            winner_interval_root)
+from zoomcurse.core import (MAX_MERGE_PASSES, Problem, _lower_pieces, _merged_pieces,
+                            _union_feasible_radius, winner_interval_grid, winner_interval_root)
 from zoomcurse.meta import population_value_interval
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 from zoomcurse.topk import topk_interval
 
-from oracles import endpoint_sum, sequential_exceedance
+from oracles import endpoint_sum, sequential_exceedance, sorted_pieces
 
 _T5 = np.random.default_rng(5)
 EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
@@ -139,3 +141,46 @@ def test_radii_are_translation_invariant(p, shift):
     # the gaps X_win - X_j round differently after the shift; the radii
     # may move by that rounding and one solver cell (1e-10)
     assert abs(a.r_l - b.r_l) <= 1e-9 and abs(a.r_u - b.r_u) <= 1e-9
+
+
+ON_GRID = st.integers(0, 30).map(lambda k: k / 10.0)  # 0.1 grid: ties, touching ends
+
+
+@st.composite
+def exceed_tables(draw):
+    """|xi| rows, a gap vector and r0 for ``_lower_pieces``, of four kinds.
+
+    "grid" draws both on the 0.1 grid, zeros included; "chain" takes gaps
+    d_j = c_(j-1) + 3 c_j + s from a non-decreasing row c, so interval j
+    starts where interval j-1 ends (s = 0), inside it (s < 0) or past it,
+    with rows that are c or c with its small entries redrawn; "zero-gap" sets
+    |xi| = 0 in every column of gap 0; "random" draws floats.  r0 is 0,
+    on the grid, or a random float.
+    """
+    kind = draw(st.sampled_from(("grid", "chain", "zero-gap", "random")))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, MAX_MERGE_PASSES + 3 if kind == "chain" else 8))
+    value = st.floats(0.0, 3.0) if kind == "random" else ON_GRID
+    a = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m))).reshape(n, m)
+    d = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    if kind == "chain":
+        c = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))) / 10.0
+        shift = draw(st.sampled_from((0.0, -0.1, -0.05, 0.1)))
+        d = np.concatenate([[0.0], c[:-1]]) + 3.0 * c + shift
+        d[0] = 0.0
+        whole = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        a = np.where(whole[:, None] | (a > 0.5), c, a)
+    elif kind == "zero-gap":
+        d[draw(st.integers(0, m - 1))] = 0.0
+        a[:, d == 0.0] = 0.0
+    r0 = draw(st.one_of(st.just(0.0), ON_GRID, st.floats(0.0, 4.0)))
+    return a, d, r0
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(exceed_tables())
+def test_lower_pieces_are_the_sort_merge_bit_for_bit(case):
+    a, d, r0 = case
+    merged = _merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
+    for got, want in zip(sorted_pieces(*_lower_pieces(a, d, r0)), sorted_pieces(*merged)):
+        assert got.tobytes() == want.tobytes()

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,33 @@ class TestEquicorrelatedSampler:
         got = s.draw(np.random.default_rng(42), 5)
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         assert s.exchangeable
+
+    @pytest.mark.parametrize("m, rho", [(25, 0.5), (10, 0.0), (3, 0.3)])
+    def test_bank_is_the_two_term_formula_bit_for_bit(self, m, rho):
+        # the sum sqrt(rho) Z0 + sqrt(1 - rho) Z, formed as two products and
+        # one addition from each block's generator, over two blocks
+        n = BLOCK_ROWS + 100
+        bank = draw_bank(EquicorrelatedSampler(m, rho), n, seed=17).abs_samples
+        blocks = []
+        for block in range(-(-n // BLOCK_ROWS)):
+            rng = np.random.default_rng(np.random.SeedSequence([17, block]))
+            z0 = rng.standard_normal(BLOCK_ROWS)
+            z = rng.standard_normal((BLOCK_ROWS, m))
+            blocks.append(np.abs(math.sqrt(rho) * z0[:, None] + math.sqrt(1.0 - rho) * z))
+        assert bank.tobytes() == np.concatenate(blocks)[:n].tobytes()
+
+    def test_a_block_draw_keeps_one_block_array(self):
+        s, rows = EquicorrelatedSampler(50, 0.5), 4096
+        block_bytes = rows * s.m * 8
+        tracemalloc.start()
+        try:
+            out = s.draw(np.random.default_rng(0), rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, s.m)
+        # the block itself plus the common factor; the two-term sum held three
+        assert peak < 1.25 * block_bytes
 
 
 class TestDiagonalGaussianSampler:

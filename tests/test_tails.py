@@ -162,6 +162,15 @@ class TestMonteCarloBound:
             assert b.exceedance(w) == pytest.approx(brute, abs=0)
         assert b.m == 3 and b.n == 400
 
+    def test_block_counts_give_the_whole_bank_mean(self):
+        # 3 x 200k entries span two scan blocks; the count over blocks
+        # divided by n is the same float as the mean over the whole bank
+        samples = np.random.default_rng(6).standard_normal((200_001, 3))
+        b = MonteCarloBound(samples)
+        assert len(list(b.blocks())) > 1
+        for w in (np.array([0.5, 1.0, 2.0]), np.array([3.1, 2.9, 3.3])):
+            assert b.exceedance(w) == float(np.mean(np.any(np.abs(samples) > w, axis=1)))
+
     def test_strict_exceedance_at_ties(self):
         b = MonteCarloBound(np.array([[1.0, -2.0], [0.5, 2.0]]))
         # widths equal to |sample| do not count as exceedances
