@@ -12,14 +12,18 @@ above the anchor, and one function (``_radii``) solves them for the winner
 interval and, anchored at the k-th score, for the top-k boxes.  Each bound
 family has a lower side that is searched and an upper side that is monotone.
 Under a union bound the lower side is a certified cell search and the upper
-side a bisection (``_union_radii``).  On a Monte-Carlo bank the lower exceed
-count is piecewise constant in r and a sweep over its breakpoints gives it
-exactly (``_mc_sweep``).  Each row's exceed set is merged into pieces first:
-most rows exceed on one piece from r = 0 to the largest end among their
-intervals that start at or below 0; the few whose intervals reach past it
-are grown by vectorized max passes (``_lower_pieces``), and only the rest
-are sorted (``_merged_pieces``).  Above the anchor each row exceeds up to its
-own reach, so the upper radius is an order statistic of the reaches.
+side a bisection (``_union_radii``).  On a Monte-Carlo bank the zero-gap
+radius r0 is one partition of the bank's row maxima, stored when the bank
+is built, and each call reads the bank once (``_mc_scan``): one fused pass
+per block gives every row's exceed pieces below the anchor and its reach
+above it.  The lower exceed count is piecewise constant in r and a sweep
+over its breakpoints gives it exactly (``_mc_sweep``).  Most rows exceed on
+one piece from r = 0 to the largest end among their intervals that start at
+or below 0, and the fused pass settles them from the row maxima alone; the
+few whose intervals reach past it are gathered and grown by vectorized max
+passes (``_lower_pieces``), and only the rest are sorted
+(``_merged_pieces``).  Above the anchor each row exceeds up to its own
+reach, so the upper radius is an order statistic of the reaches.
 """
 from __future__ import annotations
 
@@ -205,67 +209,96 @@ def _merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
 MAX_MERGE_PASSES = 16
 
 
-def _lower_pieces(a, d, r0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merged exceed pieces of a block of |xi| rows below the anchor, on [0, r0].
+def _lower_pieces(a, row_max, d, r0: float, upper: bool):
+    """Merged exceed pieces of a block of |xi| rows below the anchor, on [0, r0],
+    and, if ``upper``, the rows' reaches above it, from one scan of the block.
 
-    Row i exceeds at radius r on the open intervals (max(L_j, 0), U_j) with
-    L = d - 3 |xi| and U = min(|xi|, r0): these are the pieces
-    ``_merged_pieces`` gives, bit for bit, without sorting most rows.  The
-    piece that starts at 0 is grown from its seed E = max U over the
-    intervals with L <= 0 by passes E <- max(E, max U over intervals with
-    L < E).  A pass joins only intervals that start strictly inside the
-    piece, so the piece stays one interval (0, E); an interval that starts
-    at E touches it and stays out, as in the sort merge.  If E > 0 and every
-    non-empty interval ends by E, each of them starts below its end, so
-    inside (0, E), and the row's union is exactly (0, E); most rows are so
-    at the seed and take no pass.  A row is grown only while its last end
-    lies past E, and goes through ``_merged_pieces`` if it has no piece at 0
-    (E = 0), stops growing short of its last end (a later piece), or is
-    still growing after MAX_MERGE_PASSES passes.  L is compared as rounded,
-    exactly as the sort merge compares it.
+    Row i exceeds at radius r below the anchor on the open intervals
+    (max(L_j, 0), U_j) with L = d - 3 |xi| and U = min(|xi|, r0): these are
+    the pieces ``_merged_pieces`` gives, bit for bit, without sorting most
+    rows.  The block is read once: with t = 3 |xi|, the seed of the piece at
+    0 is E = min(max |xi_j| over t_j >= d_j, r0), the largest U over the
+    intervals with L <= 0 (d - t <= 0 iff t >= d, since a rounded difference
+    keeps its sign, and min with r0 commutes with max), and the reach is
+    max min(|xi_j|, t_j - d_j), the radius above the anchor up to which the
+    row exceeds (``_radii``).  If E > 0 equals min(row_max, r0), the largest
+    U of all, every non-empty interval ends by E; each starts below its end,
+    so inside (0, E), and the row is exactly the piece (0, E).  Most rows
+    are so.  Only the others are gathered.  The piece at 0 of a gathered
+    row is grown from E by passes E <- max(E, max U over intervals with
+    L < E), while the row's last end (max U over its non-empty intervals)
+    lies past E.  A pass joins only intervals that start strictly inside
+    the piece, so the piece stays one interval (0, E); an interval that
+    starts at E touches it and stays out, as in the sort merge.  A row whose
+    last end is E is the piece (0, E); the rest go through
+    ``_merged_pieces``: no piece at 0 (E = 0), a growth that stops short of
+    the last end (a later piece), or still growing after MAX_MERGE_PASSES
+    passes.  L is compared as rounded, exactly as the sort merge compares it.
+    Returns (starts, ends, reach), reach None unless ``upper``.
     """
+    t = np.multiply(a, 3.0)
+    scratch = np.multiply(a, t >= d)  # |xi| >= 0, so a masked-out entry is 0
+    E = np.minimum(scratch.max(axis=1), r0)
+    reach = None
+    if upper:
+        np.subtract(t, d, out=t)
+        reach = np.minimum(a, t, out=scratch).max(axis=1)
+    rest = np.flatnonzero((E <= 0.0) | (E != np.minimum(row_max, r0)))
+    if rest.size == 0:
+        return np.zeros(E.size), E, reach
+    a, E_rest = a[rest], E[rest]  # the gathered rows
     L = np.multiply(a, 3.0)
     np.subtract(d, L, out=L)
     U = np.minimum(a, r0)
-    scratch = np.multiply(U, L <= 0.0)  # U >= 0, so a masked-out U is 0
-    E = scratch.max(axis=1)
-    np.multiply(U, U > L, out=scratch)
-    last_end = scratch.max(axis=1)  # of the row's non-empty intervals
-    live = np.flatnonzero((E > 0.0) & (last_end > E))
+    last_end = np.max(U * (U > L), axis=1)  # of the row's non-empty intervals
+    live = np.flatnonzero((E_rest > 0.0) & (last_end > E_rest))
     for _ in range(MAX_MERGE_PASSES):
         if live.size == 0:
             break
-        grown = np.max(U[live] * (L[live] < E[live, None]), axis=1)
-        keep = (grown > E[live]) & (last_end[live] > grown)
-        E[live] = grown
+        grown = np.max(U[live] * (L[live] < E_rest[live, None]), axis=1)
+        keep = (grown > E_rest[live]) & (last_end[live] > grown)
+        E_rest[live] = grown
         live = live[keep]
-    single = (E > 0.0) & (last_end <= E)
+    single = (E_rest > 0.0) & (last_end <= E_rest)
+    E[rest] = E_rest
     if single.all():
-        return np.zeros(E.size), E
+        return np.zeros(E.size), E, reach
+    one = np.ones(E.size, dtype=bool)
+    one[rest[~single]] = False
     starts, ends = _merged_pieces(np.maximum(L[~single], 0.0), U[~single])
-    return (np.concatenate([np.zeros(np.count_nonzero(single)), starts]),
-            np.concatenate([E[single], ends]))
+    return (np.concatenate([np.zeros(np.count_nonzero(one)), starts]),
+            np.concatenate([E[one], ends]), reach)
 
 
-def _mc_sweep(bound: MonteCarloBound, alpha: float, pieces, lo: float, hi: float):
-    """Exact acceptance cells of a Monte-Carlo bank on [lo, hi].
+def _mc_scan(bound: MonteCarloBound, d, r0: float, upper: bool):
+    """Flat lower pieces on [0, r0] of every bank row and, if ``upper``, the
+    rows' reaches, from one pass over the bank (``_lower_pieces`` per block,
+    with the block's slice of ``row_max``)."""
+    parts, stop = [], 0
+    for a in bound.blocks():
+        start, stop = stop, stop + a.shape[0]
+        parts.append(_lower_pieces(a, bound.row_max[start:stop], d, r0, upper))
+    starts, ends, reach = zip(*parts)
+    return np.concatenate(starts), np.concatenate(ends), np.concatenate(reach) if upper else None
 
-    ``pieces(block)`` maps a block of |xi| rows to the flat (starts, ends) of
-    the open pieces, merged per row and lying in [lo, hi], on which each row
-    exceeds (``_lower_pieces``, or ``_merged_pieces`` of clipped intervals).
-    Since each row counts once, the exceed count is piecewise constant: just
-    right of a breakpoint p it is #{starts <= p} - #{ends <= p}.  Returns the
-    sorted breakpoints (lo and hi included) and, for each open cell between
-    neighbours, whether its count reaches the acceptance threshold.
+
+def _mc_sweep(n: int, alpha: float, starts, ends, lo: float, hi: float):
+    """Exact acceptance cells of a bank of n rows on [lo, hi].
+
+    ``starts`` and ``ends`` are the flat open pieces, merged per row and
+    lying in [lo, hi], on which each row exceeds (``_mc_scan``, or
+    ``_merged_pieces`` of clipped intervals).  Since each row counts once,
+    the exceed count is piecewise constant: just right of a breakpoint p it
+    is #{starts <= p} - #{ends <= p}.  Returns the sorted breakpoints (lo
+    and hi included) and, for each open cell between neighbours, whether
+    its count reaches the acceptance threshold.
     """
-    starts, ends = zip(*(pieces(block) for block in bound.blocks()))
-    starts = np.sort(np.concatenate(starts))
-    ends = np.sort(np.concatenate(ends))
+    starts, ends = np.sort(starts), np.sort(ends)
     inside = np.unique(np.concatenate([starts, ends]))
     points = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
     count = (np.searchsorted(starts, points[:-1], side="right")
              - np.searchsorted(ends, points[:-1], side="right"))
-    return points, count >= _mc_accept_threshold(bound.n, alpha)
+    return points, count >= _mc_accept_threshold(n, alpha)
 
 
 # Steps allowed per radius search.  A sum lying within rounding error of
@@ -358,42 +391,37 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides):
     return radii, bounded, kept
 
 
-def _mc_reach(bound: MonteCarloBound, d) -> np.ndarray:
-    """Per row, the radius above the anchor up to which the row exceeds.
-
-    At t = X_anchor + r coordinate j exceeds iff |xi_j| > max(r, (d_j + r)/3),
-    that is r < min(|xi_j|, 3 |xi_j| - d_j); the row exceeds iff r is below
-    the largest of these.
-    """
-    return np.concatenate([np.minimum(a, 3.0 * a - d).max(axis=1) for a in bound.blocks()])
-
-
 def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     """Lower radius, and the upper one if ``upper``, for the gaps d = X_anchor - X.
 
     Both lie in [0, r0], r0 the zero-gap radius.  Under a union bound the
     lower side is a certified cell search and the upper side a bisection
-    (``_union_radii``).  On a Monte-Carlo bank a row exceeds at radius r
-    below the anchor iff r lies in some open interval (d_j - 3 |xi_j|,
-    |xi_j|); ``_lower_pieces`` merges each row's intervals on [0, r0], by
-    max passes where the row is one piece from 0 and by the sort merge
-    otherwise, and the sweep of the pieces gives the lower side exactly; the
-    cell holding r = 0 is always kept, so the anchor itself is never left out.
-    Above the anchor the exceed count falls with r, so the upper radius is
-    the conservative order statistic of the rows' reaches, like r0.  The
-    diagnostics count the lower and upper cells bounded (``grid_points``)
-    and kept (``accepted_points``); Monte-Carlo ones are the lower side's.
+    (``_union_radii``).  On a Monte-Carlo bank r0 comes from the bank's
+    stored row maxima (``m_statistic`` at zero gaps), with no scan, and one
+    pass over the bank (``_mc_scan``) gives both sides.  A row exceeds at
+    radius r below the anchor iff r lies in some open interval
+    (d_j - 3 |xi_j|, |xi_j|); ``_lower_pieces`` merges each row's intervals
+    on [0, r0], from the row maxima where the row is one piece from 0, by
+    max passes where it grows to one, and by the sort merge otherwise, and
+    the sweep of the pieces gives the lower side exactly; the cell holding
+    r = 0 is always kept, so the anchor itself is never left out.  Above
+    the anchor the exceed count falls with r, so the upper radius is the
+    conservative order statistic of the rows' reaches, as r0 is of the row
+    maxima; the reaches come from the same pass.  The diagnostics count the
+    lower and upper cells bounded (``grid_points``) and kept
+    (``accepted_points``); Monte-Carlo ones are the lower side's.
     """
     bound, alpha = problem.bound, problem.alpha
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
     diagnostics = {"zero_gap_radius": r0}
     if isinstance(bound, MonteCarloBound):
-        points, accept = _mc_sweep(bound, alpha, lambda a: _lower_pieces(a, d, r0), 0.0, r0)
+        starts, ends, reach = _mc_scan(bound, d, r0, upper)
+        points, accept = _mc_sweep(bound.n, alpha, starts, ends, 0.0, r0)
         accept[0] = True
         last = accept.size - 1 - int(np.argmax(accept[::-1]))
         radii = [float(points[last + 1])]
         if upper:
-            radii.append(mc_quantile(_mc_reach(bound, d), 1.0 - alpha))
+            radii.append(mc_quantile(reach, 1.0 - alpha))
         bounded, kept = accept.size, int(np.count_nonzero(accept))
         diagnostics["bridged"] = not bool(accept[:last + 1].all())
     else:

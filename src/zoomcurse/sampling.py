@@ -132,8 +132,12 @@ def m_statistic(bound: MonteCarloBound, gaps) -> np.ndarray:
     """Per-row max of |xi_j| over coordinates with |xi_j| > gaps_j / 2.
 
     Rows where no coordinate clears its half-gap contribute 0.  Infinite
-    gaps knock their coordinate out entirely.  The bank is scanned in
-    blocks (``MonteCarloBound.blocks``), so the temporaries stay bounded.
+    gaps knock their coordinate out entirely.  When every half-gap is 0 the
+    statistic is the bank's row maxima (``MonteCarloBound.row_max``,
+    computed once when the bank is built), returned as that read-only
+    array without a scan: the zero-gap radius r0 is then one partition.
+    Other gaps scan the bank in blocks (``MonteCarloBound.blocks``), so the
+    temporaries stay bounded.
     """
     gaps = np.asarray(gaps, dtype=float)
     if gaps.ndim != 1 or gaps.size != bound.m:
@@ -141,6 +145,8 @@ def m_statistic(bound: MonteCarloBound, gaps) -> np.ndarray:
     if np.any(np.isnan(gaps)) or np.any(gaps < 0):
         raise ValueError("gaps must be non-negative")
     half = 0.5 * gaps
+    if not half.any():  # |xi| >= 0 with no sign bit: |xi| > 0 keeps the row max
+        return bound.row_max
     return np.concatenate([np.max(np.where(a > half, a, 0.0), axis=1)
                            for a in bound.blocks()])
 

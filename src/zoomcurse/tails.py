@@ -248,6 +248,11 @@ class UnionBound:
         return out if out.ndim else float(out)
 
 
+def _block_rows(m: int) -> int:
+    """Rows per block of a bank scan with m columns (``MonteCarloBound.blocks``)."""
+    return max(1, _MC_CHUNK_ELEMS // m)
+
+
 @dataclass(frozen=True)
 class MonteCarloBound:
     """Empirical joint exceedance over a bank of noise draws.
@@ -256,9 +261,12 @@ class MonteCarloBound:
     conservative union.  Only |xi| enters any bound, so the bank is held
     once, as a read-only n x m array of absolute draws: signed draws are
     folded on construction, and a read-only non-negative array (what
-    ``draw_bank`` builds) is adopted without a copy.  ``exchangeable``
-    records whether the coordinates of the sampled law are exchangeable,
-    which symmetric-bound consumers check.
+    ``draw_bank`` builds) is adopted without a copy.  ``row_max`` holds each
+    row's largest |xi|, a read-only n-vector computed once, in the same
+    block loop that checks the bank finite and its signs; the zero-gap
+    statistic and every Monte-Carlo radius read it instead of rescanning
+    the bank.  ``exchangeable`` records whether the coordinates of the
+    sampled law are exchangeable, which symmetric-bound consumers check.
     """
 
     abs_samples: np.ndarray = field(repr=False)
@@ -266,14 +274,28 @@ class MonteCarloBound:
 
     def __post_init__(self):
         a = np.asarray(self.abs_samples, dtype=float)
-        if a.ndim != 2 or a.shape[0] == 0:
+        if a.ndim != 2 or a.size == 0:
             raise ValueError("sample bank must be a non-empty 2-d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("sample bank must be finite")
-        if a.flags.writeable or np.any(np.signbit(a)):
-            a = np.abs(a)
+        folded = np.empty(a.shape) if a.flags.writeable else None
+        row_max = np.empty(a.shape[0])
+        step = _block_rows(a.shape[1])
+        for s in range(0, a.shape[0], step):
+            block = a[s:s + step]
+            if not np.isfinite(block).all():
+                raise ValueError("sample bank must be finite")
+            if folded is None and np.signbit(block).any():
+                # the rows above hold no sign bit, so folding leaves them as they are
+                folded = np.empty(a.shape)
+                folded[:s] = a[:s]
+            if folded is not None:
+                block = np.abs(block, out=folded[s:s + step])
+            np.max(block, axis=1, out=row_max[s:s + step])
+        if folded is not None:
+            a = folded
             a.setflags(write=False)
+        row_max.setflags(write=False)
         object.__setattr__(self, "abs_samples", a)
+        object.__setattr__(self, "row_max", row_max)
 
     @property
     def m(self) -> int:
@@ -286,7 +308,7 @@ class MonteCarloBound:
     def blocks(self):
         """The bank's rows in consecutive blocks of about _MC_CHUNK_ELEMS
         entries, so a scan's temporaries stay bounded however large n is."""
-        rows = max(1, _MC_CHUNK_ELEMS // self.m)
+        rows = _block_rows(self.m)
         return (self.abs_samples[s:s + rows] for s in range(0, self.n, rows))
 
     def exceedance(self, widths) -> float:

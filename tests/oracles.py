@@ -2,14 +2,16 @@
 
 Direct, unoptimized statements of the least favorable configurations and
 of the acceptance tests, basic and sigma-scaled, the union bound summed
-model by model, and a canonical order for comparing merged Monte-Carlo
-exceed pieces.  The package itself uses none of them.
+model by model, a canonical order for comparing merged Monte-Carlo exceed
+pieces, and the two-scan forms of the Monte-Carlo lower pieces and reaches
+that the fused block scan replaced.  The package itself uses none of them.
 """
 import math
 
 import numpy as np
 
-from zoomcurse.core import ActiveRadius, _check_scores, active_radius
+from zoomcurse.core import (MAX_MERGE_PASSES, ActiveRadius, _check_scores, _merged_pieces,
+                            active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.topk import top_indices
@@ -157,3 +159,32 @@ def sorted_pieces(starts, ends):
     then end, so two merges that list their rows differently compare."""
     order = np.lexsort((ends, starts))
     return starts[order], ends[order]
+
+
+def lower_pieces_two_scans(a, d, r0):
+    """Merged lower exceed pieces of |xi| rows on [0, r0], from L = d - 3|xi|
+    and U = min(|xi|, r0) formed for every row: the seed E = max U over
+    L <= 0 and the last end max U over U > L of each row, max passes for the
+    rows whose last end lies past E, the sort merge for the rest."""
+    L = d - 3.0 * a
+    U = np.minimum(a, r0)
+    E = np.max(U * (L <= 0.0), axis=1)
+    last_end = np.max(U * (U > L), axis=1)
+    live = np.flatnonzero((E > 0.0) & (last_end > E))
+    for _ in range(MAX_MERGE_PASSES):
+        if live.size == 0:
+            break
+        grown = np.max(U[live] * (L[live] < E[live, None]), axis=1)
+        keep = (grown > E[live]) & (last_end[live] > grown)
+        E[live] = grown
+        live = live[keep]
+    single = (E > 0.0) & (last_end <= E)
+    starts, ends = _merged_pieces(np.maximum(L[~single], 0.0), U[~single])
+    return (np.concatenate([np.zeros(np.count_nonzero(single)), starts]),
+            np.concatenate([E[single], ends]))
+
+
+def mc_reach_scan(a, d):
+    """Per row, the radius above the anchor up to which the row exceeds:
+    max over j of min(|xi_j|, 3 |xi_j| - d_j), in a scan of its own."""
+    return np.minimum(a, 3.0 * a - d).max(axis=1)

@@ -13,7 +13,7 @@ from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
 from zoomcurse.topk import topk_interval
 
-from oracles import contains, endpoint_sum, sorted_pieces, worst_case_theta
+from oracles import contains, endpoint_sum, mc_reach_scan, sorted_pieces, worst_case_theta
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -264,11 +264,10 @@ class TestMonteCarloGridAcceptance:
         r0 = active_radius(bank, np.zeros(p.m), 0.1).r
         lo, hi = x[0] - r0, x[0] + r0
 
-        def pieces(rows):  # the t-axis exceed intervals, clipped to [lo, hi]
-            upper = np.minimum(x[0] + rows, x + 3.0 * rows)
-            return _merged_pieces(np.maximum(x[0] - rows, lo), np.minimum(upper, hi))
-
-        points, accept = _mc_sweep(bank, 0.1, pieces, lo, hi)
+        # the t-axis exceed intervals, clipped to [lo, hi]
+        upper = np.minimum(x[0] + a, x + 3.0 * a)
+        pieces = _merged_pieces(np.maximum(x[0] - a, lo), np.minimum(upper, hi))
+        points, accept = _mc_sweep(bank.n, 0.1, *pieces, lo, hi)
         # the count is constant on each open cell, so its midpoint decides it
         mids = 0.5 * (points[:-1] + points[1:])
         direct = np.array([_direct_accepts(x, 0, t, a, 0.1) for t in mids])
@@ -312,10 +311,9 @@ class TestMonteCarloGridAcceptance:
         starts, ends = _merged_pieces(L, U)
         np.testing.assert_array_equal(starts, [0.0, 1.0, 0.5, 3.0, 1.0])
         np.testing.assert_array_equal(ends, [1.0, 2.0, 1.5, 4.0, 3.0])
-        bank = MonteCarloBound(np.zeros((3, 3)))
         # cells (0,.5) (.5,1) (1,1.5) (1.5,2) (2,3) (3,4) hold 1 2 3 2 1 1 rows
         for alpha, expected in ((0.7, [0, 0, 1, 0, 0, 0]), (0.4, [0, 1, 1, 1, 0, 0])):
-            points, accept = _mc_sweep(bank, alpha, lambda rows: _merged_pieces(L, U), 0.0, 4.0)
+            points, accept = _mc_sweep(3, alpha, starts, ends, 0.0, 4.0)
             np.testing.assert_array_equal(points, [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
             np.testing.assert_array_equal(accept, np.array(expected, dtype=bool))
 
@@ -359,14 +357,18 @@ class TestLowerPieces:
             (np.array([0.0, 1.0]), np.array([0.0, 2.0])),  # zero gap at |xi| 0: (0, 1)
             (np.array([0.5, 1.0]), np.array([0.0, 4.0])),  # empty (1, 1) past the piece: (0, 0.5)
         ]
-        width = max(a.size for a, _ in rows)
-        # pad with empty intervals (|xi| 0 at a positive gap)
-        a = np.array([np.pad(r, (0, width - r.size)) for r, _ in rows])
-        d = np.array([np.pad(g, (0, width - g.size), constant_values=1.0) for _, g in rows])
+        # each row on columns of its own; its |xi| is 0 on the others, where
+        # every interval is empty (at gap 0 it is (0, 0))
+        d = np.concatenate([g for _, g in rows])
+        a = np.zeros((len(rows), d.size))
+        stop = np.cumsum([r.size for r, _ in rows])
+        for i, (r, _) in enumerate(rows):
+            a[i, stop[i] - r.size:stop[i]] = r
         r0 = 100.0
         sorted_rows = _count_sorted_rows(monkeypatch)
-        starts, ends = _lower_pieces(a, d, r0)
+        starts, ends, reach = _lower_pieces(a, a.max(axis=1), d, r0, upper=True)
         assert sorted_rows == [3]  # the long chain, the touching pair, the late piece
+        assert reach.tobytes() == mc_reach_scan(a, d).tobytes()
         expected = _merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
         got = sorted_pieces(starts, ends)
         for have, want in zip(got, sorted_pieces(*expected)):
@@ -386,6 +388,25 @@ class TestLowerPieces:
         iv = winner_interval_grid(p)
         assert iv.t_l < x[0] < iv.t_u
         assert len(sorted_rows) >= 1 and sum(sorted_rows) < 0.01 * n
+
+
+def test_winner_and_topk_calls_read_the_bank_once(monkeypatch):
+    # r0 comes from the bank's stored row maxima, and the lower pieces and
+    # the upper reaches from one fused scan, so each call is one pass
+    bank = draw_bank(EquicorrelatedSampler(6, 0.4), 30_000, seed=21)
+    p = Problem(np.array([1.5, 1.2, 0.4, -0.3, 0.0, -1.0]), bank, 0.1)
+    assert len(list(bank.blocks())) > 1
+    scans, blocks = [], MonteCarloBound.blocks
+
+    def counted(self):
+        scans.append(1)
+        return blocks(self)
+
+    monkeypatch.setattr(MonteCarloBound, "blocks", counted)
+    winner_interval_grid(p)
+    assert scans == [1]
+    topk_interval(p, 3)
+    assert scans == [1, 1]
 
 
 # alpha 0.1, Gaussian tails: above 1.75 the lower sum exceeds alpha only on a

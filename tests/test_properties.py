@@ -2,9 +2,10 @@
 
 Marginals from every tail family, alone and mixed, up to 40 candidates,
 alpha in [1e-3, 0.5], and scores that may tie.  A last test pins the
-Monte-Carlo lower sweep's per-row pieces to the sort merge on tables built
-to tie, touch and chain.  Hypothesis keeps no example database here, so a
-run writes no files.
+Monte-Carlo block scan's per-row pieces to the sort merge and, with the
+reaches, to the two separate scans it replaced, on tables built to tie,
+touch, chain and leave the one-piece fast path.  Hypothesis keeps no
+example database here, so a run writes no files.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from zoomcurse.meta import population_value_interval
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 from zoomcurse.topk import topk_interval
 
-from oracles import endpoint_sum, sequential_exceedance, sorted_pieces
+from oracles import (endpoint_sum, lower_pieces_two_scans, mc_reach_scan,
+                     sequential_exceedance, sorted_pieces)
 
 _T5 = np.random.default_rng(5)
 EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
@@ -148,16 +150,20 @@ ON_GRID = st.integers(0, 30).map(lambda k: k / 10.0)  # 0.1 grid: ties, touching
 
 @st.composite
 def exceed_tables(draw):
-    """|xi| rows, a gap vector and r0 for ``_lower_pieces``, of four kinds.
+    """|xi| rows, a gap vector and r0 for ``_lower_pieces``, of five kinds.
 
     "grid" draws both on the 0.1 grid, zeros included; "chain" takes gaps
     d_j = c_(j-1) + 3 c_j + s from a non-decreasing row c, so interval j
     starts where interval j-1 ends (s = 0), inside it (s < 0) or past it,
     with rows that are c or c with its small entries redrawn; "zero-gap" sets
-    |xi| = 0 in every column of gap 0; "random" draws floats.  r0 is 0,
-    on the grid, or a random float.
+    |xi| = 0 in every column of gap 0; "lone-leader" puts every gap but the
+    first near 8, so a row whose first |xi| is not its largest leaves the
+    one-piece fast path and one with some |xi| above 2 has a second piece;
+    "random" draws floats.  Outside chains and lone leaders some gaps may be
+    negative, as the gaps to a top-k anchor of the winners above it are.
+    Some rows may be all zero.  r0 is 0, on the grid, or a random float.
     """
-    kind = draw(st.sampled_from(("grid", "chain", "zero-gap", "random")))
+    kind = draw(st.sampled_from(("grid", "chain", "zero-gap", "lone-leader", "random")))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, MAX_MERGE_PASSES + 3 if kind == "chain" else 8))
     value = st.floats(0.0, 3.0) if kind == "random" else ON_GRID
@@ -170,9 +176,15 @@ def exceed_tables(draw):
         d[0] = 0.0
         whole = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         a = np.where(whole[:, None] | (a > 0.5), c, a)
-    elif kind == "zero-gap":
-        d[draw(st.integers(0, m - 1))] = 0.0
-        a[:, d == 0.0] = 0.0
+    elif kind == "lone-leader":
+        d = np.concatenate([[0.0], 8.0 + d[1:] / 3.0])
+    else:
+        if kind == "zero-gap":
+            d[draw(st.integers(0, m - 1))] = 0.0
+            a[:, d == 0.0] = 0.0
+        below = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        d[below] = -d[below]
+    a[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
     r0 = draw(st.one_of(st.just(0.0), ON_GRID, st.floats(0.0, 4.0)))
     return a, d, r0
 
@@ -180,7 +192,15 @@ def exceed_tables(draw):
 @settings(max_examples=400, deadline=None, database=None)
 @given(exceed_tables())
 def test_lower_pieces_are_the_sort_merge_bit_for_bit(case):
+    # one read of the block gives the pieces of the sort merge and of the
+    # separate lower scan, and the reaches of the separate upper scan
     a, d, r0 = case
+    starts, ends, reach = _lower_pieces(a, a.max(axis=1), d, r0, upper=True)
+    got = sorted_pieces(starts, ends)
     merged = _merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
-    for got, want in zip(sorted_pieces(*_lower_pieces(a, d, r0)), sorted_pieces(*merged)):
-        assert got.tobytes() == want.tobytes()
+    lower_only = _lower_pieces(a, a.max(axis=1), d, r0, upper=False)
+    assert lower_only[2] is None
+    for want in (merged, lower_pieces_two_scans(a, d, r0), lower_only[:2]):
+        for have, ref in zip(got, sorted_pieces(*want)):
+            assert have.tobytes() == ref.tobytes()
+    assert reach.tobytes() == mc_reach_scan(a, d).tobytes()

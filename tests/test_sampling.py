@@ -153,6 +153,44 @@ class TestMStatistic:
         out = m_statistic(MonteCarloBound(samples), np.zeros(4))
         np.testing.assert_allclose(out, np.abs(samples).max(axis=1), rtol=1e-15)
 
+    @pytest.mark.parametrize("make", ["drawn", "drawn-2-blocks", "table", "signed"])
+    def test_zero_gaps_return_the_bank_row_maxima(self, make):
+        rng = np.random.default_rng(4)
+        if make.startswith("drawn"):
+            n = 70_000 if make == "drawn-2-blocks" else 5_000
+            bank = draw_bank(EquicorrelatedSampler(3, 0.5), n, seed=9)
+        elif make == "table":
+            rows = rng.normal(size=(40, 3))
+            rows[::4] = 0.0  # all-zero rows, one of them signed zeros
+            rows[4] = -0.0
+            bank = draw_bank(TableSampler(rows), 40, seed=0)
+        else:
+            bank = MonteCarloBound(rng.normal(size=(30, 5)))
+        a = bank.abs_samples
+        out = m_statistic(bank, np.zeros(bank.m))
+        # bit for bit the per-row scan that nonzero gaps still make
+        assert out.tobytes() == np.where(a > 0.0, a, 0.0).max(axis=1).tobytes()
+        assert out is bank.row_max and not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+
+    def test_only_nonzero_gaps_scan_the_bank(self, monkeypatch):
+        bank = draw_bank(EquicorrelatedSampler(4, 0.3), 3_000, seed=2)
+        scans, blocks = [], MonteCarloBound.blocks
+
+        def counted(self):
+            scans.append(1)
+            return blocks(self)
+
+        monkeypatch.setattr(MonteCarloBound, "blocks", counted)
+        m_statistic(bank, np.zeros(4))
+        assert scans == []
+        gaps = np.array([0.0, 1.0, 0.0, 3.0])
+        out = m_statistic(bank, gaps)
+        assert scans == [1]
+        a = bank.abs_samples
+        assert out.tobytes() == np.where(a > 0.5 * gaps, a, 0.0).max(axis=1).tobytes()
+
     def test_validation(self):
         bank = MonteCarloBound(np.ones((2, 2)))
         with pytest.raises(ValueError):

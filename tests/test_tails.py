@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,11 +192,47 @@ class TestMonteCarloBound:
         assert not np.shares_memory(b.abs_samples, signed)  # private copy
         # a read-only |xi| array is adopted as is
         assert MonteCarloBound(b.abs_samples).abs_samples is b.abs_samples
+        # one n x m array; beside it only the read-only n-vector of row maxima
         arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 1
+        assert [v.shape for v in arrays] == [(2, 2), (2,)]
+        assert arrays[1] is b.row_max and not b.row_max.flags.writeable
+
+    def test_read_only_bank_with_a_late_sign_is_folded(self):
+        # 2 x 70k entries span three scan blocks; a sign bit (a negative
+        # entry or a -0.0) in any block folds a private copy of the bank
+        a = np.abs(np.random.default_rng(8).standard_normal((70_000, 2)))
+        for row, value in ((60_000, -1.5), (40_000, -0.0)):
+            signed = a.copy()
+            signed[row, 1] = value
+            signed.setflags(write=False)
+            b = MonteCarloBound(signed)
+            assert not np.shares_memory(b.abs_samples, signed)
+            assert b.abs_samples.tobytes() == np.abs(signed).tobytes()
+            assert b.row_max.tobytes() == b.abs_samples.max(axis=1).tobytes()
+
+    def test_construction_keeps_no_bank_sized_temporary(self):
+        # finiteness, signs and row maxima are checked block by block: no
+        # n x m bool array (2 MB here) is made beside the adopted bank
+        a = np.abs(np.random.default_rng(9).standard_normal((20_000, 100)))
+        a.setflags(write=False)
+        tracemalloc.start()
+        try:
+            b = MonteCarloBound(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b.abs_samples is a
+        assert peak < 0.5 * a.size  # bytes: a quarter of one bool per entry
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             MonteCarloBound(np.ones(4))
         with pytest.raises(ValueError):
             MonteCarloBound(np.array([[np.inf, 0.0]]))
+        late = np.zeros((70_000, 2))
+        late[-1, 0] = np.nan  # in the last scan block
+        late.setflags(write=False)
+        with pytest.raises(ValueError, match="finite"):
+            MonteCarloBound(late)
+        with pytest.raises(ValueError, match="non-empty"):
+            MonteCarloBound(np.zeros((3, 0)))

@@ -143,7 +143,8 @@ class TestTopkMonteCarlo:
         p = Problem(rng.normal(size=m) * 2, bank, 0.1)
         dhat = p.x[top_indices(p.x, k)[-1]] - p.x
         r0 = active_radius(bank, np.zeros(m), 0.1).r
-        points, accept = _mc_sweep(bank, 0.1, lambda a: _merged_pieces(
+        a = bank.abs_samples
+        points, accept = _mc_sweep(bank.n, 0.1, *_merged_pieces(
             np.maximum(dhat - 3.0 * a, 0.0), np.minimum(a, r0)), 0.0, r0)
         mids = 0.5 * (points[:-1] + points[1:])
         direct = [_direct_topk_accepts(p.x, k, r, bank.abs_samples, 0.1) for r in mids]
