@@ -154,8 +154,17 @@ def parse_noise_spec(spec: str, m: int):
 DEFAULT_MC_SAMPLES = 100_000
 
 
+def _check_bound_flags(args) -> None:
+    """Refuse bound flags that would otherwise be dropped without a word."""
+    if args.noise is not None and args.tail is not None:
+        raise InputError("--tail and --noise each give the joint bound; pass one of them")
+    if args.noise is None and args.mc_samples is not None:
+        raise InputError("--mc-samples sizes the --noise bank; it needs --noise")
+
+
 def _build_bound(args, m: int):
     """Resolve tail/noise flags into a joint bound."""
+    _check_bound_flags(args)
     if args.noise is not None:
         sampler = parse_noise_spec(args.noise, m)
         if args.seed is None and not isinstance(sampler, TableSampler):
@@ -222,6 +231,7 @@ def _winner_interval(args, problem):
 def cmd_winner_ci(args) -> dict:
     table = read_scores(args.input)
     if table.sigma is not None:
+        _check_bound_flags(args)
         if args.noise is not None:
             raise InputError("per-candidate sigma works with marginal tails only")
         if args.method != "grid":
@@ -346,16 +356,17 @@ def _add_common(sub):
     sub.add_argument("--alpha", type=float, required=True,
                      help="error budget in (0, 1)")
     sub.add_argument("--tail", default=None,
-                     help="marginal tail: gaussian:<scale>|subgaussian:<proxy>|empirical:<path>")
+                     help="marginal tail: gaussian:<scale>|subgaussian:<proxy>|empirical:<path>"
+                          " (not with --noise)")
     sub.add_argument("--noise", default=None,
                      help="joint noise for the Monte-Carlo bound: "
-                          "equicorrelated:<rho>|independent|table:<csv>")
+                          "equicorrelated:<rho>|independent|table:<csv> (not with --tail)")
     sub.add_argument("--grid-points", type=int, default=2001,
                      help="no effect on any result: kept for compatibility")
     sub.add_argument("--refine", action="store_true",
                      help="no effect: kept for compatibility")
     sub.add_argument("--mc-samples", type=int, default=None,
-                     help="bank rows for --noise (default 100000, or the whole table)")
+                     help="bank rows for --noise, which it requires (default 100000, or the whole table)")
     sub.add_argument("--seed", type=int, default=None,
                      help="required whenever noise is sampled")
 

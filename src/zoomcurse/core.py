@@ -11,19 +11,25 @@ The inversion reduces to two endpoint equations in the radius r below and
 above the anchor, and one function (``_radii``) solves them for the winner
 interval and, anchored at the k-th score, for the top-k boxes.  Each bound
 family has a lower side that is searched and an upper side that is monotone.
-Under a union bound the lower side is a certified cell search and the upper
-side a bisection (``_union_radii``).  On a Monte-Carlo bank the zero-gap
-radius r0 is one partition of the bank's row maxima, stored when the bank
-is built, and each call reads the bank once (``_mc_scan``): one fused pass
-per block gives every row's exceed pieces below the anchor and its reach
-above it.  The lower exceed count is piecewise constant in r and a sweep
-over its breakpoints gives it exactly (``_mc_sweep``).  Most rows exceed on
-one piece from r = 0 to the largest end among their intervals that start at
-or below 0, and the fused pass settles them from the row maxima alone; the
-few whose intervals reach past it are gathered and grown by vectorized max
-passes (``_lower_pieces``), and only the rest are sorted
-(``_merged_pieces``).  Above the anchor each row exceeds up to its own
-reach, so the upper radius is an order statistic of the reaches.
+Both radii lie in [0, r0], r0 the zero-gap radius, which ``active_radius``
+solves once per bound and level and keeps in the bound's ``_r0`` memo: the
+simulation's thousands of intervals on one bound share one solve, and no
+result depends on what the memo holds.  Under a union bound the lower side
+is a certified cell search and the upper side a bisection
+(``_union_radii``), run in lockstep with one exceedance call per step on a
+stack of width rows built per side from columns of cell ends
+(``_step_widths``).  On a Monte-Carlo bank r0 is one partition of the
+bank's row maxima, stored when the bank is built, and each call reads the
+bank once (``_mc_scan``): one fused pass per block gives every row's
+exceed pieces below the anchor and its reach above it.  The lower exceed
+count is piecewise constant in r and a sweep over its breakpoints gives it
+exactly (``_mc_sweep``).  Most rows exceed on one piece from r = 0 to the
+largest end among their intervals that start at or below 0, and the fused
+pass settles them from the row maxima alone; the few whose intervals reach
+past it are gathered and grown by vectorized max passes
+(``_lower_pieces``), and only the rest are sorted (``_merged_pieces``).
+Above the anchor each row exceeds up to its own reach, so the upper radius
+is an order statistic of the reaches.
 """
 from __future__ import annotations
 
@@ -138,30 +144,44 @@ def _union_feasible_radius(bound: UnionBound, q: float) -> float:
             f"error budget too small for the marginal tail model: {exc}") from exc
 
 
+def _solve_radius(bound, gaps, alpha: float) -> float:
+    """The radius of ``active_radius``, solved afresh."""
+    if isinstance(bound, MonteCarloBound):
+        return mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
+    halfgaps = 0.5 * gaps
+    hi = _union_feasible_radius(bound, alpha / bound.m)
+    lo = 0.0
+    # exceedance(max(r, gaps/2)) is non-increasing in r and equals 1 at
+    # r = 0 (the anchored coordinate contributes S(0) = 1)
+    while hi - lo > RADIUS_TOL:
+        mid = 0.5 * (lo + hi)
+        if bound.exceedance(np.maximum(mid, halfgaps)) <= alpha:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
     """Smallest radius r whose widened test max(r, gaps/2) passes the joint bound.
 
     Union bounds are inverted by bisection; Monte-Carlo bounds come directly
     from the conservative order statistic of the per-row max statistic, with
-    no iteration.
+    no iteration.  The zero-gap radius r0, which every interval of a bound
+    at a level starts from, is solved once per bound and level: the bound
+    keeps it in its ``_r0`` memo, and later zero-gap calls read it back.  A
+    level that raises is not stored.  The bounds are immutable and the
+    stored value is the one a fresh solve returns, so no result depends on
+    what the memo holds.
     """
     alpha = _check_alpha(alpha)
     gaps = _check_gaps(gaps, bound.m)
-    if isinstance(bound, MonteCarloBound):
-        r = mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
+    if gaps.any():
+        r = _solve_radius(bound, gaps, alpha)
     else:
-        halfgaps = 0.5 * gaps
-        hi = _union_feasible_radius(bound, alpha / bound.m)
-        lo = 0.0
-        # exceedance(max(r, gaps/2)) is non-increasing in r and equals 1 at
-        # r = 0 (the anchored coordinate contributes S(0) = 1)
-        while hi - lo > RADIUS_TOL:
-            mid = 0.5 * (lo + hi)
-            if bound.exceedance(np.maximum(mid, halfgaps)) <= alpha:
-                hi = mid
-            else:
-                lo = mid
-        r = hi
+        r = bound._r0.get(alpha)
+        if r is None:
+            r = bound._r0[alpha] = _solve_radius(bound, gaps, alpha)
     active = np.nonzero(gaps <= 2.0 * r)[0]
     return ActiveRadius(float(r), tuple(active.tolist()), alpha)
 
@@ -357,17 +377,36 @@ def _radius_search(lower: bool, hi: float):
     return b
 
 
-def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides):
-    """Largest accepted radius in [0, hi] on each side of the endpoint equations.
+def _step_widths(d, lower_cells, upper_cells) -> np.ndarray:
+    """Width rows of one search step: the lower cells' rows, then the upper ones'.
 
-    ``sides`` holds one flag per wanted radius: True for the lower sum
-    sum_j S_j(max(r, (d_j - r)/3)), False for the upper sum with d_j + r.  A
-    side whose sum at hi already reaches alpha stays at hi (both reductions
-    to the zero-gap radius land there exactly); the others run
-    ``_radius_search`` in lockstep, one exceedance call per step.  Returns
-    the radii and the numbers of cells bounded and kept.
+    Each side's rows come from one ``_cell_widths`` call on column vectors
+    of its cells' ends (a, b).  Every width is elementwise, so each row is
+    the row of a call on its own cell bit for bit, but for the sign of a
+    zero width (numpy's loops settle a tie of -0.0 and +0.0 by shape),
+    which no tail tells apart.
     """
-    at_hi = bound.exceedance(np.stack([_cell_widths(d, lower, hi, hi) for lower in sides]))
+    parts = []
+    for lower, cells in ((True, lower_cells), (False, upper_cells)):
+        if cells:
+            ends = np.array(cells)
+            parts.append(_cell_widths(d, lower, ends[:, :1], ends[:, 1:]))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _union_radii(bound: UnionBound, d, alpha: float, hi: float, upper: bool):
+    """Largest accepted radius in [0, hi] of the lower endpoint equation and,
+    if ``upper``, of the upper one.
+
+    The lower sum is sum_j S_j(max(r, (d_j - r)/3)), the upper one has
+    d_j + r.  A side whose sum at hi already reaches alpha stays at hi (both
+    reductions to the zero-gap radius land there exactly); the others run
+    ``_radius_search`` in lockstep, one exceedance call per step on the
+    step's stacked rows (``_step_widths``).  Returns the radii and the
+    numbers of cells bounded and kept.
+    """
+    sides = (True, False)[:1 + upper]
+    at_hi = bound.exceedance(_step_widths(d, [(hi, hi)], [(hi, hi)] if upper else []))
     radii = [hi] * len(sides)
     searches = {i: _radius_search(lower, hi) for i, lower in enumerate(sides)
                 if at_hi[i] - alpha < (-1e-12 if lower else 0.0)}
@@ -381,9 +420,9 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides):
             except StopIteration as stop:
                 radii[i] = stop.value
                 del searches[i]
-        if cells:
-            rows = [_cell_widths(d, sides[i], a, b) for i in cells for a, b in cells[i]]
-            keep = (np.asarray(bound.exceedance(np.stack(rows))) > alpha).tolist()
+        if cells:  # keyed in side order, lower first, as the rows are stacked
+            rows = _step_widths(d, cells.get(0, ()), cells.get(1, ()))
+            keep = (np.asarray(bound.exceedance(rows)) > alpha).tolist()
             bounded += len(keep)
             kept += sum(keep)
             answers = iter(keep)
@@ -394,8 +433,9 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, sides):
 def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     """Lower radius, and the upper one if ``upper``, for the gaps d = X_anchor - X.
 
-    Both lie in [0, r0], r0 the zero-gap radius.  Under a union bound the
-    lower side is a certified cell search and the upper side a bisection
+    Both lie in [0, r0], r0 the zero-gap radius (``active_radius``, solved
+    once per bound and level).  Under a union bound the lower side is a
+    certified cell search and the upper side a bisection
     (``_union_radii``).  On a Monte-Carlo bank r0 comes from the bank's
     stored row maxima (``m_statistic`` at zero gaps), with no scan, and one
     pass over the bank (``_mc_scan``) gives both sides.  A row exceeds at
@@ -425,7 +465,7 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
         bounded, kept = accept.size, int(np.count_nonzero(accept))
         diagnostics["bridged"] = not bool(accept[:last + 1].all())
     else:
-        radii, bounded, kept = _union_radii(bound, d, alpha, r0, (True, False)[:1 + upper])
+        radii, bounded, kept = _union_radii(bound, d, alpha, r0, upper)
     if upper and radii[0] < radii[1] - 1e-9:
         raise InternalCheckError("lower radius cannot undercut the upper radius")
     diagnostics.update(bonferroni_lower=bool(radii[0] == r0), grid_points=bounded,

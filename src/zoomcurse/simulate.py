@@ -7,6 +7,11 @@ separation in detectability units).  Per-trial scores add one draw of the
 noise; every requested method then produces an interval (or set) for its
 data-dependent target and we record whether the truth was covered.
 
+Every trial of a cell inverts the same union bound, so its zero-gap radius
+r0 is solved once per cell and level (``core.active_radius`` keeps it on
+the bound) instead of by a fresh bisection in each winner and top-k
+interval; the intervals, and so the reports, are the same either way.
+
 Determinism contract: identical configs (seed included) give byte-identical
 JSON reports, regardless of how trials are scheduled -- each trial owns a
 namespaced generator and the Monte-Carlo bank has its own stream.

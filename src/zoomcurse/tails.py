@@ -7,9 +7,14 @@ models into an upper bound on P(exists j : |xi_j| > v_j) for a vector of
 allotted widths v.
 
 Normal CDF/quantile values come from scipy.special.ndtr/ndtri (the Cephes
-routines); their absolute error is far below the 1e-10 this package
-documents, so alternate implementations of comparable accuracy reproduce
-the same digits.
+routines).  Their error is far below the 1e-10 radius tolerance, so another
+implementation of comparable accuracy gives radii that agree to about that
+tolerance, but not the same digits.  ``isf`` sets the upper end of every
+bisection (``UnionBound.max_isf`` gives the zero-gap radius search its
+start, and r0 bounds every solver's cells) and the Bonferroni width of a
+simulation report, and ``sf`` decides which cells a search keeps, so one
+ulp there moves outputs.  Bit-for-bit results (byte-stable CLI output and
+simulation reports) hold for a given numpy and scipy build.
 """
 from __future__ import annotations
 
@@ -203,6 +208,9 @@ class UnionBound:
     kind (identical empirical tables) share one group.  ``exceedance`` then
     fills a stack of widths with one vectorized call per family and sums
     along the last axis once, so identical marginals are the one-group case.
+    The zero-gap radius of each level is kept in ``_r0`` once
+    ``core.active_radius`` has solved it; like the families it is not a
+    field, so equality, hashing and repr ignore it.
     """
 
     models: tuple
@@ -218,6 +226,7 @@ class UnionBound:
         (_, _, param, worst), *rest = families
         object.__setattr__(self, "_identical", not rest and (
             not isinstance(worst, _PARAMETRIC) or bool(np.all(param == param[0]))))
+        object.__setattr__(self, "_r0", {})  # zero-gap radius per level (core.active_radius)
 
     @property
     def m(self) -> int:
@@ -241,9 +250,13 @@ class UnionBound:
         w = _as_radii(widths)
         if w.shape[-1] != self.m:
             raise ValueError(f"width vector has length {w.shape[-1]}, expected {self.m}")
-        tails = np.empty(w.shape)
-        for cols, tail, param, _ in self._families:
-            tails[..., cols] = tail(w[..., cols], param)
+        (_, tail, param, _), *rest = self._families
+        if rest:
+            tails = np.empty(w.shape)
+            for cols, tail, param, _ in self._families:
+                tails[..., cols] = tail(w[..., cols], param)
+        else:  # one family covers every column; C order sums each row as above
+            tails = np.ascontiguousarray(tail(w, param))
         out = np.minimum(tails.sum(axis=-1), 1.0)
         return out if out.ndim else float(out)
 
@@ -265,7 +278,9 @@ class MonteCarloBound:
     row's largest |xi|, a read-only n-vector computed once, in the same
     block loop that checks the bank finite and its signs; the zero-gap
     statistic and every Monte-Carlo radius read it instead of rescanning
-    the bank.  ``exchangeable`` records whether the coordinates of the
+    the bank, and ``_r0`` keeps the zero-gap radius of each level that
+    ``core.active_radius`` has read off them (neither is a field, so
+    equality and repr ignore them).  ``exchangeable`` records whether the coordinates of the
     sampled law are exchangeable, which symmetric-bound consumers check.
     """
 
@@ -296,6 +311,7 @@ class MonteCarloBound:
         row_max.setflags(write=False)
         object.__setattr__(self, "abs_samples", a)
         object.__setattr__(self, "row_max", row_max)
+        object.__setattr__(self, "_r0", {})  # zero-gap radius per level (core.active_radius)
 
     @property
     def m(self) -> int:

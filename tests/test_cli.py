@@ -298,13 +298,40 @@ class TestExitCodes:
 
     def test_internal_check_exits_4(self, capsys, scores_csv, monkeypatch):
         # infinite cell widths bound every sum by 0, so the radius solver drops
-        # the cell holding r = 0, which S(0) = 1 keeps for every real tail
+        # the cell holding r = 0, which S(0) = 1 keeps for every real tail;
+        # the cell ends come as columns, one row per cell
         monkeypatch.setattr("zoomcurse.core._cell_widths",
-                            lambda d, lower, a, b: np.full(np.shape(d), np.inf))
+                            lambda d, lower, a, b: np.full(np.broadcast(d, a, b).shape, np.inf))
         code, out, err = run_cli(capsys, ["winner-ci", "--input", scores_csv,
                                           "--alpha", "0.1", "--tail", "gaussian:1"])
         assert code == 4 and out == ""
         assert "internal error" in err
+
+    @pytest.mark.parametrize("command", [["winner-ci"], ["winner-ci", "--method", "root"],
+                                         ["topk-ci", "--k", "1"], ["identity-set"],
+                                         ["near-winner", "--index", "1"]])
+    def test_tail_with_noise_exits_2(self, capsys, scores_csv, command):
+        # the tail used to be dropped in favour of the bank, with exit 0
+        code, out, err = run_cli(capsys, [*command, "--input", scores_csv, "--alpha", "0.1",
+                                          "--tail", "gaussian:1",
+                                          "--noise", "equicorrelated:0.5", "--seed", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("zoomcurse:") and "--tail and --noise" in err
+
+    @pytest.mark.parametrize("table", ["scores", "sigma"])
+    def test_mc_samples_without_noise_exits_2(self, capsys, scores_csv, sigma_csv, table):
+        # the bank size used to be ignored, with exit 0
+        path = scores_csv if table == "scores" else sigma_csv
+        code, out, err = run_cli(capsys, ["winner-ci", "--input", path, "--alpha", "0.1",
+                                          "--tail", "gaussian:1", "--mc-samples", "500"])
+        assert code == 2 and out == ""
+        assert err.startswith("zoomcurse:") and "--mc-samples" in err and "--noise" in err
+
+    def test_sigma_table_with_tail_and_noise_exits_2(self, capsys, sigma_csv):
+        code, out, err = run_cli(capsys, ["winner-ci", "--input", sigma_csv, "--alpha", "0.1",
+                                          "--tail", "gaussian:1", "--noise", "independent",
+                                          "--seed", "1"])
+        assert code == 2 and out == "" and "--tail and --noise" in err
 
     def test_version_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

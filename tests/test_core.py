@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -8,7 +10,9 @@ from zoomcurse.core import (MAX_MERGE_PASSES, Problem, WinnerInterval, _cell_wid
                             active_radius, winner_interval_grid, winner_interval_root)
 from zoomcurse.errors import (InfeasibleAlphaError, InternalCheckError,
                               UnsupportedMethodError)
+from zoomcurse.meta import near_winner_interval, population_value_interval, winner_identity_set
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank, mc_quantile
+from zoomcurse.scaled import ScaledProblem, winner_interval_scaled
 from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
 from zoomcurse.topk import topk_interval
@@ -119,6 +123,130 @@ class TestActiveRadius:
         b = UnionBound((GaussianTail(1.0),) * 2)
         with pytest.raises(InfeasibleAlphaError):
             active_radius(b, np.zeros(2), 1e-12)
+
+
+def _count_exceedance(monkeypatch) -> list:
+    calls, exceedance = [], UnionBound.exceedance
+
+    def counted(self, widths):
+        calls.append(1)
+        return exceedance(self, widths)
+
+    monkeypatch.setattr(UnionBound, "exceedance", counted)
+    return calls
+
+
+MEMO_TABLE = np.abs(np.random.default_rng(4).standard_t(4, size=400))
+MEMO_BOUNDS = {  # a fresh bound of each family per call: its memo starts empty
+    "gaussian": lambda m: UnionBound((GaussianTail(1.0),) * m),
+    "subgaussian": lambda m: UnionBound((SubGaussianTail(1.2),) * m),
+    "empirical": lambda m: UnionBound((EmpiricalTail(tuple(MEMO_TABLE)),) * m),
+    "scales": lambda m: UnionBound(tuple(GaussianTail(1.0 + 0.1 * j) for j in range(m))),
+    "bank": lambda m: draw_bank(EquicorrelatedSampler(m, 0.5), 20_000, seed=17),
+}
+
+
+def _memo_results(bound, x, alpha):
+    """Every result a bound can give on scores x, as reprs (diagnostics included)."""
+    p = Problem(x, bound, alpha)
+    out = [winner_interval_grid(p), topk_interval(p, 2), topk_interval(p, 1)]
+    if isinstance(bound, UnionBound):
+        out.append(winner_interval_root(p))
+        sigma = np.linspace(0.8, 1.6, x.size)
+        out.append(winner_interval_scaled(ScaledProblem(p, sigma)))
+        out.append(winner_interval_scaled(ScaledProblem(p, np.ones(x.size))))
+    if isinstance(bound, MonteCarloBound) or bound.identical_marginals:
+        out += [winner_identity_set(p), near_winner_interval(p, 1),
+                near_winner_interval(p, x.size - 1), population_value_interval(p)]
+    return [repr(result) for result in out]
+
+
+class TestZeroGapMemo:
+    """r0 is solved once per bound and level; the memo never changes a result."""
+
+    def test_second_zero_gap_call_makes_no_exceedance_call(self, monkeypatch):
+        b = UnionBound((GaussianTail(1.0),) * 5)
+        calls = _count_exceedance(monkeypatch)
+        first = active_radius(b, np.zeros(5), 0.1)
+        assert len(calls) > 20  # the bisection
+        del calls[:]
+        second = active_radius(b, np.zeros(5), 0.1)
+        assert calls == []
+        assert second.r == first.r and second == first
+        # signed zeros are zero gaps too, with the same radius
+        assert active_radius(b, -np.zeros(5), 0.1).r == first.r and calls == []
+        # nonzero gaps are solved afresh every time
+        gaps = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        active_radius(b, gaps, 0.1)
+        assert calls
+        del calls[:]
+        active_radius(b, gaps, 0.1)
+        assert calls
+
+    def test_bank_partitions_its_row_maxima_once(self, monkeypatch):
+        bank = draw_bank(EquicorrelatedSampler(4, 0.3), 5000, seed=3)
+        partitions, quantile = [], core.mc_quantile
+
+        def counted(values, level):
+            partitions.append(1)
+            return quantile(values, level)
+
+        monkeypatch.setattr(core, "mc_quantile", counted)
+        first = active_radius(bank, np.zeros(4), 0.1).r
+        assert active_radius(bank, np.zeros(4), 0.1).r == first
+        assert partitions == [1]
+        p = Problem(np.array([1.0, 0.5, 0.0, -2.0]), bank, 0.1)
+        topk_interval(p, 2)  # lower side only: r0 is read, not recomputed
+        assert partitions == [1]
+
+    def test_a_new_level_is_solved_afresh(self, monkeypatch):
+        b = UnionBound((SubGaussianTail(1.0),) * 3)
+        calls = _count_exceedance(monkeypatch)
+        r10 = active_radius(b, np.zeros(3), 0.1).r
+        del calls[:]
+        r05 = active_radius(b, np.zeros(3), 0.05).r
+        assert calls and r05 > r10
+        assert r05 == active_radius(UnionBound((SubGaussianTail(1.0),) * 3), np.zeros(3), 0.05).r
+        assert set(b._r0) == {0.1, 0.05}
+
+    def test_an_infeasible_level_raises_every_time_and_is_not_stored(self):
+        b = UnionBound((GaussianTail(1.0),) * 2)
+        for _ in range(3):
+            with pytest.raises(InfeasibleAlphaError):
+                active_radius(b, np.zeros(2), 1e-12)
+        assert b._r0 == {}
+        active_radius(b, np.zeros(2), 0.1)
+        with pytest.raises(InfeasibleAlphaError):
+            active_radius(b, np.zeros(2), 1e-12)
+        assert set(b._r0) == {0.1}
+
+    def test_the_memo_is_not_part_of_equality_hash_or_repr(self):
+        warm, cold = (UnionBound((GaussianTail(1.0),) * 3) for _ in range(2))
+        before = (repr(warm), hash(warm))
+        active_radius(warm, np.zeros(3), 0.1)
+        assert warm._r0 and not cold._r0
+        assert warm == cold and hash(warm) == hash(cold) == before[1]
+        assert repr(warm) == repr(cold) == before[0]
+        assert "_r0" not in {f.name for f in dataclasses.fields(UnionBound)}
+        bank = draw_bank(EquicorrelatedSampler(3, 0.0), 500, seed=1)
+        text = repr(bank)
+        active_radius(bank, np.zeros(3), 0.1)
+        assert bank._r0 and repr(bank) == text
+        assert "_r0" not in {f.name for f in dataclasses.fields(MonteCarloBound)}
+
+    @pytest.mark.parametrize("family", sorted(MEMO_BOUNDS))
+    def test_results_are_the_same_with_a_cold_and_a_warm_memo(self, family):
+        rng = np.random.default_rng(8)
+        for m, alpha in ((6, 0.1), (6, 0.05), (12, 0.2)):
+            x = np.round(rng.normal(0.0, 2.0, size=m), 1)  # ties likely
+            make = MEMO_BOUNDS[family]
+            cold = _memo_results(make(m), x, alpha)
+            warm_bound = make(m)
+            active_radius(warm_bound, np.zeros(m), alpha)
+            assert alpha in warm_bound._r0
+            assert _memo_results(warm_bound, x, alpha) == cold
+            # and again with the memo filled by those very calls
+            assert _memo_results(warm_bound, x, alpha) == cold
 
 
 class TestContains:

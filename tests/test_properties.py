@@ -1,18 +1,20 @@
 """Property tests of the union bound and its radius solver over random problems.
 
 Marginals from every tail family, alone and mixed, up to 40 candidates,
-alpha in [1e-3, 0.5], and scores that may tie.  A last test pins the
+alpha in [1e-3, 0.5], and scores that may tie.  The union search's stacked
+step rows are pinned to per-cell rows bit for bit.  A last test pins the
 Monte-Carlo block scan's per-row pieces to the sort merge and, with the
 reaches, to the two separate scans it replaced, on tables built to tie,
 touch, chain and leave the one-piece fast path.  Hypothesis keeps no
 example database here, so a run writes no files.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zoomcurse.core import (MAX_MERGE_PASSES, Problem, _lower_pieces, _merged_pieces,
-                            _union_feasible_radius, winner_interval_grid, winner_interval_root)
+from zoomcurse.core import (MAX_MERGE_PASSES, Problem, _cell_widths, _lower_pieces,
+                            _merged_pieces, _step_widths, _union_feasible_radius,
+                            winner_interval_grid, winner_interval_root)
 from zoomcurse.meta import population_value_interval
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 from zoomcurse.topk import topk_interval
@@ -143,6 +145,79 @@ def test_radii_are_translation_invariant(p, shift):
     # the gaps X_win - X_j round differently after the shift; the radii
     # may move by that rounding and one solver cell (1e-10)
     assert abs(a.r_l - b.r_l) <= 1e-9 and abs(a.r_u - b.r_u) <= 1e-9
+
+
+@SETTINGS
+@given(bounds_and_widths(), st.booleans())
+@example(case=(UnionBound((GaussianTail(1.0),) * 40),
+               np.random.default_rng(0).uniform(3.0, 6.0, size=(6, 40))), transposed=True)
+def test_a_lone_family_sums_as_the_family_loop(case, transposed):
+    # one family fills the tails without the copy into a preallocated stack;
+    # the sums stay those of the loop bit for bit, also for a stack that is
+    # not in C order (the example's unclamped sums round differently when a
+    # Fortran-order stack of tails is summed along its rows)
+    bound, widths = case
+    if len(bound._families) > 1:
+        return
+    if transposed:
+        widths = np.asfortranarray(widths)
+    (cols, tail, param, _), = bound._families
+    tails = np.empty(widths.shape)
+    tails[..., cols] = tail(widths[..., cols], param)
+    looped = np.minimum(tails.sum(axis=-1), 1.0)
+    assert bound.exceedance(widths).tobytes() == looped.tobytes()
+
+
+@st.composite
+def search_steps(draw):
+    """Gaps d, lower and upper cells (a <= b) and scaled (k, s) for ``_step_widths``.
+
+    Gaps may tie, be signed zeros or be negative (a top-k anchor's gaps to
+    the winners above it); cell ends may be zero, equal or tie with d/4.
+    """
+    m = draw(st.integers(1, 30))
+    gap = st.one_of(st.floats(-10.0, 20.0), st.sampled_from((0.0, -0.0, 1.0, -1.0, 4.0)))
+    d = np.array(draw(st.lists(gap, min_size=m, max_size=m)))
+    end = st.one_of(st.floats(0.0, 8.0), st.sampled_from((0.0, 0.25, 1.0, 2.5)))
+    cell = st.tuples(end, end).map(sorted).map(tuple)
+    lower = draw(st.lists(cell, max_size=4))
+    upper = draw(st.lists(cell, min_size=0 if lower else 1, max_size=3))
+    sigma = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=m, max_size=m)))
+    s = draw(st.floats(0.25, 4.0))
+    return d, lower, upper, 2.0 * sigma + s, s
+
+
+def _same_bits(x, y) -> bool:
+    """Equal bit for bit up to the sign of a zero (adding +0.0 clears it)."""
+    return (x + 0.0).tobytes() == (y + 0.0).tobytes()
+
+
+STEP_BOUNDS = (lambda m: UnionBound((GaussianTail(1.0),) * m),
+               lambda m: UnionBound((EMPIRICAL,) * m),
+               lambda m: UnionBound(tuple(SubGaussianTail(1.0 + j % 3) for j in range(m))))
+
+
+@SETTINGS
+@given(search_steps())
+def test_stacked_step_rows_are_the_per_cell_rows_bit_for_bit(case):
+    # numpy's clip and maximum loops settle a tie of -0.0 and +0.0 either way
+    # depending on the operands' shapes, so a zero width may change sign; no
+    # tail tells the two apart, and the sums are the same bit for bit
+    d, lower, upper, k, s = case
+    rows = [_cell_widths(d, True, a, b) for a, b in lower]
+    rows += [_cell_widths(d, False, a, b) for a, b in upper]
+    stacked, one_by_one = _step_widths(d, lower, upper), np.stack(rows)
+    assert _same_bits(stacked, one_by_one)
+    for make in STEP_BOUNDS:
+        bound = make(d.size)
+        assert bound.exceedance(stacked).tobytes() == bound.exceedance(one_by_one).tobytes()
+    # columns of cell ends give the per-cell rows with the scaled k and s too
+    for side, cells in ((True, lower), (False, upper)):
+        if cells:
+            ends = np.array(cells)
+            stacked = _cell_widths(d, side, ends[:, :1], ends[:, 1:], k, s)
+            one_by_one = np.stack([_cell_widths(d, side, a, b, k, s) for a, b in cells])
+            assert _same_bits(stacked, one_by_one)
 
 
 ON_GRID = st.integers(0, 30).map(lambda k: k / 10.0)  # 0.1 grid: ties, touching ends
