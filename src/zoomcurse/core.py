@@ -16,9 +16,20 @@ solves once per bound and level and keeps in the bound's ``_r0`` memo: the
 simulation's thousands of intervals on one bound share one solve, and no
 result depends on what the memo holds.  Under a union bound the lower side
 is a certified cell search and the upper side a bisection
-(``_union_radii``), run in lockstep with one exceedance call per step on a
-stack of width rows built per side from columns of cell ends
-(``_step_widths``).  On a Monte-Carlo bank r0 is one partition of the
+(``_radius_search``), run in lockstep (``_union_radii``).  A search that
+needs a cell's bound asks ahead of need: first for a shallow dyadic
+subtree, later for the path it is predicted to take, toward a point
+interpolated in log(bound) - log(alpha) between its cell's ends, for a
+number of levels that doubles while paths are used to the end and shrinks
+after a miss.  Both sides' cells go to one exceedance call on a stack of
+width rows built per side from columns of cell ends (``_step_widths``),
+at most 2 ** 14 widths (rows x m) per side past a step's own cells, so at
+m = 10000 each call holds one step, as without look-ahead.  The search
+then replays its steps from the bounds it holds until one needs a cell it
+lacks.  Each decision reads the bound of the very cell a one-step search
+asks for, and a row's bound does not depend on the rows beside it, so no
+radius or count of cells depends on the look-ahead; a wrong prediction
+costs rows, not results.  On a Monte-Carlo bank r0 is one partition of the
 bank's row maxima, stored when the bank is built, and each call reads the
 bank once (``_mc_scan``): one fused pass per block gives every row's
 exceed pieces below the anchor and its reach above it.  The lower exceed
@@ -33,6 +44,7 @@ is an order statistic of the reaches.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,30 +355,133 @@ def _cell_widths(d, lower: bool, a, b, k=3.0, s=1.0) -> np.ndarray:
     return np.maximum(a, (d + a * s) / k)
 
 
-def _radius_search(lower: bool, hi: float):
+# Look-ahead of a union radius search.  A search's first call asks for a
+# dyadic subtree of FIRST_LEVELS levels of [0, hi]; later calls ask for one
+# predicted path, whose length doubles after a call whose cells were used to
+# the end and falls to twice the levels used after a miss.  One side's call
+# holds at most PATH_WIDTHS widths (rows x m), so a stacked call of both sides
+# at most twice that; the cells a step needs always go, so at m > 2 ** 13 no
+# side asks for more than its step's cells.
+FIRST_LEVELS = 3
+PATH_WIDTHS = 2 ** 14
+
+
+def _guess(points: dict, alpha: float, a: float, b: float) -> float:
+    """Where in the cell [a, b] a search is predicted to go: the point at
+    which log(bound) - log(alpha) falls through zero, interpolated linearly
+    between the cell's ends.  ``points`` holds the smallest known bound of
+    a cell starting at each end; both ends are known, as a kept cell starts
+    at a (or a = 0, where the sum is 1) and a dropped one at b (or b = hi).
+    A guess only chooses which cells are bounded ahead of need."""
+    f_a, f_b = (math.log(max(points[c], 1e-300) / alpha) for c in (a, b))
+    return a + (b - a) * f_a / (f_a - f_b) if f_a > 0.0 >= f_b else 0.5 * (a + b)
+
+
+def _look_ahead(lower: bool, cell, known: dict, alpha: float, levels: int, rows: int,
+                guess: float | None):
+    """Cells for one exceedance call of a search at ``cell``, and the levels they span.
+
+    Level by level down from ``cell``, the halves the search asks for there
+    (both below the anchor, the upper one above), for at most ``levels``
+    levels, and no level past the first that takes the cells beyond
+    ``rows``; cells of width <= RADIUS_TOL, where the search stops, are not
+    split.  If ``guess`` is None (the first call, when nothing is known)
+    every cell of each level is split: a dyadic subtree.  Otherwise the
+    cells lie on one path, which goes into the upper half where its known
+    bound exceeds alpha, or, unknown, where ``guess`` lies above its lower
+    end, and known halves are not asked for again.  The midpoints are the
+    search's own, so a cell the search reaches is the cell it asks for, bit
+    for bit.
+    """
+    cells = []
+    if guess is None:
+        frontier = [cell]
+        for depth in range(levels):
+            frontier = [half for a, b in frontier if b - a > RADIUS_TOL
+                        for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+            step = frontier if lower else frontier[1::2]
+            if not step or (cells and len(cells) + len(step) > rows):
+                return cells, depth
+            cells += step
+        return cells, levels
+    a, b = cell
+    for depth in range(levels):
+        if b - a <= RADIUS_TOL:
+            return cells, depth
+        mid = 0.5 * (a + b)
+        high = (mid, b)
+        up = known.get(high)  # a step's halves are asked for together
+        if up is None:
+            if cells and len(cells) + 1 + lower > rows:
+                return cells, depth
+            cells += ((a, mid), high) if lower else (high,)
+        a, b = high if (guess > mid if up is None else up > alpha) else (a, mid)
+    return cells, levels
+
+
+def _radius_search(lower: bool, hi: float, alpha: float, rows: int = 0,
+                   top: float | None = None):
     """Certified depth-first search for the largest accepted radius in [0, hi].
 
-    A generator: each step yields the halves of the current cell whose
-    bound of the endpoint sum is needed, and is sent, for each, whether
-    that bound exceeds alpha.  A cell whose bound is <= alpha holds no
+    A generator.  Each step needs the bounds of the endpoint sum on the
+    halves of the current cell: both halves below the anchor; above it a
+    cell's bound is the sum at its lower end, so the lower half shares the
+    bound of the kept current cell and only the upper half is needed (the
+    search is a bisection).  A cell whose bound is <= alpha holds no
     accepted radius and is dropped whole.  The upper half is searched
-    first, so every radius above the current cell is rejected.  On the
-    upper side a cell's bound is the sum at its lower end, so the lower
-    half shares the bound of the kept current cell and only the upper half
-    is asked for: the search is a bisection.  Returns the upper end of the
-    first kept cell of width <= RADIUS_TOL, or of the current (kept) cell
-    after MAX_SEARCH_STEPS steps.
+    first, so every radius above the current cell is rejected.
+
+    When a step needs a cell it has no bound of, the search yields a list of
+    cells and is sent their bounds as floats, which it keeps.  With ``rows``
+    0 the list is that step's halves.  Otherwise it looks ahead
+    (``_look_ahead``): a dyadic subtree of [0, hi] first, and later the
+    path predicted from its current cell by ``_guess`` from the bounds at
+    the cell's ends (``top`` is the sum at hi), at most ``rows`` cells.
+    The steps then replay from the kept bounds until one needs a cell it
+    lacks.  Every decision reads the bound of exactly the cell a one-step
+    search asks for, and a cell's bound does not depend on which cells share
+    its call, so the radius is the one-step search's bit for bit; a wrong
+    guess costs only rows.  Returns the upper end of the first kept cell of
+    width <= RADIUS_TOL, or of the current (kept) cell after
+    MAX_SEARCH_STEPS steps, and the numbers of cells the steps bounded and
+    kept (cells asked for ahead and never used are not counted).
     """
     a, b = 0.0, hi  # the cell holding r = 0 is never dropped: its sum has S(0) = 1
     below = []      # kept cells under the current one, searched on backtracking
+    known = {}      # bound of every cell sent
+    points = {0.0: 1.0, hi: top}  # smallest bound of a known cell starting at each point
+    levels, depth, used, last = FIRST_LEVELS, 0, 0, None
+    bounded = kept = 0
     for _ in range(MAX_SEARCH_STEPS):
         if b - a <= RADIUS_TOL:
             break
         mid = 0.5 * (a + b)
-        keep = yield ((a, mid), (mid, b)) if lower else ((mid, b),)
-        keep_low, keep_high = keep if lower else (True, keep[0])
+        low, high = (a, mid), (mid, b)
+        if high not in known:  # a step's halves are asked for together
+            if not rows:
+                cells = [low, high] if lower else [high]
+            else:
+                if last is not None:
+                    levels = 2 * levels if used >= depth else 2 * used
+                guess = None if last is None else _guess(points, alpha, a, b)
+                cells, depth = _look_ahead(lower, (a, b), known, alpha, levels, rows, guess)
+            for cell, bound in zip(cells, (yield cells)):
+                known[cell] = bound
+                if not points.get(cell[0], math.inf) <= bound:
+                    points[cell[0]] = bound
+            last, used = set(cells), 0
+        used += high in last
+        keep_high = known[high] > alpha
+        if lower:
+            keep_low = known[low] > alpha
+            bounded += 2
+            kept += keep_low + keep_high
+        else:
+            keep_low = True  # the lower half shares the current cell's bound
+            bounded += 1
+            kept += keep_high
         if keep_low:
-            below.append((a, mid))
+            below.append(low)
         if keep_high:
             a = mid
         elif below:
@@ -374,11 +489,11 @@ def _radius_search(lower: bool, hi: float):
         else:
             raise InternalCheckError("the cell holding r = 0 was rejected, "
                                      "though its sum contains S(0) = 1")
-    return b
+    return b, bounded, kept
 
 
 def _step_widths(d, lower_cells, upper_cells) -> np.ndarray:
-    """Width rows of one search step: the lower cells' rows, then the upper ones'.
+    """Width rows of one search call: the lower cells' rows, then the upper ones'.
 
     Each side's rows come from one ``_cell_widths`` call on column vectors
     of its cells' ends (a, b).  Every width is elementwise, so each row is
@@ -401,14 +516,19 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, upper: bool):
     The lower sum is sum_j S_j(max(r, (d_j - r)/3)), the upper one has
     d_j + r.  A side whose sum at hi already reaches alpha stays at hi (both
     reductions to the zero-gap radius land there exactly); the others run
-    ``_radius_search`` in lockstep, one exceedance call per step on the
-    step's stacked rows (``_step_widths``).  Returns the radii and the
-    numbers of cells bounded and kept.
+    ``_radius_search`` in lockstep with look-ahead: each round, the cells
+    every side asks for are bounded in one exceedance call on their stacked
+    rows (``_step_widths``), at most PATH_WIDTHS // m rows per side but for
+    a step's own cells.  Returns the radii and the numbers of cells the
+    searches bounded and kept, which, like the radii, are the one-step
+    searches' own.
     """
     sides = (True, False)[:1 + upper]
-    at_hi = bound.exceedance(_step_widths(d, [(hi, hi)], [(hi, hi)] if upper else []))
+    at_hi = bound.exceedance(_step_widths(d, [(hi, hi)], [(hi, hi)] if upper else [])).tolist()
     radii = [hi] * len(sides)
-    searches = {i: _radius_search(lower, hi) for i, lower in enumerate(sides)
+    rows = PATH_WIDTHS // d.size
+    searches = {i: _radius_search(lower, hi, alpha, rows, at_hi[i])
+                for i, lower in enumerate(sides)
                 if at_hi[i] - alpha < (-1e-12 if lower else 0.0)}
     sent = dict.fromkeys(searches)  # None starts each generator
     bounded = kept = 0
@@ -418,15 +538,14 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, upper: bool):
             try:
                 cells[i] = search.send(sent[i])
             except StopIteration as stop:
-                radii[i] = stop.value
+                radii[i], side_bounded, side_kept = stop.value
+                bounded += side_bounded
+                kept += side_kept
                 del searches[i]
         if cells:  # keyed in side order, lower first, as the rows are stacked
-            rows = _step_widths(d, cells.get(0, ()), cells.get(1, ()))
-            keep = (np.asarray(bound.exceedance(rows)) > alpha).tolist()
-            bounded += len(keep)
-            kept += sum(keep)
-            answers = iter(keep)
-            sent = {i: [next(answers) for _ in cells[i]] for i in cells}
+            sums = bound.exceedance(_step_widths(d, cells.get(0, ()), cells.get(1, ()))).tolist()
+            for i, asked in cells.items():
+                sent[i], sums = sums[:len(asked)], sums[len(asked):]
     return radii, bounded, kept
 
 

@@ -130,26 +130,30 @@ class _ScaledTest:
 
         The upper sums fall with r, so that side bisects.  A kept lower cell
         passes its live (i*, u) cells to its halves: what its bound dropped
-        stays dropped on any part of it.
+        stays dropped on any part of it.  The search asks for one step's
+        halves at a time, as each lower cell's live cells come from its
+        parent's.  It is sent bounds: alpha for a dropped cell (its bound is
+        no larger) and inf for a kept one.
         """
-        search = _radius_search(lower, r0)
+        search = _radius_search(lower, r0, self.alpha)
         rivals = np.delete(np.arange(self.d.size), self.win)
         live = {(0.0, r0): (rivals, 0.0 * rivals, r0 * self.s + 0.0 * rivals)}
-        keep = None
+        bounds = None
         try:
             while True:
-                halves = search.send(keep)
+                halves = search.send(bounds)
                 if lower:
                     parent = live.pop((halves[0][0], halves[-1][1]))
                     for a, b in halves:
                         live[(a, b)] = self.lower_cell(a, b, *parent)
-                    keep = [live[half] is not None for half in halves]
+                    bounds = [self.alpha if live[half] is None else np.inf for half in halves]
                 else:
-                    keep = [bool(self.over(self.upper_rows(halves[0][0])).any())]
-                self.bounded += len(keep)
-                self.kept += sum(keep)
+                    bounds = [float(np.max(self.bound.exceedance(self.upper_rows(halves[0][0]))))]
         except StopIteration as stop:
-            return stop.value
+            r, bounded, kept = stop.value
+        self.bounded += bounded
+        self.kept += kept
+        return r
 
 
 def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001) -> WinnerInterval:

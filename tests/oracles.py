@@ -3,15 +3,17 @@
 Direct, unoptimized statements of the least favorable configurations and
 of the acceptance tests, basic and sigma-scaled, the union bound summed
 model by model, a canonical order for comparing merged Monte-Carlo exceed
-pieces, and the two-scan forms of the Monte-Carlo lower pieces and reaches
-that the fused block scan replaced.  The package itself uses none of them.
+pieces, the two-scan forms of the Monte-Carlo lower pieces and reaches
+that the fused block scan replaced, and the union radius search that asks
+for one step's cells per exceedance call, which the look-ahead search
+replaced.  The package itself uses none of them.
 """
 import math
 
 import numpy as np
 
-from zoomcurse.core import (MAX_MERGE_PASSES, ActiveRadius, _check_scores, _merged_pieces,
-                            active_radius)
+from zoomcurse.core import (MAX_MERGE_PASSES, MAX_SEARCH_STEPS, RADIUS_TOL, ActiveRadius,
+                            _check_scores, _merged_pieces, _step_widths, active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.topk import top_indices
@@ -188,3 +190,62 @@ def mc_reach_scan(a, d):
     """Per row, the radius above the anchor up to which the row exceeds:
     max over j of min(|xi_j|, 3 |xi_j| - d_j), in a scan of its own."""
     return np.minimum(a, 3.0 * a - d).max(axis=1)
+
+
+def radius_search_one_step(lower: bool, hi: float):
+    """Certified depth-first search for the largest accepted radius in [0, hi],
+    asking for one step's halves at a time.
+
+    Each step yields the halves of the current cell whose bound is needed
+    (both below the anchor, the upper one above it) and is sent, for each,
+    whether that bound exceeds alpha.  The upper half is searched first; a
+    dropped half is gone, a kept lower half waits on a stack.  Returns the
+    upper end of the first kept cell of width <= RADIUS_TOL, or of the
+    current cell after MAX_SEARCH_STEPS steps.
+    """
+    a, b = 0.0, hi
+    below = []
+    for _ in range(MAX_SEARCH_STEPS):
+        if b - a <= RADIUS_TOL:
+            break
+        mid = 0.5 * (a + b)
+        keep = yield ((a, mid), (mid, b)) if lower else ((mid, b),)
+        keep_low, keep_high = keep if lower else (True, keep[0])
+        if keep_low:
+            below.append((a, mid))
+        if keep_high:
+            a = mid
+        elif below:
+            a, b = below.pop()
+        else:
+            raise InternalCheckError("the cell holding r = 0 was rejected")
+    return b
+
+
+def union_radii_one_step(bound, d, alpha: float, hi: float, upper: bool):
+    """``core._union_radii`` with one exceedance call per search step: the
+    searches of both sides run in lockstep, each step's cells stacked lower
+    side first.  Returns the radii and the numbers of cells bounded and kept."""
+    sides = (True, False)[:1 + upper]
+    at_hi = bound.exceedance(_step_widths(d, [(hi, hi)], [(hi, hi)] if upper else []))
+    radii = [hi] * len(sides)
+    searches = {i: radius_search_one_step(lower, hi) for i, lower in enumerate(sides)
+                if at_hi[i] - alpha < (-1e-12 if lower else 0.0)}
+    sent = dict.fromkeys(searches)
+    bounded = kept = 0
+    while searches:
+        cells = {}
+        for i, search in list(searches.items()):
+            try:
+                cells[i] = search.send(sent[i])
+            except StopIteration as stop:
+                radii[i] = stop.value
+                del searches[i]
+        if cells:
+            rows = _step_widths(d, cells.get(0, ()), cells.get(1, ()))
+            keep = (np.asarray(bound.exceedance(rows)) > alpha).tolist()
+            bounded += len(keep)
+            kept += sum(keep)
+            answers = iter(keep)
+            sent = {i: [next(answers) for _ in cells[i]] for i in cells}
+    return radii, bounded, kept

@@ -7,7 +7,8 @@ from scipy.stats import norm
 from zoomcurse import core
 from zoomcurse.core import (MAX_MERGE_PASSES, Problem, WinnerInterval, _cell_widths,
                             _lower_pieces, _mc_accept_threshold, _mc_sweep, _merged_pieces,
-                            active_radius, winner_interval_grid, winner_interval_root)
+                            _union_radii, active_radius, winner_interval_grid,
+                            winner_interval_root)
 from zoomcurse.errors import (InfeasibleAlphaError, InternalCheckError,
                               UnsupportedMethodError)
 from zoomcurse.meta import near_winner_interval, population_value_interval, winner_identity_set
@@ -17,7 +18,8 @@ from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
 from zoomcurse.topk import topk_interval
 
-from oracles import contains, endpoint_sum, mc_reach_scan, sorted_pieces, worst_case_theta
+from oracles import (contains, endpoint_sum, mc_reach_scan, sorted_pieces,
+                     union_radii_one_step, worst_case_theta)
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -584,3 +586,57 @@ class TestUnionRadiusSolver:
             # a point cell is the sum at that point
             assert (bound.exceedance(_cell_widths(d, True, a, a))
                     == endpoint_sum(bound, d, a, -1.0))
+
+
+class _CountingBound:
+    """A union bound that counts its exceedance calls and the rows they bound."""
+
+    def __init__(self, bound):
+        self.bound, self.calls, self.rows = bound, 0, 0
+
+    def exceedance(self, widths):
+        self.calls += 1
+        self.rows += np.shape(widths)[0]
+        return self.bound.exceedance(widths)
+
+
+def _counted_searches(x, anchor: int, alpha=0.1):
+    """(look-ahead, one-step) counting bounds after ``_union_radii`` and its
+    one-step reference ran on the gaps to the ``anchor``-th score, with both
+    sides for the winner (anchor 1), checking they agree."""
+    bound = UnionBound((GaussianTail(1.0),) * x.size)
+    r0 = active_radius(bound, np.zeros(x.size), alpha).r
+    d = np.sort(x)[-anchor] - x
+    ahead, one_step = _CountingBound(bound), _CountingBound(bound)
+    got = _union_radii(ahead, d, alpha, r0, anchor == 1)
+    assert got == union_radii_one_step(one_step, d, alpha, r0, anchor == 1)
+    assert got[1] > 0  # some side searched
+    return ahead, one_step
+
+
+class TestLookAhead:
+    """The look-ahead asks for rows ahead of need only where a call is cheap."""
+
+    @pytest.mark.parametrize("anchor", [1, 3])
+    def test_large_m_keeps_the_one_step_calls_and_rows(self, anchor):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([[16.0, 15.5, 15.0], rng.normal(size=9997)])
+        ahead, one_step = _counted_searches(x, anchor)
+        assert (ahead.calls, ahead.rows) == (one_step.calls, one_step.rows)
+
+    @pytest.mark.parametrize("lead", [20.0, 8.0, 0.0])
+    def test_small_m_winner_interval_makes_5x_fewer_calls(self, lead):
+        rng = np.random.default_rng(32)
+        x = np.concatenate([[lead], rng.normal(size=9)])
+        ahead, one_step = _counted_searches(x, 1)
+        assert 5 * ahead.calls <= one_step.calls
+
+    def test_winner_interval_makes_the_counted_calls(self, monkeypatch):
+        # once r0 is in the bound's memo, the entry point makes the search's calls
+        x = np.concatenate([[20.0], np.random.default_rng(32).normal(size=9)])
+        p = gaussian_problem(x)
+        active_radius(p.bound, np.zeros(x.size), p.alpha)
+        ahead, _ = _counted_searches(x, 1)
+        calls = _count_exceedance(monkeypatch)
+        assert winner_interval_root(p).r_l > 0.0
+        assert len(calls) == ahead.calls

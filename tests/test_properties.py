@@ -2,25 +2,32 @@
 
 Marginals from every tail family, alone and mixed, up to 40 candidates,
 alpha in [1e-3, 0.5], and scores that may tie.  The union search's stacked
-step rows are pinned to per-cell rows bit for bit.  A last test pins the
+step rows are pinned to per-cell rows bit for bit, and the look-ahead
+search to the one-step search it replaced, with its guesses honest or
+forced wrong, up to 1000 candidates.  A last test pins the
 Monte-Carlo block scan's per-row pieces to the sort merge and, with the
 reaches, to the two separate scans it replaced, on tables built to tie,
 touch, chain and leave the one-piece fast path.  Hypothesis keeps no
 example database here, so a run writes no files.
 """
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zoomcurse import core
 from zoomcurse.core import (MAX_MERGE_PASSES, Problem, _cell_widths, _lower_pieces,
                             _merged_pieces, _step_widths, _union_feasible_radius,
-                            winner_interval_grid, winner_interval_root)
+                            _union_radii, active_radius, winner_interval_grid,
+                            winner_interval_root)
+from zoomcurse.errors import InfeasibleAlphaError
 from zoomcurse.meta import population_value_interval
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 from zoomcurse.topk import topk_interval
 
 from oracles import (endpoint_sum, lower_pieces_two_scans, mc_reach_scan,
-                     sequential_exceedance, sorted_pieces)
+                     sequential_exceedance, sorted_pieces, union_radii_one_step)
 
 _T5 = np.random.default_rng(5)
 EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
@@ -218,6 +225,75 @@ def test_stacked_step_rows_are_the_per_cell_rows_bit_for_bit(case):
             stacked = _cell_widths(d, side, ends[:, :1], ends[:, 1:], k, s)
             one_by_one = np.stack([_cell_widths(d, side, a, b, k, s) for a, b in cells])
             assert _same_bits(stacked, one_by_one)
+
+
+SEARCH_TAILS = {
+    "identical": lambda m, rng: UnionBound((GaussianTail(1.0),) * m),
+    "distinct": lambda m, rng: UnionBound(tuple(GaussianTail(float(s))
+                                                for s in rng.uniform(0.5, 2.0, m))),
+    "subgaussian": lambda m, rng: UnionBound((SubGaussianTail(1.3),) * m),
+    "empirical": lambda m, rng: UnionBound((EMPIRICAL,) * m),
+}
+
+
+@st.composite
+def radius_searches(draw):
+    """A union bound, gaps, alpha, the search range and the sides of ``_union_radii``.
+
+    m in {1, 2, 10, 100, 1000}; the scores hold a lone leader, a cluster, a
+    tie or m/2 leaders, each anchored at the winner (both sides) or at the
+    k-th score (a top-k lower side, gaps to the winners above negative).
+    The range is the zero-gap radius, or past the marginals' support where
+    alpha / m is out of an empirical table's reach.
+    """
+    m = draw(st.sampled_from((1, 2, 10, 100, 1000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bound = SEARCH_TAILS[draw(st.sampled_from(sorted(SEARCH_TAILS)))](m, rng)
+    shape = draw(st.sampled_from(("lone", "cluster", "tied", "half")))
+    gap = draw(st.floats(0.0, 20.0))
+    if shape == "lone":
+        x = np.concatenate([[gap], rng.normal(size=m - 1)])
+    elif shape == "cluster":
+        x = rng.normal(scale=draw(st.floats(0.01, 3.0)), size=m)
+    elif shape == "tied":
+        x = np.zeros(m)
+    else:
+        x = np.where(np.arange(m) < max(m // 2, 1), 0.0, -gap) + rng.normal(scale=0.3, size=m)
+    alpha = draw(st.floats(1e-4, 0.5))
+    k = draw(st.integers(1, min(3, m))) if draw(st.booleans()) else 0
+    d = (np.sort(x)[-k] if k else x.max()) - x
+    try:
+        hi = active_radius(bound, np.zeros(m), alpha).r
+    except InfeasibleAlphaError:
+        hi = 1.5 * max(EMPIRICAL.table)
+    return bound, d, alpha, hi, not k
+
+
+_GUESS = core._guess
+GUESSES = {  # the interpolated guess, the cell's end on its wrong side, and each end
+    "interpolated": _GUESS,
+    "wrong end": lambda points, alpha, a, b: (
+        a if _GUESS(points, alpha, a, b) > 0.5 * (a + b) else b),
+    "low": lambda points, alpha, a, b: a,
+    "high": lambda points, alpha, a, b: b,
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(radius_searches(), st.sampled_from(sorted(GUESSES)))
+@example(case=(UnionBound((GaussianTail(1.0),) * 1000),
+               np.concatenate([[0.0], np.full(999, 15.0)]), 0.05,
+               3.5, True), guess="wrong end")
+@example(case=(UnionBound((EmpiricalTail((1.0, 2.0, 3.0, 4.0)),)), np.zeros(1), 0.25,
+               4.0, True), guess="interpolated")  # the sum at r = 3 is alpha exactly
+def test_look_ahead_search_is_the_one_step_search_bit_for_bit(case, guess):
+    # radii, cells bounded and cells kept, whatever cells the look-ahead
+    # bounds ahead of need: a wrong guess changes only which
+    bound, d, alpha, hi, upper = case
+    want = union_radii_one_step(bound, d, alpha, hi, upper)
+    with mock.patch.object(core, "_guess", GUESSES[guess]):
+        got = _union_radii(bound, d, alpha, hi, upper)
+    assert got == want
 
 
 ON_GRID = st.integers(0, 30).map(lambda k: k / 10.0)  # 0.1 grid: ties, touching ends
