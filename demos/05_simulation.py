@@ -13,7 +13,7 @@ from zoomcurse.simulate import SimConfig, run_simulation, width_comparison
 METHODS = ("zoom_grid", "zoom_stepdown", "bonferroni", "uncorrected",
            "topk:3", "identity_set")
 COMMON = dict(m=40, rho=0.3, alpha=0.1, trials=400, seed=20260815,
-              methods=METHODS, n_mc=20_000, grid_points=1001)
+              methods=METHODS, n_mc=20_000)
 
 
 def show(title, cfg):

@@ -14,15 +14,14 @@ from .errors import InfeasibleAlphaError, UnsupportedMethodError
 from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
                    population_value_interval, winner_identity_set)
 from .sampling import (DiagonalGaussianSampler, EquicorrelatedSampler,
-                       TableSampler, draw_bank, m_statistic, mc_order_index,
-                       mc_quantile)
+                       TableSampler, draw_bank, m_statistic, mc_quantile)
 from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import (SimConfig, SimReport, parse_config_text, run_simulation,
                        width_comparison)
 from .stepdown import (StepdownStep, StepdownTrace, stepdown_lower,
                        stepdown_upper, winner_interval_stepdown)
 from .tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
-                    SubGaussianTail, TailModel, UnionBound)
+                    SubGaussianTail, UnionBound)
 from .topk import TopKResult, top_indices, topk_interval, topk_stepdown
 
 __version__ = "0.1.0"
@@ -32,10 +31,10 @@ __all__ = [
     "EquicorrelatedSampler", "GaussianTail", "IdentitySet",
     "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval", "Problem",
     "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
-    "StepdownTrace", "SubGaussianTail", "TableSampler", "TailModel",
+    "StepdownTrace", "SubGaussianTail", "TableSampler",
     "TopKResult", "UnionBound", "UnsupportedMethodError", "WinnerInterval",
     "active_radius", "draw_bank", "m_statistic",
-    "mc_order_index", "mc_quantile", "near_winner_interval",
+    "mc_quantile", "near_winner_interval",
     "parse_config_text", "population_value_interval", "run_simulation",
     "stepdown_lower", "stepdown_upper", "top_indices",
     "topk_interval", "topk_stepdown", "width_comparison",

@@ -22,7 +22,7 @@ from . import __version__
 from .core import Problem, winner_interval_grid, winner_interval_root
 from .errors import InfeasibleAlphaError, InternalCheckError
 from .meta import near_winner_interval, winner_identity_set
-from .sampling import EquicorrelatedSampler, DiagonalGaussianSampler, TableSampler, draw_bank
+from .sampling import EquicorrelatedSampler, TableSampler, draw_bank
 from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import parse_config_text, run_simulation, width_comparison
 from .stepdown import winner_interval_stepdown
@@ -154,17 +154,13 @@ def parse_noise_spec(spec: str, m: int):
 DEFAULT_MC_SAMPLES = 100_000
 
 
-def _check_bound_flags(args) -> None:
-    """Refuse bound flags that would otherwise be dropped without a word."""
+def _build_bound(args, m: int):
+    """Resolve tail/noise flags into a joint bound, refusing bound flags that
+    would otherwise be dropped without a word."""
     if args.noise is not None and args.tail is not None:
         raise InputError("--tail and --noise each give the joint bound; pass one of them")
     if args.noise is None and args.mc_samples is not None:
         raise InputError("--mc-samples sizes the --noise bank; it needs --noise")
-
-
-def _build_bound(args, m: int):
-    """Resolve tail/noise flags into a joint bound."""
-    _check_bound_flags(args)
     if args.noise is not None:
         sampler = parse_noise_spec(args.noise, m)
         if args.seed is None and not isinstance(sampler, TableSampler):
@@ -182,25 +178,13 @@ def _build_bound(args, m: int):
     return UnionBound((model,) * m)
 
 
-def _json_safe(obj):
+def _json_default(obj):
+    """``json.dumps`` hook for what the envelopes carry beyond JSON types."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _json_safe(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return repr(obj)
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _envelope(mode: str, args, method: str, winner_label, result: dict,
@@ -213,14 +197,14 @@ def _envelope(mode: str, args, method: str, winner_label, result: dict,
         "method": method,
         "seed": args.seed,
         "winner": winner_label,
-        "result": _json_safe(result),
-        "diagnostics": _json_safe(diagnostics),
+        "result": result,
+        "diagnostics": diagnostics,
     }
 
 
 def _winner_interval(args, problem):
     if args.method == "grid":
-        return winner_interval_grid(problem, args.grid_points, refine=args.refine)
+        return winner_interval_grid(problem)
     if args.method == "root":
         return winner_interval_root(problem)
     if args.method == "stepdown":
@@ -231,18 +215,14 @@ def _winner_interval(args, problem):
 def cmd_winner_ci(args) -> dict:
     table = read_scores(args.input)
     if table.sigma is not None:
-        _check_bound_flags(args)
-        if args.noise is not None:
-            raise InputError("per-candidate sigma works with marginal tails only")
         if args.method != "grid":
             raise InputError("sigma-scaled intervals support --method grid only")
-        if args.tail is None:
-            raise InputError("sigma-scaled intervals need a standardized --tail")
-        model = parse_tail_spec(args.tail)
-        base = Problem(table.x, UnionBound((model,) * table.x.size), args.alpha)
-        iv = winner_interval_scaled(ScaledProblem(base, table.sigma), args.grid_points)
+        if args.noise is not None and args.tail is None:
+            raise InputError("per-candidate sigma works with marginal tails only")
+    problem = Problem(table.x, _build_bound(args, table.x.size), args.alpha)
+    if table.sigma is not None:
+        iv = winner_interval_scaled(ScaledProblem(problem, table.sigma))
     else:
-        problem = Problem(table.x, _build_bound(args, table.x.size), args.alpha)
         iv = _winner_interval(args, problem)
     result = {
         "interval": [iv.t_l, iv.t_u],
@@ -259,11 +239,11 @@ def cmd_topk_ci(args) -> dict:
     table = read_scores(args.input)
     if table.sigma is not None:
         raise InputError("top-k boxes do not take per-candidate sigma")
-    problem = Problem(table.x, _build_bound(args, table.x.size), args.alpha)
     if args.k < 1 or args.k > table.x.size:
         raise InputError(f"--k must lie in [1, {table.x.size}]")
+    problem = Problem(table.x, _build_bound(args, table.x.size), args.alpha)
     if args.method == "grid":
-        res = topk_interval(problem, args.k, args.grid_points, refine=args.refine)
+        res = topk_interval(problem, args.k)
     elif args.method == "stepdown":
         res = topk_stepdown(problem, args.k)
     else:
@@ -361,10 +341,6 @@ def _add_common(sub):
     sub.add_argument("--noise", default=None,
                      help="joint noise for the Monte-Carlo bound: "
                           "equicorrelated:<rho>|independent|table:<csv> (not with --tail)")
-    sub.add_argument("--grid-points", type=int, default=2001,
-                     help="no effect on any result: kept for compatibility")
-    sub.add_argument("--refine", action="store_true",
-                     help="no effect: kept for compatibility")
     sub.add_argument("--mc-samples", type=int, default=None,
                      help="bank rows for --noise, which it requires (default 100000, or the whole table)")
     sub.add_argument("--seed", type=int, default=None,
@@ -381,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("winner-ci", help="interval for the top-scoring candidate")
     _add_common(p)
     p.add_argument("--method", choices=("grid", "root", "stepdown"), default="grid")
+    p.add_argument("--refine", action="store_true", help="no effect: kept for compatibility")
     p.set_defaults(func=cmd_winner_ci)
 
     p = commands.add_parser("topk-ci", help="simultaneous boxes for the top k scores")
@@ -427,7 +404,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"zoomcurse: internal error: {exc}", file=sys.stderr)
         return 4
-    sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2, default=_json_default) + "\n")
     return 0
 
 

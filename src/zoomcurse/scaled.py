@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Problem, WinnerInterval, _cell_widths, _radius_search, active_radius
+from .core import (Problem, WinnerInterval, _cell_widths, _check_grid_points, _radius_search,
+                   active_radius)
 from .errors import UnsupportedMethodError
 from .tails import UnionBound
 
@@ -163,12 +164,12 @@ def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001) -> W
     and a lower radius cell is dropped only when its bound is <= alpha for
     every i* and every cell of t*, so every radius beyond each end is
     rejected.  At unit sigma the endpoints are ``winner_interval_root``'s, bit
-    for bit.  Union bounds only; ``grid_points`` is validated and changes no
-    result.  The diagnostics count the radius cells bounded (``grid_points``)
-    and kept (``accepted_points``) and the (i*, t*) cells bounded.
+    for bit.  Union bounds only; ``grid_points`` is validated and ignored,
+    and kept only because the benchmark under ``perfbench/`` passes it.  The
+    diagnostics count the radius cells bounded (``grid_points``) and kept
+    (``accepted_points``) and the (i*, t*) cells bounded.
     """
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
+    _check_grid_points(grid_points)
     bound = problem.base.bound
     if not isinstance(bound, UnionBound):
         raise UnsupportedMethodError("scaled interval inversion supports union bounds only")

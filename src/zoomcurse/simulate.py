@@ -21,11 +21,12 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Problem, _check_alpha, active_radius, winner_interval_grid
+from .core import Problem, _check_alpha, _check_grid_points, active_radius, winner_interval_grid
 from .sampling import EquicorrelatedSampler, draw_bank
 from .stepdown import winner_interval_stepdown
 from .tails import GaussianTail, UnionBound
@@ -51,7 +52,11 @@ def _parse_method(name: str) -> str:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One experiment cell; see module docstring for the mean layout."""
+    """One experiment cell; see module docstring for the mean layout.
+
+    ``grid_points`` is validated and ignored; it is kept only because the
+    benchmark under ``perfbench/`` sets it.  A method may be listed once.
+    """
 
     m: int
     m_winners: int
@@ -78,12 +83,13 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
+        _check_grid_points(self.grid_points)
         methods = tuple(_parse_method(name) for name in self.methods)
         if not methods:
             raise ValueError("at least one method is required")
-        for name in methods:
+        for i, name in enumerate(methods):
+            if name in methods[:i]:
+                raise ValueError(f"method {name} is listed twice")
             if name.startswith("topk:") and int(name.split(":")[1]) > self.m:
                 raise ValueError(f"{name} needs k <= m = {self.m}")
         object.__setattr__(self, "methods", methods)
@@ -98,7 +104,7 @@ class SimReport:
     summaries: dict
     raw: dict | None = field(default=None, compare=False)
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "config": dataclasses.asdict(self.config),
             "r_sim": self.r_sim,
@@ -106,7 +112,7 @@ class SimReport:
         }
         if self.raw is not None:
             payload["raw"] = self.raw
-        return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -162,8 +168,7 @@ def run_simulation(config: SimConfig, *, include_raw: bool = False) -> SimReport
         problem = Problem(x, bound, alpha)
         i_hat = problem.winner
         t_true = float(theta[i_hat])
-        iv_grid = (winner_interval_grid(problem, config.grid_points, refine=True)
-                   if need_grid else None)
+        iv_grid = winner_interval_grid(problem) if need_grid else None
         for name in config.methods:
             if name == "zoom_grid":
                 w, ok = iv_grid.width, iv_grid.t_l <= t_true <= iv_grid.t_u
@@ -182,7 +187,7 @@ def run_simulation(config: SimConfig, *, include_raw: bool = False) -> SimReport
                 w, ok = float(len(members)), best <= members
             else:
                 k = int(name.split(":")[1])
-                res = topk_interval(problem, k, config.grid_points, refine=True)
+                res = topk_interval(problem, k)
                 win = list(res.winners)
                 w = 2.0 * res.r_max
                 ok = bool(np.all(np.abs(x[win] - theta[win]) <= res.r_max))
@@ -212,16 +217,14 @@ def width_comparison(report: SimReport) -> dict:
     return {"median_width": medians, "ratio": ratios}
 
 
-_CONFIG_TYPES = {
-    "m": int, "m_winners": int, "trials": int, "seed": int, "n_mc": int,
-    "grid_points": int, "gap_mult": float, "rho": float, "alpha": float,
-}
+_CONFIG_TYPES = typing.get_type_hints(SimConfig)
 
 
 def parse_config_text(text: str) -> SimConfig:
     """Parse ``key = value`` lines (# comments allowed) into a SimConfig.
 
-    ``methods`` is a comma-separated list; all other keys are scalars.
+    ``methods`` is a comma-separated list; all other keys are scalars.  A
+    key may be given once.
     """
     fields: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -232,6 +235,8 @@ def parse_config_text(text: str) -> SimConfig:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in fields:
+            raise ValueError(f"line {lineno}: key {key!r} is given twice")
         if key == "methods":
             fields[key] = tuple(part.strip() for part in value.split(",") if part.strip())
         elif key in _CONFIG_TYPES:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Problem, WinnerInterval, _check_alpha
+from .core import Problem, WinnerInterval, _check_alpha, _check_gaps
 from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
 from .tails import UnionBound
 
@@ -56,13 +56,7 @@ def marginal_model(bound):
 
 
 def _sorted_gaps(gaps) -> tuple[np.ndarray, np.ndarray]:
-    gaps = np.asarray(gaps, dtype=float)
-    if gaps.ndim != 1 or gaps.size == 0:
-        raise ValueError("gaps must form a non-empty 1-d vector")
-    if np.any(np.isnan(gaps)) or np.any(gaps < 0):
-        raise ValueError("gaps must be non-negative")
-    if gaps.min() != 0.0:
-        raise ValueError("gap vectors are anchored: some coordinate has gap 0")
+    gaps = _check_gaps(gaps, np.size(gaps))
     order = np.argsort(-gaps, kind="stable")
     return gaps[order], order
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -162,8 +161,6 @@ class EmpiricalTail:
         return float(np.interp(q, self._knots_s[::-1], self._knots_r[::-1]))
 
 
-TailModel = Union[GaussianTail, SubGaussianTail, EmpiricalTail]
-
 # families whose coordinates share one tail formula with a scalar parameter
 # (its S_inv grows with the parameter); every other model is grouped with
 # the models equal to it
@@ -250,13 +247,9 @@ class UnionBound:
         w = _as_radii(widths)
         if w.shape[-1] != self.m:
             raise ValueError(f"width vector has length {w.shape[-1]}, expected {self.m}")
-        (_, tail, param, _), *rest = self._families
-        if rest:
-            tails = np.empty(w.shape)
-            for cols, tail, param, _ in self._families:
-                tails[..., cols] = tail(w[..., cols], param)
-        else:  # one family covers every column; C order sums each row as above
-            tails = np.ascontiguousarray(tail(w, param))
+        tails = np.empty(w.shape)  # C order: a row of a stack sums as a lone row
+        for cols, tail, param, _ in self._families:
+            tails[..., cols] = tail(w[..., cols], param)
         out = np.minimum(tails.sum(axis=-1), 1.0)
         return out if out.ndim else float(out)
 

@@ -73,7 +73,7 @@ def test_c01_single_candidate_reduces_to_marginal():
         lo, hi = (iv.pieces[0] if name == "near_winner" else (iv.t_l, iv.t_u))
         assert lo == pytest.approx(x - MARGINAL_RADIUS, abs=1e-4), name
         assert hi == pytest.approx(x + MARGINAL_RADIUS, abs=1e-4), name
-    for res in (topk_interval(p, 1, 2001, refine=True), topk_stepdown(p, 1)):
+    for res in (topk_interval(p, 1, 2001), topk_stepdown(p, 1)):
         assert res.r_max == pytest.approx(MARGINAL_RADIUS, abs=1e-4)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -282,7 +282,7 @@ def test_c11_cli_byte_determinism(tmp_path):
                  "--tail", "gaussian:1", "--method", "root"],
         "mc-grid": ["winner-ci", "--input", str(scores), "--alpha", "0.1",
                     "--noise", "equicorrelated:0.5", "--seed", "7",
-                    "--mc-samples", "20000", "--grid-points", "801", "--refine"],
+                    "--mc-samples", "20000", "--refine"],
         "simulate": ["simulate", "--config", str(cfg),
                      "--out-json", str(tmp_path / "rep.json")],
     }

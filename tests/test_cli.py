@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from zoomcurse.cli import main, parse_noise_spec, parse_tail_spec, read_scores
+from zoomcurse.cli import _json_default, main, parse_noise_spec, parse_tail_spec, read_scores
+from zoomcurse.core import WinnerInterval
 
 SCHEMA = json.loads(
     resources.files("zoomcurse").joinpath("schema/envelope.schema.json").read_text())
@@ -115,16 +116,14 @@ class TestWinnerCi:
     def test_grid_with_mc_noise(self, capsys, scores_csv):
         env = run_json(capsys, ["winner-ci", "--input", scores_csv,
                                 "--alpha", "0.1", "--noise", "equicorrelated:0.3",
-                                "--seed", "5", "--mc-samples", "4000",
-                                "--grid-points", "401", "--refine"])
+                                "--seed", "5", "--mc-samples", "4000", "--refine"])
         lo, hi = env["result"]["interval"]
         assert lo <= 10.0 <= hi
         assert env["seed"] == 5
 
     def test_sigma_column_takes_scaled_path(self, capsys, sigma_csv):
         env = run_json(capsys, ["winner-ci", "--input", sigma_csv,
-                                "--alpha", "0.1", "--tail", "gaussian:1",
-                                "--grid-points", "401"])
+                                "--alpha", "0.1", "--tail", "gaussian:1"])
         assert env["method"] == "scaled"
         lo, hi = env["result"]["interval"]
         assert lo <= 10.0 <= hi
@@ -160,8 +159,7 @@ class TestWinnerCi:
         rows = tmp_path / "noise.csv"
         rows.write_text("\n".join(f"{a},{b}" for a, b in rng.normal(size=(800, 2))))
         env = run_json(capsys, ["winner-ci", "--input", scores_csv,
-                                "--alpha", "0.1", "--noise", f"table:{rows}",
-                                "--grid-points", "301"])
+                                "--alpha", "0.1", "--noise", f"table:{rows}"])
         assert env["result"]["width"] > 0
 
     @pytest.mark.parametrize("noise", ["table", "empirical"])
@@ -260,6 +258,8 @@ class TestExitCodes:
     def test_input_errors_exit_2(self, capsys, scores_csv, sigma_csv, tmp_path):
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("label,score\na,1\na,2\n")
+        twice_cfg = tmp_path / "twice.cfg"
+        twice_cfg.write_text("m = 3\nm_winners = 1\ngap_mult = 6\nm = 5\n")
         cases = [
             ["winner-ci", "--input", str(bad_csv), "--alpha", "0.1",
              "--tail", "gaussian:1"],
@@ -283,6 +283,7 @@ class TestExitCodes:
             ["near-winner", "--input", scores_csv, "--alpha", "0.1",
              "--tail", "gaussian:1", "--label", "gamma"],
             ["simulate", "--config", str(tmp_path / "missing.cfg")],
+            ["simulate", "--config", str(twice_cfg)],
         ]
         for argv in cases:
             code, _, err = run_cli(capsys, argv)
@@ -333,10 +334,87 @@ class TestExitCodes:
                                           "--seed", "1"])
         assert code == 2 and out == "" and "--tail and --noise" in err
 
+    @pytest.mark.parametrize("table, argv", [
+        ("scores", ["topk-ci", "--k", "99"]),
+        ("sigma", ["winner-ci"]),
+    ], ids=["topk-bad-k", "sigma-table"])
+    def test_refused_before_any_bank_is_drawn(self, capsys, scores_csv, sigma_csv,
+                                              monkeypatch, table, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bank was drawn for a call that exits 2")
+        monkeypatch.setattr("zoomcurse.cli.draw_bank", refuse)
+        path = scores_csv if table == "scores" else sigma_csv
+        code, out, err = run_cli(capsys, [*argv, "--input", path, "--alpha", "0.1",
+                                          "--noise", "independent", "--seed", "1"])
+        assert code == 2 and out == "" and err.startswith("zoomcurse:")
+
     def test_version_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+TABLE_COMMANDS = {"winner-ci": [], "topk-ci": ["--k", "1"], "identity-set": [],
+                  "near-winner": ["--index", "1"]}
+
+
+class TestRetiredFlags:
+    """--grid-points is gone; --refine is a no-op kept on winner-ci only."""
+
+    @staticmethod
+    def usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+    def test_grid_points_exits_2(self, capsys, scores_csv, command):
+        self.usage_error(capsys, [command, *TABLE_COMMANDS[command], "--input", scores_csv,
+                                  "--alpha", "0.1", "--tail", "gaussian:1",
+                                  "--grid-points", "401"])
+
+    @pytest.mark.parametrize("command", sorted(set(TABLE_COMMANDS) - {"winner-ci"}))
+    def test_refine_exits_2_outside_winner_ci(self, capsys, scores_csv, command):
+        self.usage_error(capsys, [command, *TABLE_COMMANDS[command], "--input", scores_csv,
+                                  "--alpha", "0.1", "--tail", "gaussian:1", "--refine"])
+
+    def test_winner_ci_refine_changes_nothing(self, capsys, scores_csv):
+        argv = ["winner-ci", "--input", scores_csv, "--alpha", "0.1",
+                "--tail", "subgaussian:1", "--method", "grid"]
+        assert run_json(capsys, [*argv, "--refine"]) == run_json(capsys, argv)
+
+
+def test_json_default_covers_envelope_values():
+    iv = WinnerInterval(0.5, 0.25, 2.0, 1, 0.1, "grid", {"hits": np.int64(3)})
+    payload = {
+        "interval": iv,  # t_l and t_u are init=False fields
+        "nested": {"inner": iv},
+        "pair": (1, np.float64(0.1)),
+        "row": np.array([1.5, 2.0]),
+        "grid": np.arange(4).reshape(2, 2),
+        "flags": [np.bool_(True), np.bool_(False)],
+        "count": np.int64(7),
+        "single": np.float32(0.1),
+        "missing": None,
+    }
+    plain_iv = {"r_l": 0.5, "r_u": 0.25, "x_winner": 2.0, "winner": 1, "alpha": 0.1,
+                "method": "grid", "diagnostics": {"hits": 3}, "t_l": 1.5, "t_u": 2.25}
+    plain = {
+        "interval": plain_iv,
+        "nested": {"inner": plain_iv},
+        "pair": [1, 0.1],
+        "row": [1.5, 2.0],
+        "grid": [[0, 1], [2, 3]],
+        "flags": [True, False],
+        "count": 7,
+        "single": float(np.float32(0.1)),
+        "missing": None,
+    }
+    dump = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    assert dump == json.dumps(plain, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        json.dumps({"bad": object()}, default=_json_default)
 
 
 class TestByteStability:
@@ -344,7 +422,7 @@ class TestByteStability:
         argv = [sys.executable, "-m", "zoomcurse.cli", "winner-ci",
                 "--input", scores_csv, "--alpha", "0.1",
                 "--noise", "equicorrelated:0.2", "--seed", "11",
-                "--mc-samples", "3000", "--grid-points", "301"]
+                "--mc-samples", "3000"]
         first = subprocess.run(argv, capture_output=True, check=True)
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout

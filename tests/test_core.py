@@ -43,8 +43,6 @@ class TestProblem:
             Problem(np.array([1.0, np.nan]), b, 0.1)
         with pytest.raises(ValueError):
             Problem(np.array([1.0, 2.0]), b, 1.0)
-        with pytest.raises(ValueError):
-            Problem(np.array([1.0, 2.0]), b, 0.1, labels=("a",))
 
     def test_winner_breaks_ties_low(self):
         assert gaussian_problem([3.0, 7.0, 7.0]).winner == 1

@@ -34,6 +34,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kw)
 
+    def test_method_listed_twice(self):
+        # both specs normalize to topk:1, which would run twice
+        with pytest.raises(ValueError, match="topk:1 is listed twice"):
+            SimConfig(m=5, m_winners=1, gap_mult=1.0, methods=("topk:1", "topk:01"))
+
     def test_method_specs_normalized(self):
         cfg = SimConfig(m=5, m_winners=1, gap_mult=1.0,
                         methods=(" zoom_grid ", "topk:03"))
@@ -62,6 +67,10 @@ class TestConfigText:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("m = 3\nm_winners = 1\ngap_mult = 2\nfoo = 1")
+
+    def test_key_given_twice(self):
+        with pytest.raises(ValueError, match="line 4: key 'm' is given twice"):
+            parse_config_text("m = 3\nm_winners = 1\ngap_mult = 2\nm = 5")
 
     def test_bad_scalar(self):
         with pytest.raises(ValueError, match="bad value"):

@@ -61,7 +61,7 @@ class TestSelectionHelpers:
 
 class TestTopkInterval:
     def test_frozen_grid_instance(self):
-        res = topk_interval(gaussian_problem([10.0, 9.9, 0.0]), 2, refine=True)
+        res = topk_interval(gaussian_problem([10.0, 9.9, 0.0]), 2)
         assert res.winners == (0, 1)
         assert res.r_max == pytest.approx(TOPK_GRID_RADIUS, abs=1e-8)
         np.testing.assert_allclose(
@@ -72,7 +72,7 @@ class TestTopkInterval:
         rng = np.random.default_rng(8)
         for _ in range(15):
             p = gaussian_problem(rng.normal(size=4) * 3)
-            box = topk_interval(p, 1, 801, refine=True)
+            box = topk_interval(p, 1, 801)
             iv = winner_interval_grid(p, 801, refine=True)
             assert box.r_max == pytest.approx(iv.r_l, abs=1e-8)
 
@@ -88,9 +88,8 @@ class TestTopkInterval:
     def test_unrefined_rounds_outward(self):
         p = gaussian_problem([10.0, 9.9, 0.0])
         coarse = topk_interval(p, 2, 101)
-        fine = topk_interval(p, 2, 101, refine=True)
-        # no grid is left to round: both are the default solver's radius
-        assert coarse.r_max == fine.r_max == topk_interval(p, 2).r_max
+        # no grid is left to round: it is the default solver's radius
+        assert coarse.r_max == topk_interval(p, 2).r_max
 
     def test_grid_points_validation(self):
         with pytest.raises(ValueError):
@@ -112,7 +111,7 @@ class TestTopkStepdown:
             m = int(rng.integers(2, 7))
             k = int(rng.integers(1, m + 1))
             p = gaussian_problem(rng.normal(size=m) * rng.uniform(0.5, 5))
-            grid = topk_interval(p, k, 401, refine=True)
+            grid = topk_interval(p, k, 401)
             sd = topk_stepdown(p, k)
             assert sd.r_max >= grid.r_max - 1e-9
             assert sd.winners == grid.winners
@@ -150,7 +149,7 @@ class TestTopkMonteCarlo:
         direct = [_direct_topk_accepts(p.x, k, r, bank.abs_samples, 0.1) for r in mids]
         np.testing.assert_array_equal(accept, direct)
         # no radius beyond r_max is accepted, and r_max is tight
-        res = topk_interval(p, k, refine=True)
+        res = topk_interval(p, k)
         rs = np.linspace(0.0, r0 + 0.5, 2001)
         ok = [_direct_topk_accepts(p.x, k, r, bank.abs_samples, 0.1) for r in rs]
         assert rs[ok].max() <= res.r_max
@@ -160,6 +159,6 @@ class TestTopkMonteCarlo:
     def test_mc_interval_runs_and_stays_in_budget_box(self):
         bank = draw_bank(EquicorrelatedSampler(3, 0.4), 3000, seed=4)
         p = Problem(np.array([2.0, 1.8, -1.0]), bank, 0.1)
-        res = topk_interval(p, 2, 401, refine=True)
+        res = topk_interval(p, 2, 401)
         assert isinstance(res, TopKResult)
         assert 0.0 < res.r_max <= res.diagnostics["zero_gap_radius"] + 1e-12
