@@ -306,6 +306,8 @@ def cmd_near_winner(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    if args.include_raw and not args.out_json:
+        raise InputError("--include-raw needs --out-json, the report it adds the trials to")
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config_text(fh.read())
@@ -314,12 +316,13 @@ def cmd_simulate(args) -> dict:
     except ValueError as exc:
         raise InputError(f"{args.config}: {exc}") from exc
     report = run_simulation(config, include_raw=args.include_raw)
-    if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+    for path, text in ((args.out_json, report.to_json), (args.out_csv, report.to_csv)):
+        if path:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text())
+            except OSError as exc:
+                raise InputError(f"cannot write {path}: {exc}") from exc
     result = {
         "config": dataclasses.asdict(config),
         "r_sim": report.r_sim,

@@ -14,9 +14,14 @@ family has a lower side that is searched and an upper side that is monotone.
 Both radii lie in [0, r0], r0 the zero-gap radius, which ``active_radius``
 solves once per bound and level and keeps in the bound's ``_r0`` memo: the
 simulation's thousands of intervals on one bound share one solve, and no
-result depends on what the memo holds.  Under a union bound the lower side
-is a certified cell search and the upper side a bisection
-(``_radius_search``), run in lockstep (``_union_radii``).  A search that
+result depends on what the memo holds.  Under a union bound every radius
+is the end of one certified search over [0, hi] (``_radius_search``): a
+cell search on the lower side and a bisection on the upper side, which is
+also how ``active_radius`` solves r0 itself.  One driver runs the
+searches, keyed by side, in lockstep (``_lockstep``), and one rule keeps a
+side whose sum at r0 reaches alpha at r0 (``_side_radii``); the winner and
+top-k radii (``_union_radii``) and the sigma-scaled ones (``scaled``) go
+through both, ``active_radius`` through the driver alone.  A search that
 needs a cell's bound asks ahead of need: first for a shallow dyadic
 subtree, later for the path it is predicted to take, toward a point
 interpolated in log(bound) - log(alpha) between its cell's ends, for a
@@ -160,34 +165,42 @@ def _union_feasible_radius(bound: UnionBound, q: float) -> float:
 
 
 def _solve_radius(bound, gaps, alpha: float) -> float:
-    """The radius of ``active_radius``, solved afresh."""
+    """The radius of ``active_radius``, solved afresh.
+
+    Under a union bound, exceedance(max(r, gaps/2)) is non-increasing in r
+    and equals 1 at r = 0 (the anchored coordinate contributes S(0) = 1),
+    so the radius is the upper-side ``_radius_search`` on [0, hi], a cell's
+    bound being the sum at its lower end: the bisection's midpoints,
+    decisions and stop, bit for bit.  ``_side_radii``'s rule at hi is not
+    applied: hi is where the sum is at most alpha up to rounding, and the
+    bisection never evaluates it, so staying there could move r by ulps.
+    """
     if isinstance(bound, MonteCarloBound):
         return mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
     halfgaps = 0.5 * gaps
     hi = _union_feasible_radius(bound, alpha / bound.m)
-    lo = 0.0
-    # exceedance(max(r, gaps/2)) is non-increasing in r and equals 1 at
-    # r = 0 (the anchored coordinate contributes S(0) = 1)
-    while hi - lo > RADIUS_TOL:
-        mid = 0.5 * (lo + hi)
-        if bound.exceedance(np.maximum(mid, halfgaps)) <= alpha:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+    def evaluate(asked):
+        return bound.exceedance(np.maximum(np.array(asked[False])[:, :1], halfgaps)).tolist()
+
+    top = evaluate({False: [(hi, hi)]})[0]
+    search = _radius_search(False, hi, alpha, PATH_WIDTHS // bound.m, top)
+    return _lockstep({False: search}, evaluate)[False][0]
 
 
 def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
     """Smallest radius r whose widened test max(r, gaps/2) passes the joint bound.
 
-    Union bounds are inverted by bisection; Monte-Carlo bounds come directly
-    from the conservative order statistic of the per-row max statistic, with
-    no iteration.  The zero-gap radius r0, which every interval of a bound
-    at a level starts from, is solved once per bound and level: the bound
-    keeps it in its ``_r0`` memo, and later zero-gap calls read it back.  A
-    level that raises is not stored.  The bounds are immutable and the
-    stored value is the one a fresh solve returns, so no result depends on
-    what the memo holds.
+    Union bounds are inverted by the certified search of the other union
+    radii (``_radius_search`` above the anchor: a bisection that looks
+    ahead); Monte-Carlo bounds come directly from the conservative order
+    statistic of the per-row max statistic, with no iteration.  The
+    zero-gap radius r0, which every interval of a bound at a level starts
+    from, is solved once per bound and level: the bound keeps it in its
+    ``_r0`` memo, and later zero-gap calls read it back.  A level that
+    raises is not stored.  The bounds are immutable and the stored value is
+    the one a fresh solve returns, so no result depends on what the memo
+    holds.
     """
     alpha = _check_alpha(alpha)
     gaps = _check_gaps(gaps, bound.m)
@@ -375,9 +388,12 @@ def _guess(points: dict, alpha: float, a: float, b: float) -> float:
     between the cell's ends.  ``points`` holds the smallest known bound of
     a cell starting at each end; both ends are known, as a kept cell starts
     at a (or a = 0, where the sum is 1) and a dropped one at b (or b = hi).
-    A guess only chooses which cells are bounded ahead of need."""
-    f_a, f_b = (math.log(max(points[c], 1e-300) / alpha) for c in (a, b))
-    return a + (b - a) * f_a / (f_a - f_b) if f_a > 0.0 >= f_b else 0.5 * (a + b)
+    Bounds are read in [1e-300, 1], so a kept cell sent as inf counts as 1,
+    and a sum above alpha at b (at hi, by rounding, in ``active_radius``)
+    as alpha: the search is predicted to go to b.  A guess only chooses
+    which cells are bounded ahead of need."""
+    f_a, f_b = (math.log(min(max(points[c], 1e-300), 1.0) / alpha) for c in (a, b))
+    return a + (b - a) * f_a / (f_a - min(f_b, 0.0)) if f_a > 0.0 else 0.5 * (a + b)
 
 
 def _look_ahead(lower: bool, cell, known: dict, alpha: float, levels: int, rows: int,
@@ -422,8 +438,7 @@ def _look_ahead(lower: bool, cell, known: dict, alpha: float, levels: int, rows:
     return cells, levels
 
 
-def _radius_search(lower: bool, hi: float, alpha: float, rows: int = 0,
-                   top: float | None = None):
+def _radius_search(lower: bool, hi: float, alpha: float, rows: int, top: float):
     """Certified depth-first search for the largest accepted radius in [0, hi].
 
     A generator.  Each step needs the bounds of the endpoint sum on the
@@ -435,16 +450,18 @@ def _radius_search(lower: bool, hi: float, alpha: float, rows: int = 0,
     first, so every radius above the current cell is rejected.
 
     When a step needs a cell it has no bound of, the search yields a list of
-    cells and is sent their bounds as floats, which it keeps.  With ``rows``
-    0 the list is that step's halves.  Otherwise it looks ahead
-    (``_look_ahead``): a dyadic subtree of [0, hi] first, and later the
-    path predicted from its current cell by ``_guess`` from the bounds at
-    the cell's ends (``top`` is the sum at hi), at most ``rows`` cells.
-    The steps then replay from the kept bounds until one needs a cell it
-    lacks.  Every decision reads the bound of exactly the cell a one-step
-    search asks for, and a cell's bound does not depend on which cells share
-    its call, so the radius is the one-step search's bit for bit; a wrong
-    guess costs only rows.  Returns the upper end of the first kept cell of
+    cells and is sent their bounds as floats, which it keeps.  The list
+    looks ahead (``_look_ahead``): a dyadic subtree of [0, hi] first, and
+    later the path predicted from its current cell by ``_guess`` from the
+    bounds at the cell's ends (``top`` is the sum at hi), at most ``rows``
+    cells but for the step's own, so with ``rows`` 1 it is that step's
+    halves.  The steps then replay from the kept bounds until one needs a
+    cell it lacks.  Every decision reads the bound of exactly the cell a
+    one-step search asks for, and a cell's bound does not depend on which
+    cells share its call, so the radius is the one-step search's bit for
+    bit; a wrong guess costs only rows.  ``_lockstep`` drives every search:
+    the union endpoint radii (``_union_radii``), ``active_radius``'s and
+    the sigma-scaled ones.  Returns the upper end of the first kept cell of
     width <= RADIUS_TOL, or of the current (kept) cell after
     MAX_SEARCH_STEPS steps, and the numbers of cells the steps bounded and
     kept (cells asked for ahead and never used are not counted).
@@ -461,16 +478,13 @@ def _radius_search(lower: bool, hi: float, alpha: float, rows: int = 0,
         mid = 0.5 * (a + b)
         low, high = (a, mid), (mid, b)
         if high not in known:  # a step's halves are asked for together
-            if not rows:
-                cells = [low, high] if lower else [high]
-            else:
-                if last is not None:
-                    levels = 2 * levels if used >= depth else 2 * used
-                guess = None if last is None else _guess(points, alpha, a, b)
-                cells, depth = _look_ahead(lower, (a, b), known, alpha, levels, rows, guess)
+            if last is not None:
+                levels = 2 * levels if used >= depth else 2 * used
+            guess = None if last is None else _guess(points, alpha, a, b)
+            cells, depth = _look_ahead(lower, (a, b), known, alpha, levels, rows, guess)
             for cell, bound in zip(cells, (yield cells)):
                 known[cell] = bound
-                if not points.get(cell[0], math.inf) <= bound:
+                if cell[0] not in points or bound < points[cell[0]]:
                     points[cell[0]] = bound
             last, used = set(cells), 0
         used += high in last
@@ -495,21 +509,58 @@ def _radius_search(lower: bool, hi: float, alpha: float, rows: int = 0,
     return b, bounded, kept
 
 
-def _step_widths(d, lower_cells, upper_cells) -> np.ndarray:
-    """Width rows of one search call: the lower cells' rows, then the upper ones'.
+def _step_widths(d, asked: dict) -> np.ndarray:
+    """Width rows of one search round: the rows of each side's cells in
+    turn, ``asked`` mapping the side's ``lower`` flag to its cells.
 
     Each side's rows come from one ``_cell_widths`` call on column vectors
     of its cells' ends (a, b).  Every width is elementwise, so each row is
     the row of a call on its own cell bit for bit, but for the sign of a
     zero width (numpy's loops settle a tie of -0.0 and +0.0 by shape),
-    which no tail tells apart.
+    which no tail tells apart.  A lone side's rows are returned uncopied.
     """
-    parts = []
-    for lower, cells in ((True, lower_cells), (False, upper_cells)):
-        if cells:
-            ends = np.array(cells)
-            parts.append(_cell_widths(d, lower, ends[:, :1], ends[:, 1:]))
+    parts = [_cell_widths(d, lower, *np.array(cells).T[:, :, None])
+             for lower, cells in asked.items() if cells]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _lockstep(searches: dict, evaluate) -> dict:
+    """Run ``_radius_search`` generators, keyed by side, in lockstep.
+
+    Each round every live search asks for its cells and one
+    ``evaluate(asked)`` call bounds them all: ``asked`` maps each side to
+    its cells, and ``evaluate`` returns one list of their bounds, side
+    after side in the order of ``asked``.  Returns each side's radius and
+    numbers of cells bounded and kept; ``searches`` is emptied.
+    """
+    done, sent = {}, dict.fromkeys(searches)  # None starts each generator
+    while searches:
+        asked = {}
+        for side, search in list(searches.items()):
+            try:
+                asked[side] = search.send(sent[side])
+            except StopIteration as stop:
+                done[side] = stop.value
+                del searches[side]
+        if asked:
+            bounds = evaluate(asked)
+            for side, cells in asked.items():
+                sent[side], bounds = bounds[:len(cells)], bounds[len(cells):]
+    return done
+
+
+def _side_radii(top: dict, hi: float, alpha: float, rows: int, evaluate) -> dict:
+    """Radius in [0, hi] and cells bounded and kept of each side of ``top``,
+    which maps the side's ``lower`` flag to its sum at hi.
+
+    A side whose sum at hi already reaches alpha stays at hi (every
+    reduction to the zero-gap radius lands there exactly); the others run
+    ``_radius_search`` in ``_lockstep``, asking for at most ``rows`` cells
+    per call past a step's own.
+    """
+    searches = {lower: _radius_search(lower, hi, alpha, rows, s) for lower, s in top.items()
+                if s - alpha < (-1e-12 if lower else 0.0)}
+    return {**dict.fromkeys(top, (hi, 0, 0)), **_lockstep(searches, evaluate)}
 
 
 def _union_radii(bound: UnionBound, d, alpha: float, hi: float, upper: bool):
@@ -517,39 +568,21 @@ def _union_radii(bound: UnionBound, d, alpha: float, hi: float, upper: bool):
     if ``upper``, of the upper one.
 
     The lower sum is sum_j S_j(max(r, (d_j - r)/3)), the upper one has
-    d_j + r.  A side whose sum at hi already reaches alpha stays at hi (both
-    reductions to the zero-gap radius land there exactly); the others run
-    ``_radius_search`` in lockstep with look-ahead: each round, the cells
-    every side asks for are bounded in one exceedance call on their stacked
-    rows (``_step_widths``), at most PATH_WIDTHS // m rows per side but for
-    a step's own cells.  Returns the radii and the numbers of cells the
-    searches bounded and kept, which, like the radii, are the one-step
-    searches' own.
+    d_j + r.  Each round of ``_side_radii`` bounds the cells both sides ask
+    for in one exceedance call on their stacked rows (``_step_widths``), at
+    most PATH_WIDTHS // m rows per side but for a step's own cells; the
+    sums at hi come from one such call on point cells.  Returns the radii
+    and the numbers of cells the searches bounded and kept, which, like the
+    radii, are the one-step searches' own.
     """
+    def evaluate(asked):
+        return bound.exceedance(_step_widths(d, asked)).tolist()
+
     sides = (True, False)[:1 + upper]
-    at_hi = bound.exceedance(_step_widths(d, [(hi, hi)], [(hi, hi)] if upper else [])).tolist()
-    radii = [hi] * len(sides)
-    rows = PATH_WIDTHS // d.size
-    searches = {i: _radius_search(lower, hi, alpha, rows, at_hi[i])
-                for i, lower in enumerate(sides)
-                if at_hi[i] - alpha < (-1e-12 if lower else 0.0)}
-    sent = dict.fromkeys(searches)  # None starts each generator
-    bounded = kept = 0
-    while searches:
-        cells = {}
-        for i, search in list(searches.items()):
-            try:
-                cells[i] = search.send(sent[i])
-            except StopIteration as stop:
-                radii[i], side_bounded, side_kept = stop.value
-                bounded += side_bounded
-                kept += side_kept
-                del searches[i]
-        if cells:  # keyed in side order, lower first, as the rows are stacked
-            sums = bound.exceedance(_step_widths(d, cells.get(0, ()), cells.get(1, ()))).tolist()
-            for i, asked in cells.items():
-                sent[i], sums = sums[:len(asked)], sums[len(asked):]
-    return radii, bounded, kept
+    top = dict(zip(sides, evaluate({lower: [(hi, hi)] for lower in sides})))
+    found = _side_radii(top, hi, alpha, PATH_WIDTHS // d.size, evaluate)
+    radii, bounded, kept = zip(*(found[lower] for lower in sides))
+    return list(radii), sum(bounded), sum(kept)
 
 
 def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:

@@ -75,6 +75,14 @@ def population_value_interval(problem: Problem) -> WinnerInterval:
         iv, diagnostics={**iv.diagnostics, "target": "population_max"})
 
 
+def _identity_set(x, iv: WinnerInterval, alpha: float) -> IdentitySet:
+    """The candidates among scores x that reach X_win - 2 * r_l of the winner
+    interval ``iv`` already solved on them."""
+    threshold = iv.x_winner - 2.0 * iv.r_l
+    indices = np.nonzero(x >= threshold)[0]
+    return IdentitySet(tuple(int(j) for j in indices), float(threshold), alpha)
+
+
 def winner_identity_set(problem: Problem) -> IdentitySet:
     """Set of candidates whose score reaches X_win - 2 * r_l.
 
@@ -82,10 +90,7 @@ def winner_identity_set(problem: Problem) -> IdentitySet:
     coordinate at level alpha; the rest are retained.
     """
     _require_symmetric(problem.bound)
-    iv = winner_interval_grid(problem)
-    threshold = iv.x_winner - 2.0 * iv.r_l
-    indices = np.nonzero(problem.x >= threshold)[0]
-    return IdentitySet(tuple(int(j) for j in indices), float(threshold), problem.alpha)
+    return _identity_set(problem.x, winner_interval_grid(problem), problem.alpha)
 
 
 def near_winner_interval(problem: Problem, index: int) -> NearWinnerInterval:

@@ -11,6 +11,10 @@ The t* range needs no upper end: beyond max(t, X_win) every width grows with
 t*, so no t* there accepts more than t* = max(t, X_win).  Above X_win only
 t* = t is left; below it t* ranges over [t, X_win].  With equal sigmas every
 operation here reduces exactly to its basic counterpart.
+
+Both sides of the interval run the union solver's certified search through
+its shared driver (``core._side_radii``), in lockstep and under the same
+rule at r0; ``_ScaledTest.evaluate`` bounds the cells they ask for.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Problem, WinnerInterval, _cell_widths, _check_grid_points, _radius_search,
+from .core import (Problem, WinnerInterval, _cell_widths, _check_grid_points, _side_radii,
                    active_radius)
 from .errors import UnsupportedMethodError
 from .tails import UnionBound
@@ -61,7 +65,9 @@ class _ScaledTest:
     max_k (u - d_k)+ / sigma_k), g_j = (d_j - u)+ / (2 sigma_j + sigma_i*)
     (the exact gaps of the winner and of i* stay below r_req).  Each piece is
     monotone or V-shaped in r and u, so a cell's bound takes each at its
-    smallest there.  Above X_win, t* = t.
+    smallest there.  Above X_win, t* = t.  The test holds the search range
+    [0, r0] and, for each kept lower radius cell not yet split, its live
+    (i*, u) cells.
     """
 
     def __init__(self, problem: ScaledProblem):
@@ -69,10 +75,10 @@ class _ScaledTest:
         self.bound, self.alpha, self.win = base.bound, base.alpha, problem.winner
         self.sigma, self.s = problem.sigma, float(problem.sigma[problem.winner])
         self.d = base.x[self.win] - base.x
-        self.bounded = self.kept = self.star_cells = 0
-
-    def over(self, widths) -> np.ndarray:
-        return np.asarray(self.bound.exceedance(widths)) > self.alpha
+        self.r0 = active_radius(self.bound, np.zeros(problem.m), self.alpha).r
+        rivals = np.delete(np.arange(self.d.size), self.win)
+        self.live = {(0.0, self.r0): (rivals, 0.0 * rivals, self.r0 * self.s + 0.0 * rivals)}
+        self.star_cells = 0
 
     def upper_rows(self, r: float) -> np.ndarray:
         """Widths of every i* at t = X_win + r s; each grows with r."""
@@ -111,14 +117,14 @@ class _ScaledTest:
         ub = np.minimum(ub, b * self.s)  # t* >= t caps u at r s
         feasible = ua <= ub
         i_star, ua, ub = i_star[feasible], ua[feasible], ub[feasible]
-        if self.over(self.winner_row(a, b)):
+        if self.bound.exceedance(self.winner_row(a, b)) > self.alpha:
             return i_star, ua, ub
         while i_star.size:
             self.star_cells += i_star.size
             u = np.minimum(0.5 * (ua + ub), a * self.s)
-            exact, live = self.over(self.rival_rows(
+            exact, live = (self.bound.exceedance(self.rival_rows(
                 a, np.tile(i_star, 2), np.concatenate([u, ua]), np.concatenate([u, ub])
-            )).reshape(2, -1)
+            )) > self.alpha).reshape(2, -1)
             i_star, ua, ub = i_star[live], ua[live], ub[live]
             if exact.any() or np.any(ub - ua <= (b - a) * self.s):
                 return i_star, ua, ub
@@ -126,35 +132,27 @@ class _ScaledTest:
             i_star, ua, ub = np.tile(i_star, 2), np.concatenate([ua, mid]), np.concatenate([mid, ub])
         return None
 
-    def search(self, lower: bool, r0: float) -> float:
-        """Largest accepted radius of one side, by ``_radius_search`` on [0, r0].
+    def evaluate(self, asked: dict) -> list:
+        """Bounds of the cells each side asks for (``_side_radii``).
 
-        The upper sums fall with r, so that side bisects.  A kept lower cell
+        Above X_win a cell's bound is the largest sum over i* at its lower
+        end, as the upper sums fall with r.  Below it the side asks for one
+        step's halves at a time (a budget of one cell), as a kept cell
         passes its live (i*, u) cells to its halves: what its bound dropped
-        stays dropped on any part of it.  The search asks for one step's
-        halves at a time, as each lower cell's live cells come from its
-        parent's.  It is sent bounds: alpha for a dropped cell (its bound is
-        no larger) and inf for a kept one.
+        stays dropped on any part of it.  Their bounds are alpha for a
+        dropped half (its bound is no larger) and inf for a kept one.
         """
-        search = _radius_search(lower, r0, self.alpha)
-        rivals = np.delete(np.arange(self.d.size), self.win)
-        live = {(0.0, r0): (rivals, 0.0 * rivals, r0 * self.s + 0.0 * rivals)}
-        bounds = None
-        try:
-            while True:
-                halves = search.send(bounds)
-                if lower:
-                    parent = live.pop((halves[0][0], halves[-1][1]))
-                    for a, b in halves:
-                        live[(a, b)] = self.lower_cell(a, b, *parent)
-                    bounds = [self.alpha if live[half] is None else np.inf for half in halves]
-                else:
-                    bounds = [float(np.max(self.bound.exceedance(self.upper_rows(halves[0][0]))))]
-        except StopIteration as stop:
-            r, bounded, kept = stop.value
-        self.bounded += bounded
-        self.kept += kept
-        return r
+        bounds = []
+        for lower, cells in asked.items():
+            if lower:
+                parent = self.live.pop((cells[0][0], cells[-1][1]))
+                for a, b in cells:
+                    self.live[(a, b)] = self.lower_cell(a, b, *parent)
+                bounds += [self.alpha if self.live[cell] is None else np.inf for cell in cells]
+            else:
+                bounds += [float(np.max(self.bound.exceedance(self.upper_rows(a))))
+                           for a, _ in cells]
+        return bounds
 
 
 def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001) -> WinnerInterval:
@@ -173,17 +171,14 @@ def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001) -> W
     bound = problem.base.bound
     if not isinstance(bound, UnionBound):
         raise UnsupportedMethodError("scaled interval inversion supports union bounds only")
-    alpha, i_hat = problem.base.alpha, problem.winner
-    xw = float(problem.base.x[i_hat])
-    r0 = active_radius(bound, np.zeros(problem.m), alpha).r
     test = _ScaledTest(problem)
-    # as in the basic solver, a side whose sum at r0 reaches alpha stays there
-    r_l = r_u = r0
-    if bound.exceedance(test.winner_row(r0, r0)) - alpha < -1e-12:
-        r_l = test.search(True, r0)
-    if np.max(bound.exceedance(test.upper_rows(r0))) < alpha:
-        r_u = test.search(False, r0)
+    r0, alpha = test.r0, test.alpha
+    top = {True: float(bound.exceedance(test.winner_row(r0, r0))),
+           False: test.evaluate({False: [(r0, r0)]})[0]}
+    found = _side_radii(top, r0, alpha, 1, test.evaluate)
+    (r_l, bounded_l, kept_l), (r_u, bounded_u, kept_u) = found[True], found[False]
     diagnostics = {"zero_gap_radius": r0, "bonferroni_lower": r_l == r0,
-                   "bonferroni_upper": r_u == r0, "grid_points": test.bounded,
-                   "accepted_points": test.kept, "star_cells": test.star_cells}
-    return WinnerInterval(r_l * test.s, r_u * test.s, xw, i_hat, alpha, "scaled", diagnostics)
+                   "bonferroni_upper": r_u == r0, "grid_points": bounded_l + bounded_u,
+                   "accepted_points": kept_l + kept_u, "star_cells": test.star_cells}
+    xw = float(problem.base.x[test.win])
+    return WinnerInterval(r_l * test.s, r_u * test.s, xw, test.win, alpha, "scaled", diagnostics)

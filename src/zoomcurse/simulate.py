@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Problem, _check_alpha, _check_grid_points, active_radius, winner_interval_grid
+from .meta import _identity_set
 from .sampling import EquicorrelatedSampler, draw_bank
 from .stepdown import winner_interval_stepdown
 from .tails import GaussianTail, UnionBound
@@ -180,11 +181,9 @@ def run_simulation(config: SimConfig, *, include_raw: bool = False) -> SimReport
             elif name == "uncorrected":
                 w, ok = 2.0 * r_unc, abs(x[i_hat] - t_true) <= r_unc
             elif name == "identity_set":
-                # same threshold rule as winner_identity_set, reusing the
-                # zoom_grid inversion instead of running a second one
-                threshold = x[i_hat] - 2.0 * iv_grid.r_l
-                members = frozenset(np.nonzero(x >= threshold)[0].tolist())
-                w, ok = float(len(members)), best <= members
+                # winner_identity_set's rule on the zoom_grid inversion, not a second one
+                members = _identity_set(x, iv_grid, alpha)
+                w, ok = float(len(members)), best.issubset(members.indices)
             else:
                 k = int(name.split(":")[1])
                 res = topk_interval(problem, k)

@@ -6,14 +6,17 @@ model by model, a canonical order for comparing merged Monte-Carlo exceed
 pieces, the two-scan forms of the Monte-Carlo lower pieces and reaches
 that the fused block scan replaced, and the union radius search that asks
 for one step's cells per exceedance call, which the look-ahead search
-replaced.  The package itself uses none of them.
+replaced, and the bisection that solved ``active_radius`` under a union
+bound before that search took it over.  The package itself uses none of
+them.
 """
 import math
 
 import numpy as np
 
 from zoomcurse.core import (MAX_MERGE_PASSES, MAX_SEARCH_STEPS, RADIUS_TOL, ActiveRadius,
-                            _check_scores, _merged_pieces, _step_widths, active_radius)
+                            _check_scores, _merged_pieces, _step_widths,
+                            _union_feasible_radius, active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.topk import top_indices
@@ -227,7 +230,8 @@ def union_radii_one_step(bound, d, alpha: float, hi: float, upper: bool):
     searches of both sides run in lockstep, each step's cells stacked lower
     side first.  Returns the radii and the numbers of cells bounded and kept."""
     sides = (True, False)[:1 + upper]
-    at_hi = bound.exceedance(_step_widths(d, [(hi, hi)], [(hi, hi)] if upper else []))
+    at_hi = bound.exceedance(_step_widths(d, {True: [(hi, hi)],
+                                              False: [(hi, hi)] if upper else []}))
     radii = [hi] * len(sides)
     searches = {i: radius_search_one_step(lower, hi) for i, lower in enumerate(sides)
                 if at_hi[i] - alpha < (-1e-12 if lower else 0.0)}
@@ -242,10 +246,30 @@ def union_radii_one_step(bound, d, alpha: float, hi: float, upper: bool):
                 radii[i] = stop.value
                 del searches[i]
         if cells:
-            rows = _step_widths(d, cells.get(0, ()), cells.get(1, ()))
+            rows = _step_widths(d, {True: cells.get(0, ()), False: cells.get(1, ())})
             keep = (np.asarray(bound.exceedance(rows)) > alpha).tolist()
             bounded += len(keep)
             kept += sum(keep)
             answers = iter(keep)
             sent = {i: [next(answers) for _ in cells[i]] for i in cells}
     return radii, bounded, kept
+
+
+def active_radius_bisection(bound, gaps, alpha: float) -> float:
+    """The radius of ``active_radius`` under a union bound, by plain bisection.
+
+    exceedance(max(r, gaps/2)) is non-increasing in r and equals 1 at r = 0,
+    so [0, hi] with hi the largest marginal S_inv(alpha / m) is halved until
+    it is no wider than RADIUS_TOL, keeping the upper half while the sum at
+    the midpoint exceeds alpha.  Returns the upper end.
+    """
+    halfgaps = 0.5 * np.asarray(gaps, dtype=float)
+    hi = _union_feasible_radius(bound, alpha / bound.m)
+    lo = 0.0
+    while hi - lo > RADIUS_TOL:
+        mid = 0.5 * (lo + hi)
+        if bound.exceedance(np.maximum(mid, halfgaps)) <= alpha:
+            hi = mid
+        else:
+            lo = mid
+    return hi

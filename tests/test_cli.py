@@ -253,6 +253,17 @@ class TestOtherModes:
         assert set(report["summaries"]) == {"zoom_grid", "bonferroni"}
         assert out_csv.read_text().startswith("method,coverage")
 
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_simulate_unwritable_output_exits_2(self, capsys, tmp_path, flag, where):
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("m = 2\nm_winners = 1\ngap_mult = 6\ntrials = 2\nn_mc = 100\n"
+                       "methods = bonferroni\n")
+        path = tmp_path / "missing" / "r.out" if where == "missing directory" else tmp_path
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), flag, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"zoomcurse: cannot write {path}: ")
+
 
 class TestExitCodes:
     def test_input_errors_exit_2(self, capsys, scores_csv, sigma_csv, tmp_path):
@@ -260,6 +271,8 @@ class TestExitCodes:
         bad_csv.write_text("label,score\na,1\na,2\n")
         twice_cfg = tmp_path / "twice.cfg"
         twice_cfg.write_text("m = 3\nm_winners = 1\ngap_mult = 6\nm = 5\n")
+        good_cfg = tmp_path / "good.cfg"
+        good_cfg.write_text("m = 2\nm_winners = 1\ngap_mult = 6\ntrials = 2\nn_mc = 100\n")
         cases = [
             ["winner-ci", "--input", str(bad_csv), "--alpha", "0.1",
              "--tail", "gaussian:1"],
@@ -284,6 +297,7 @@ class TestExitCodes:
              "--tail", "gaussian:1", "--label", "gamma"],
             ["simulate", "--config", str(tmp_path / "missing.cfg")],
             ["simulate", "--config", str(twice_cfg)],
+            ["simulate", "--config", str(good_cfg), "--include-raw"],  # no --out-json
         ]
         for argv in cases:
             code, _, err = run_cli(capsys, argv)

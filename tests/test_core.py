@@ -168,7 +168,7 @@ class TestZeroGapMemo:
         b = UnionBound((GaussianTail(1.0),) * 5)
         calls = _count_exceedance(monkeypatch)
         first = active_radius(b, np.zeros(5), 0.1)
-        assert len(calls) > 20  # the bisection
+        assert 0 < len(calls) <= 6  # the sum at hi and the search's look-ahead calls
         del calls[:]
         second = active_radius(b, np.zeros(5), 0.1)
         assert calls == []
@@ -182,6 +182,16 @@ class TestZeroGapMemo:
         del calls[:]
         active_radius(b, gaps, 0.1)
         assert calls
+
+    @pytest.mark.parametrize("m", [10, 100, 1000])
+    @pytest.mark.parametrize("family", ["gaussian", "subgaussian", "empirical", "scales"])
+    def test_a_fresh_zero_gap_radius_makes_at_most_6_calls(self, monkeypatch, family, m):
+        # one call for the sum at hi, then the look-ahead search; at alpha 0.5,
+        # alpha / m stays within the 400-value empirical table's reach
+        bound = MEMO_BOUNDS[family](m)
+        calls = _count_exceedance(monkeypatch)
+        active_radius(bound, np.zeros(m), 0.5 if family == "empirical" else 0.1)
+        assert 0 < len(calls) <= 6
 
     def test_bank_partitions_its_row_maxima_once(self, monkeypatch):
         bank = draw_bank(EquicorrelatedSampler(4, 0.3), 5000, seed=3)

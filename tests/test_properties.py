@@ -4,7 +4,8 @@ Marginals from every tail family, alone and mixed, up to 40 candidates,
 alpha in [1e-3, 0.5], and scores that may tie.  The union search's stacked
 step rows are pinned to per-cell rows bit for bit, and the look-ahead
 search to the one-step search it replaced, with its guesses honest or
-forced wrong, up to 1000 candidates.  A last test pins the
+forced wrong, up to 1000 candidates; ``active_radius`` is pinned to the
+bisection that search replaced.  A last test pins the
 Monte-Carlo block scan's per-row pieces to the sort merge and, with the
 reaches, to the two separate scans it replaced, on tables built to tie,
 touch, chain and leave the one-piece fast path.  Hypothesis keeps no
@@ -13,6 +14,7 @@ example database here, so a run writes no files.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +28,8 @@ from zoomcurse.meta import population_value_interval
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 from zoomcurse.topk import topk_interval
 
-from oracles import (endpoint_sum, lower_pieces_two_scans, mc_reach_scan,
-                     sequential_exceedance, sorted_pieces, union_radii_one_step)
+from oracles import (active_radius_bisection, endpoint_sum, lower_pieces_two_scans,
+                     mc_reach_scan, sequential_exceedance, sorted_pieces, union_radii_one_step)
 
 _T5 = np.random.default_rng(5)
 EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
@@ -213,7 +215,7 @@ def test_stacked_step_rows_are_the_per_cell_rows_bit_for_bit(case):
     d, lower, upper, k, s = case
     rows = [_cell_widths(d, True, a, b) for a, b in lower]
     rows += [_cell_widths(d, False, a, b) for a, b in upper]
-    stacked, one_by_one = _step_widths(d, lower, upper), np.stack(rows)
+    stacked, one_by_one = _step_widths(d, {True: lower, False: upper}), np.stack(rows)
     assert _same_bits(stacked, one_by_one)
     for make in STEP_BOUNDS:
         bound = make(d.size)
@@ -294,6 +296,33 @@ def test_look_ahead_search_is_the_one_step_search_bit_for_bit(case, guess):
     with mock.patch.object(core, "_guess", GUESSES[guess]):
         got = _union_radii(bound, d, alpha, hi, upper)
     assert got == want
+
+
+ACTIVE_TAILS = {**SEARCH_TAILS, "mixed": lambda m, rng: UnionBound(tuple(
+    (GaussianTail(float(s)), SubGaussianTail(float(s)), TABLES[int(10 * s) % 3])[kind]
+    for kind, s in zip(rng.integers(0, 3, m), rng.uniform(0.5, 2.0, m))))}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from((1, 2, 10, 100, 1000)), st.sampled_from(sorted(ACTIVE_TAILS)),
+       st.integers(0, 2 ** 32 - 1), st.floats(1e-4, 0.5), st.booleans())
+def test_active_radius_is_the_bisection_bit_for_bit(m, tails, seed, alpha, zero_gaps):
+    # the search above the anchor makes the bisection's decisions: random
+    # anchored gaps, some inf, or zero gaps on a fresh bound (an empty memo)
+    rng = np.random.default_rng(seed)
+    bound = ACTIVE_TAILS[tails](m, rng)
+    gaps = np.zeros(m)
+    if not zero_gaps:
+        gaps = rng.exponential(rng.uniform(0.1, 8.0), m)
+        gaps[rng.random(m) < 0.1] = np.inf
+        gaps[rng.integers(m)] = 0.0
+    try:
+        want = active_radius_bisection(bound, gaps, alpha)
+    except InfeasibleAlphaError:
+        with pytest.raises(InfeasibleAlphaError):
+            active_radius(bound, gaps, alpha)
+        return
+    assert active_radius(bound, gaps, alpha).r.hex() == float(want).hex()
 
 
 ON_GRID = st.integers(0, 30).map(lambda k: k / 10.0)  # 0.1 grid: ties, touching ends

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zoomcurse.core import Problem, active_radius, winner_interval_grid
-from zoomcurse.errors import UnsupportedMethodError
+from zoomcurse.core import Problem, active_radius, winner_interval_grid, winner_interval_root
+from zoomcurse.errors import InfeasibleAlphaError, UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.scaled import ScaledProblem, _ScaledTest, winner_interval_scaled
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
@@ -11,6 +13,14 @@ from oracles import (active_radius_scaled, scaled_sums, scaled_worst_case,
                      worst_case_theta)
 
 GAUSS_ISF_10 = 1.6448536269514722
+T5_TABLE = EmpiricalTail(np.abs(np.random.default_rng(5).standard_t(5, size=300)))
+UNIT_TAILS = {  # the four tail families of the property below
+    "gaussian": lambda m, rng: UnionBound((GaussianTail(1.0),) * m),
+    "scales": lambda m, rng: UnionBound(tuple(GaussianTail(float(s))
+                                              for s in rng.uniform(0.5, 2.0, m))),
+    "subgaussian": lambda m, rng: UnionBound((SubGaussianTail(1.3),) * m),
+    "empirical": lambda m, rng: UnionBound((T5_TABLE,) * m),
+}
 
 
 def gaussian_problem(x, alpha=0.1):
@@ -195,14 +205,26 @@ class TestBruteForce:
 
 
 class TestScaledInterval:
-    def test_unit_sigma_is_bit_identical_to_basic_grid(self):
-        rng = np.random.default_rng(2)
-        for _ in range(8):
-            m = int(rng.integers(2, 5))
-            p = gaussian_problem(rng.normal(size=m) * 3)
-            scaled = winner_interval_scaled(ScaledProblem(p, np.ones(m)), 301)
-            basic = winner_interval_grid(p)
-            assert (scaled.t_l, scaled.t_u) == (basic.t_l, basic.t_u)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 30), st.sampled_from(sorted(UNIT_TAILS)),
+           st.sampled_from(("lone", "cluster", "tied")), st.integers(0, 2 ** 32 - 1),
+           st.floats(1e-3, 0.5))
+    def test_unit_sigma_is_bit_identical_to_basic_grid(self, m, tails, shape, seed, alpha):
+        rng = np.random.default_rng(seed)
+        if shape == "lone":
+            x = np.concatenate([[rng.uniform(0.0, 15.0)], rng.normal(size=m - 1)])
+        elif shape == "cluster":
+            x = rng.normal(scale=rng.uniform(0.01, 3.0), size=m)
+        else:
+            x = np.zeros(m)
+        p = Problem(x, UNIT_TAILS[tails](m, rng), alpha)
+        try:
+            basic = winner_interval_root(p)
+        except InfeasibleAlphaError:
+            return
+        scaled = winner_interval_scaled(ScaledProblem(p, np.ones(m)), 301)
+        assert (scaled.t_l.hex(), scaled.t_u.hex()) == (basic.t_l.hex(), basic.t_u.hex())
+        assert winner_interval_grid(p).t_l == basic.t_l
 
     def test_grid_points_change_nothing(self):
         rng = np.random.default_rng(3)
