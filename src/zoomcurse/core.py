@@ -9,12 +9,16 @@ against that configuration's active radius.
 
 The inversion reduces to two endpoint equations in the radius r below and
 above the anchor, and one function (``_radii``) solves them for the winner
-interval and, anchored at the k-th score, for the top-k boxes.  Each bound
-family has a lower side that is searched and an upper side that is monotone.
+interval and, anchored at the k-th score, for the top-k boxes.  The solver
+reads what a bound can do, not its class (the two kinds are listed in
+``tails``): a bound with ``row_max`` is a bank of noise draws, and any
+other is a stack bound, whose ``exceedance`` bounds a stack of width rows.
+Each kind has a lower side that is searched and an upper side that is
+monotone.
 Both radii lie in [0, r0], r0 the zero-gap radius, which ``active_radius``
 solves once per bound and level and keeps in the bound's ``_r0`` memo: the
 simulation's thousands of intervals on one bound share one solve, and no
-result depends on what the memo holds.  Under a union bound every radius
+result depends on what the memo holds.  Under a stack bound every radius
 is the end of one certified search over [0, hi] (``_radius_search``): a
 cell search on the lower side and a bisection on the upper side, which is
 also how ``active_radius`` solves r0 itself.  One driver runs the
@@ -34,7 +38,7 @@ then replays its steps from the bounds it holds until one needs a cell it
 lacks.  Each decision reads the bound of the very cell a one-step search
 asks for, and a row's bound does not depend on the rows beside it, so no
 radius or count of cells depends on the look-ahead; a wrong prediction
-costs rows, not results.  On a Monte-Carlo bank r0 is one partition of the
+costs rows, not results.  On a bank r0 is one partition of the
 bank's row maxima, stored when the bank is built, and each call reads the
 bank once (``_mc_scan``): one fused pass per block gives every row's
 exceed pieces below the anchor and its reach above it.  The lower exceed
@@ -54,9 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
+from .errors import InternalCheckError, UnsupportedMethodError
 from .sampling import m_statistic, mc_order_index, mc_quantile
-from .tails import MonteCarloBound, UnionBound
 
 RADIUS_TOL = 1e-10
 
@@ -79,10 +82,12 @@ def _check_scores(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Problem:
-    """Observed scores plus the joint noise bound to invert against."""
+    """Observed scores plus the joint noise bound to invert against: a
+    stack bound such as ``UnionBound`` or a bank such as ``MonteCarloBound``
+    (the two kinds are listed in ``tails``)."""
 
     x: np.ndarray = field(repr=False)
-    bound: UnionBound | MonteCarloBound
+    bound: object
     alpha: float
 
     def __post_init__(self):
@@ -154,31 +159,22 @@ def _check_grid_points(grid_points: int) -> None:
         raise ValueError("grid_points must be >= 3")
 
 
-def _union_feasible_radius(bound: UnionBound, q: float) -> float:
-    """A radius at which the union bound is certainly <= m * q: the largest
-    marginal S_inv(q), from one call per marginal family."""
-    try:
-        return bound.max_isf(q)
-    except ValueError as exc:
-        raise InfeasibleAlphaError(
-            f"error budget too small for the marginal tail model: {exc}") from exc
-
-
 def _solve_radius(bound, gaps, alpha: float) -> float:
     """The radius of ``active_radius``, solved afresh.
 
-    Under a union bound, exceedance(max(r, gaps/2)) is non-increasing in r
+    Under a stack bound, exceedance(max(r, gaps/2)) is non-increasing in r
     and equals 1 at r = 0 (the anchored coordinate contributes S(0) = 1),
-    so the radius is the upper-side ``_radius_search`` on [0, hi], a cell's
-    bound being the sum at its lower end: the bisection's midpoints,
-    decisions and stop, bit for bit.  ``_side_radii``'s rule at hi is not
-    applied: hi is where the sum is at most alpha up to rounding, and the
-    bisection never evaluates it, so staying there could move r by ulps.
+    so the radius is the upper-side ``_radius_search`` on [0, hi], hi the
+    bound's ``feasible_radius``, a cell's bound being the sum at its lower
+    end: the bisection's midpoints, decisions and stop, bit for bit.
+    ``_side_radii``'s rule at hi is not applied: hi is where the sum is at
+    most alpha up to rounding, and the bisection never evaluates it, so
+    staying there could move r by ulps.
     """
-    if isinstance(bound, MonteCarloBound):
+    if hasattr(bound, "row_max"):
         return mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
     halfgaps = 0.5 * gaps
-    hi = _union_feasible_radius(bound, alpha / bound.m)
+    hi = bound.feasible_radius(alpha)
 
     def evaluate(asked):
         return bound.exceedance(np.maximum(np.array(asked[False])[:, :1], halfgaps)).tolist()
@@ -191,10 +187,10 @@ def _solve_radius(bound, gaps, alpha: float) -> float:
 def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
     """Smallest radius r whose widened test max(r, gaps/2) passes the joint bound.
 
-    Union bounds are inverted by the certified search of the other union
+    Stack bounds are inverted by the certified search of the other stack
     radii (``_radius_search`` above the anchor: a bisection that looks
-    ahead); Monte-Carlo bounds come directly from the conservative order
-    statistic of the per-row max statistic, with no iteration.  The
+    ahead); banks come directly from the conservative order statistic of
+    the per-row max statistic, with no iteration.  The
     zero-gap radius r0, which every interval of a bound at a level starts
     from, is solved once per bound and level: the bound keeps it in its
     ``_r0`` memo, and later zero-gap calls read it back.  A level that
@@ -318,7 +314,7 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
             np.concatenate([E[one], ends]), reach)
 
 
-def _mc_scan(bound: MonteCarloBound, d, r0: float, upper: bool):
+def _mc_scan(bound, d, r0: float, upper: bool):
     """Flat lower pieces on [0, r0] of every bank row and, if ``upper``, the
     rows' reaches, from one pass over the bank (``_lower_pieces`` per block,
     with the block's slice of ``row_max``)."""
@@ -563,9 +559,9 @@ def _side_radii(top: dict, hi: float, alpha: float, rows: int, evaluate) -> dict
     return {**dict.fromkeys(top, (hi, 0, 0)), **_lockstep(searches, evaluate)}
 
 
-def _union_radii(bound: UnionBound, d, alpha: float, hi: float, upper: bool):
+def _union_radii(bound, d, alpha: float, hi: float, upper: bool):
     """Largest accepted radius in [0, hi] of the lower endpoint equation and,
-    if ``upper``, of the upper one.
+    if ``upper``, of the upper one, under a stack bound.
 
     The lower sum is sum_j S_j(max(r, (d_j - r)/3)), the upper one has
     d_j + r.  Each round of ``_side_radii`` bounds the cells both sides ask
@@ -589,10 +585,10 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     """Lower radius, and the upper one if ``upper``, for the gaps d = X_anchor - X.
 
     Both lie in [0, r0], r0 the zero-gap radius (``active_radius``, solved
-    once per bound and level).  Under a union bound the lower side is a
+    once per bound and level).  Under a stack bound the lower side is a
     certified cell search and the upper side a bisection
-    (``_union_radii``).  On a Monte-Carlo bank r0 comes from the bank's
-    stored row maxima (``m_statistic`` at zero gaps), with no scan, and one
+    (``_union_radii``).  On a bank (a bound with ``row_max``) r0 comes from
+    the bank's stored row maxima (``m_statistic`` at zero gaps), with no scan, and one
     pass over the bank (``_mc_scan``) gives both sides.  A row exceeds at
     radius r below the anchor iff r lies in some open interval
     (d_j - 3 |xi_j|, |xi_j|); ``_lower_pieces`` merges each row's intervals
@@ -609,7 +605,7 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     bound, alpha = problem.bound, problem.alpha
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
     diagnostics = {"zero_gap_radius": r0}
-    if isinstance(bound, MonteCarloBound):
+    if hasattr(bound, "row_max"):
         starts, ends, reach = _mc_scan(bound, d, r0, upper)
         points, accept = _mc_sweep(bound.n, alpha, starts, ends, 0.0, r0)
         accept[0] = True
@@ -637,7 +633,7 @@ def _winner_interval(problem: Problem, method: str) -> WinnerInterval:
 
 
 def winner_interval_root(problem: Problem) -> WinnerInterval:
-    """Solve the endpoint equations of the winner interval (union bounds).
+    """Solve the endpoint equations of the winner interval (stack bounds).
 
     The upper sum is non-increasing in r, and its search bisects.  The
     lower sum need not be monotone, so its search bounds the sum on whole
@@ -647,7 +643,7 @@ def winner_interval_root(problem: Problem) -> WinnerInterval:
     diagnostics count the cells bounded (``grid_points``) and kept
     (``accepted_points``).
     """
-    if not isinstance(problem.bound, UnionBound):
+    if hasattr(problem.bound, "row_max"):
         raise UnsupportedMethodError("root inversion requires a union bound")
     return _winner_interval(problem, "root")
 
@@ -656,8 +652,8 @@ def winner_interval_grid(problem: Problem, grid_points: int = 2001, *,
                          refine: bool = False) -> WinnerInterval:
     """Winner interval from the one solver of the problem's bound (``_radii``).
 
-    A union bound gets the endpoints of ``winner_interval_root`` bit for
-    bit; a Monte-Carlo bank is swept below X_win and read off an order
+    A stack bound gets the endpoints of ``winner_interval_root`` bit for
+    bit; a bank is swept below X_win and read off an order
     statistic above it.  Neither uses a grid: ``grid_points`` is validated
     and ignored, ``refine`` is ignored, and both are kept only because the
     benchmark under ``perfbench/`` passes them.

@@ -4,7 +4,9 @@ identity, and intervals for named non-winning candidates.
 All three need a symmetry premise -- rival coordinates must be
 exchangeable under the noise bound -- because they reuse the winner's
 interval for quantities whose least favorable configurations permute
-coordinates.
+coordinates.  Any bound of either kind (``tails``) says so in its
+``exchangeable``: a union bound when its marginals are identical, a sample
+bank when its generator is exchangeable.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import numpy as np
 
 from .core import Problem, WinnerInterval, winner_interval_grid
 from .errors import UnsupportedMethodError
-from .tails import MonteCarloBound, UnionBound
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,10 @@ class NearWinnerInterval:
 
 
 def _require_symmetric(bound) -> None:
-    if isinstance(bound, UnionBound):
-        if not bound.identical_marginals:
-            raise UnsupportedMethodError(
-                "this inference needs exchangeable coordinates; the union "
-                "bound has distinct marginal tails")
-    elif isinstance(bound, MonteCarloBound):
-        if not bound.exchangeable:
-            raise UnsupportedMethodError(
-                "this inference needs exchangeable coordinates; mark the "
-                "sample bank exchangeable if its generator is")
-    else:  # pragma: no cover
-        raise UnsupportedMethodError(f"unrecognized bound type {type(bound)!r}")
+    if not bound.exchangeable:
+        raise UnsupportedMethodError(
+            "this inference needs exchangeable coordinates; they are not "
+            "exchangeable under this bound")
 
 
 def population_value_interval(problem: Problem) -> WinnerInterval:

@@ -25,7 +25,6 @@ import numpy as np
 from .core import (Problem, WinnerInterval, _cell_widths, _check_grid_points, _side_radii,
                    active_radius)
 from .errors import UnsupportedMethodError
-from .tails import UnionBound
 
 
 def _check_sigma(sigma, m: int) -> np.ndarray:
@@ -162,14 +161,15 @@ def winner_interval_scaled(problem: ScaledProblem, grid_points: int = 2001) -> W
     and a lower radius cell is dropped only when its bound is <= alpha for
     every i* and every cell of t*, so every radius beyond each end is
     rejected.  At unit sigma the endpoints are ``winner_interval_root``'s, bit
-    for bit.  Union bounds only; ``grid_points`` is validated and ignored,
-    and kept only because the benchmark under ``perfbench/`` passes it.  The
+    for bit.  Stack bounds only, not banks; ``grid_points`` is validated and
+    ignored, and kept only because the benchmark under ``perfbench/`` passes
+    it.  The
     diagnostics count the radius cells bounded (``grid_points``) and kept
     (``accepted_points``) and the (i*, t*) cells bounded.
     """
     _check_grid_points(grid_points)
     bound = problem.base.bound
-    if not isinstance(bound, UnionBound):
+    if hasattr(bound, "row_max"):
         raise UnsupportedMethodError("scaled interval inversion supports union bounds only")
     test = _ScaledTest(problem)
     r0, alpha = test.r0, test.alpha

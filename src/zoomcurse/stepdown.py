@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import Problem, WinnerInterval, _check_alpha, _check_gaps
 from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
-from .tails import UnionBound
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,9 @@ class StepdownTrace:
 
 
 def marginal_model(bound):
-    """Extract the shared marginal tail model, or refuse."""
-    if not isinstance(bound, UnionBound) or not bound.identical_marginals:
+    """Extract the shared marginal tail model of a union bound with
+    identical marginals, or refuse any other bound."""
+    if not getattr(bound, "identical_marginals", False):
         raise UnsupportedMethodError(
             "step-down methods need one shared marginal tail model")
     return bound.models[0]

@@ -10,11 +10,19 @@ Normal CDF/quantile values come from scipy.special.ndtr/ndtri (the Cephes
 routines).  Their error is far below the 1e-10 radius tolerance, so another
 implementation of comparable accuracy gives radii that agree to about that
 tolerance, but not the same digits.  ``isf`` sets the upper end of every
-bisection (``UnionBound.max_isf`` gives the zero-gap radius search its
-start, and r0 bounds every solver's cells) and the Bonferroni width of a
-simulation report, and ``sf`` decides which cells a search keeps, so one
+bisection (``UnionBound.feasible_radius`` gives the zero-gap radius search
+its start, and r0 bounds every solver's cells) and the Bonferroni width of
+a simulation report, and ``sf`` decides which cells a search keeps, so one
 ulp there moves outputs.  Bit-for-bit results (byte-stable CLI output and
 simulation reports) hold for a given numpy and scipy build.
+
+The solvers never ask which class a joint bound is, only what it can do,
+and there are two kinds.  A stack bound (``UnionBound``) offers ``m``, an
+``exceedance`` of a stack of width rows whose every row's value depends on
+that row alone, ``feasible_radius(alpha)``, ``exchangeable`` and the
+``_r0`` memo.  A bank (``MonteCarloBound``) offers ``m``, ``n``,
+``blocks()``, ``row_max``, ``exchangeable`` and ``_r0``; the solvers tell
+it apart by its ``row_max``.
 """
 from __future__ import annotations
 
@@ -23,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+from .errors import InfeasibleAlphaError
 
 # Probabilities below this are rejected by S_inv: radii that deep in the
 # tail are numerically meaningless for every model we expose.
@@ -206,8 +216,10 @@ class UnionBound:
     fills a stack of widths with one vectorized call per family and sums
     along the last axis once, so identical marginals are the one-group case.
     The zero-gap radius of each level is kept in ``_r0`` once
-    ``core.active_radius`` has solved it; like the families it is not a
-    field, so equality, hashing and repr ignore it.
+    ``core.active_radius`` has solved it.  ``exchangeable`` holds whether
+    the marginals are identical, as then the bound is the same under any
+    permutation of the coordinates.  Like the families neither is a field,
+    so equality, hashing and repr ignore them.
     """
 
     models: tuple
@@ -221,7 +233,7 @@ class UnionBound:
         object.__setattr__(self, "_families", families)
         # equal models share one family; a parametric one needs equal params
         (_, _, param, worst), *rest = families
-        object.__setattr__(self, "_identical", not rest and (
+        object.__setattr__(self, "exchangeable", not rest and (
             not isinstance(worst, _PARAMETRIC) or bool(np.all(param == param[0]))))
         object.__setattr__(self, "_r0", {})  # zero-gap radius per level (core.active_radius)
 
@@ -231,11 +243,16 @@ class UnionBound:
 
     @property
     def identical_marginals(self) -> bool:
-        return self._identical
+        return self.exchangeable
 
-    def max_isf(self, q) -> float:
-        """The largest marginal S_inv(q), from one call per family."""
-        return max(worst.isf(q) for *_, worst in self._families)
+    def feasible_radius(self, alpha: float) -> float:
+        """A radius at which the bound is certainly <= alpha: the largest
+        marginal S_inv(alpha / m), from one call per family."""
+        try:
+            return max(worst.isf(alpha / self.m) for *_, worst in self._families)
+        except ValueError as exc:
+            raise InfeasibleAlphaError(
+                f"error budget too small for the marginal tail model: {exc}") from exc
 
     def exceedance(self, widths) -> np.ndarray | float:
         """Bound on P(exists j: |xi_j| > widths_j).

@@ -7,16 +7,15 @@ pieces, the two-scan forms of the Monte-Carlo lower pieces and reaches
 that the fused block scan replaced, and the union radius search that asks
 for one step's cells per exceedance call, which the look-ahead search
 replaced, and the bisection that solved ``active_radius`` under a union
-bound before that search took it over.  The package itself uses none of
-them.
+bound before that search took it over.  ``CountingBound`` is a stack bound
+that is not a ``UnionBound``.  The package itself uses none of them.
 """
 import math
 
 import numpy as np
 
 from zoomcurse.core import (MAX_MERGE_PASSES, MAX_SEARCH_STEPS, RADIUS_TOL, ActiveRadius,
-                            _check_scores, _merged_pieces, _step_widths,
-                            _union_feasible_radius, active_radius)
+                            _check_scores, _merged_pieces, _step_widths, active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.topk import top_indices
@@ -159,6 +158,25 @@ def sequential_exceedance(bound, widths):
     return np.minimum(total, 1.0)
 
 
+class CountingBound:
+    """A stack bound of another class than ``UnionBound``: it wraps a union
+    bound, forwards ``m``, ``exceedance``, ``feasible_radius`` and
+    ``exchangeable``, keeps its own ``_r0`` memo, and counts its exceedance
+    calls and the width rows they bound."""
+
+    def __init__(self, bound):
+        self.bound, self.calls, self.rows, self._r0 = bound, 0, 0, {}
+        self.m, self.exchangeable = bound.m, bound.exchangeable
+
+    def feasible_radius(self, alpha: float) -> float:
+        return self.bound.feasible_radius(alpha)
+
+    def exceedance(self, widths):
+        self.calls += 1
+        self.rows += np.size(widths) // self.m
+        return self.bound.exceedance(widths)
+
+
 def sorted_pieces(starts, ends):
     """Flat (starts, ends) of merged pieces in one canonical order, by start
     then end, so two merges that list their rows differently compare."""
@@ -264,7 +282,7 @@ def active_radius_bisection(bound, gaps, alpha: float) -> float:
     the midpoint exceeds alpha.  Returns the upper end.
     """
     halfgaps = 0.5 * np.asarray(gaps, dtype=float)
-    hi = _union_feasible_radius(bound, alpha / bound.m)
+    hi = bound.feasible_radius(alpha)
     lo = 0.0
     while hi - lo > RADIUS_TOL:
         mid = 0.5 * (lo + hi)

@@ -362,6 +362,17 @@ class TestExitCodes:
                                           "--noise", "independent", "--seed", "1"])
         assert code == 2 and out == "" and err.startswith("zoomcurse:")
 
+    @pytest.mark.parametrize("command", [["identity-set"], ["near-winner", "--index", "1"]])
+    def test_table_bank_is_not_exchangeable_exits_2(self, capsys, scores_csv, tmp_path,
+                                                    command):
+        rows = tmp_path / "bank.csv"
+        rows.write_text("\n".join(f"{a},{b}" for a, b in
+                                   np.random.default_rng(2).normal(size=(200, 2))))
+        code, out, err = run_cli(capsys, [*command, "--input", scores_csv, "--alpha", "0.1",
+                                          "--noise", f"table:{rows}"])
+        assert code == 2 and out == ""
+        assert err.startswith("zoomcurse:") and "exchangeable" in err
+
     def test_version_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -443,6 +454,36 @@ class TestByteStability:
         jsonschema.validate(json.loads(first.stdout), SCHEMA)
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    code = "import sys, zoomcurse.cli; sys.exit('scipy.optimize' in sys.modules)"
-    subprocess.run([sys.executable, "-c", code], check=True)
+def _numpy_scipy_modules(imports: str) -> set:
+    code = (f"import sys, {imports}; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_only_what_numpy_and_scipy_special_load():
+    # runtime imports are limited to numpy and scipy.special
+    extra = _numpy_scipy_modules("zoomcurse.cli") - _numpy_scipy_modules("numpy, scipy.special")
+    assert not extra, sorted(extra)
+
+
+PUBLIC_NAMES = [
+    "ActiveRadius", "DiagonalGaussianSampler", "EmpiricalTail", "EquicorrelatedSampler",
+    "GaussianTail", "IdentitySet", "InfeasibleAlphaError", "MonteCarloBound",
+    "NearWinnerInterval", "Problem", "ScaledProblem", "SimConfig", "SimReport",
+    "StepdownStep", "StepdownTrace", "SubGaussianTail", "TableSampler", "TopKResult",
+    "UnionBound", "UnsupportedMethodError", "WinnerInterval", "active_radius", "draw_bank",
+    "m_statistic", "mc_quantile", "near_winner_interval", "parse_config_text",
+    "population_value_interval", "run_simulation", "stepdown_lower", "stepdown_upper",
+    "top_indices", "topk_interval", "topk_stepdown", "width_comparison",
+    "winner_identity_set", "winner_interval_grid", "winner_interval_root",
+    "winner_interval_scaled", "winner_interval_stepdown",
+]
+
+
+def test_public_surface_is_pinned():
+    import zoomcurse
+    assert sorted(zoomcurse.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(zoomcurse, name) is not None

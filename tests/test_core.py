@@ -16,9 +16,10 @@ from zoomcurse.sampling import EquicorrelatedSampler, draw_bank, mc_quantile
 from zoomcurse.scaled import ScaledProblem, winner_interval_scaled
 from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
-from zoomcurse.topk import topk_interval
+from zoomcurse.stepdown import winner_interval_stepdown
+from zoomcurse.topk import topk_interval, topk_stepdown
 
-from oracles import (contains, endpoint_sum, mc_reach_scan, sorted_pieces,
+from oracles import (CountingBound, contains, endpoint_sum, mc_reach_scan, sorted_pieces,
                      union_radii_one_step, worst_case_theta)
 
 # frozen from a 50-digit erf oracle
@@ -596,18 +597,6 @@ class TestUnionRadiusSolver:
                     == endpoint_sum(bound, d, a, -1.0))
 
 
-class _CountingBound:
-    """A union bound that counts its exceedance calls and the rows they bound."""
-
-    def __init__(self, bound):
-        self.bound, self.calls, self.rows = bound, 0, 0
-
-    def exceedance(self, widths):
-        self.calls += 1
-        self.rows += np.shape(widths)[0]
-        return self.bound.exceedance(widths)
-
-
 def _counted_searches(x, anchor: int, alpha=0.1):
     """(look-ahead, one-step) counting bounds after ``_union_radii`` and its
     one-step reference ran on the gaps to the ``anchor``-th score, with both
@@ -615,7 +604,7 @@ def _counted_searches(x, anchor: int, alpha=0.1):
     bound = UnionBound((GaussianTail(1.0),) * x.size)
     r0 = active_radius(bound, np.zeros(x.size), alpha).r
     d = np.sort(x)[-anchor] - x
-    ahead, one_step = _CountingBound(bound), _CountingBound(bound)
+    ahead, one_step = CountingBound(bound), CountingBound(bound)
     got = _union_radii(ahead, d, alpha, r0, anchor == 1)
     assert got == union_radii_one_step(one_step, d, alpha, r0, anchor == 1)
     assert got[1] > 0  # some side searched
@@ -648,3 +637,50 @@ class TestLookAhead:
         calls = _count_exceedance(monkeypatch)
         assert winner_interval_root(p).r_l > 0.0
         assert len(calls) == ahead.calls
+
+
+def _protocol_results(bound, x, alpha=0.1):
+    """Every solver entry point that takes a stack bound, on scores x: reprs
+    of the results (diagnostics included), so equal lists are bit-identical
+    results."""
+    m = x.size
+    p = Problem(x, bound, alpha)
+    d = x.max() - x
+    out = [active_radius(bound, np.zeros(m), alpha), active_radius(bound, d, alpha),
+           winner_interval_root(p), winner_interval_grid(p), topk_interval(p, min(3, m)),
+           winner_interval_scaled(ScaledProblem(p, np.linspace(0.5, 2.0, m)))]
+    if bound.exchangeable:
+        out += [population_value_interval(p), winner_identity_set(p),
+                near_winner_interval(p, m - 1)]
+    else:
+        for fn in (population_value_interval, winner_identity_set):
+            with pytest.raises(UnsupportedMethodError):
+                fn(p)
+    return [repr(r) for r in out]
+
+
+class TestStackBoundProtocol:
+    """A stack bound of another class gets the wrapped union's results from
+    every solver that reads what a bound can do; the solvers name no class."""
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 100])
+    @pytest.mark.parametrize("shape", ["lone", "cluster", "tied"])
+    @pytest.mark.parametrize("scales", ["identical", "distinct"])
+    def test_wrapped_union_gives_the_union_results(self, m, shape, scales):
+        rng = np.random.default_rng(m)
+        x = {"lone": np.concatenate([[6.0], rng.normal(size=m - 1)]),
+             "cluster": 0.3 * rng.normal(size=m),
+             "tied": np.full(m, 2.5)}[shape]
+        s = np.ones(m) if scales == "identical" else np.linspace(1.0, 2.0, m)
+        models = tuple(GaussianTail(float(v)) for v in s)
+        union, fake = UnionBound(models), CountingBound(UnionBound(models))
+        assert _protocol_results(fake, x) == _protocol_results(union, x)
+        assert fake.calls > 0
+
+    def test_stepdown_refuses_a_stack_bound_without_marginals(self):
+        p = Problem(np.array([1.0, 0.0]), CountingBound(UnionBound((GaussianTail(1.0),) * 2)),
+                    0.1)
+        with pytest.raises(UnsupportedMethodError):
+            winner_interval_stepdown(p)
+        with pytest.raises(UnsupportedMethodError):
+            topk_stepdown(p, 1)

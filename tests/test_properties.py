@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from zoomcurse import core
 from zoomcurse.core import (MAX_MERGE_PASSES, Problem, _cell_widths, _lower_pieces,
-                            _merged_pieces, _step_widths, _union_feasible_radius,
-                            _union_radii, active_radius, winner_interval_grid,
-                            winner_interval_root)
+                            _merged_pieces, _step_widths, _union_radii, active_radius,
+                            winner_interval_grid, winner_interval_root)
 from zoomcurse.errors import InfeasibleAlphaError
 from zoomcurse.meta import population_value_interval
-from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
+from zoomcurse.tails import (MIN_TAIL_PROB, EmpiricalTail, GaussianTail, SubGaussianTail,
+                             UnionBound)
 from zoomcurse.topk import topk_interval
 
 from oracles import (active_radius_bisection, endpoint_sum, lower_pieces_two_scans,
@@ -107,10 +107,15 @@ def test_family_groups_match_the_model_by_model_sum(case):
 
 
 @SETTINGS
-@given(bounds_and_widths(), st.floats(1e-12, 1.0))
-def test_feasible_radius_is_the_largest_marginal_quantile(case, q):
+@given(bounds_and_widths(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_feasible_radius_is_the_largest_marginal_quantile(case, alpha):
     bound, _ = case
-    assert _union_feasible_radius(bound, q) == max(model.isf(q) for model in bound.models)
+    if alpha / bound.m < MIN_TAIL_PROB:
+        with pytest.raises(InfeasibleAlphaError):
+            bound.feasible_radius(alpha)
+    else:
+        assert bound.feasible_radius(alpha) == max(model.isf(alpha / bound.m)
+                                                   for model in bound.models)
 
 
 @SETTINGS
