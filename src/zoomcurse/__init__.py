@@ -13,8 +13,8 @@ from .core import (ActiveRadius, Problem, WinnerInterval, active_radius,
 from .errors import InfeasibleAlphaError, UnsupportedMethodError
 from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
                    population_value_interval, winner_identity_set)
-from .sampling import (DiagonalGaussianSampler, EquicorrelatedSampler,
-                       TableSampler, draw_bank, m_statistic, mc_quantile)
+from .sampling import (DiagonalGaussianSampler, EquicorrelatedSampler, draw_bank,
+                       m_statistic, mc_quantile)
 from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import (SimConfig, SimReport, parse_config_text, run_simulation,
                        width_comparison)
@@ -31,8 +31,8 @@ __all__ = [
     "EquicorrelatedSampler", "GaussianTail", "IdentitySet",
     "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval", "Problem",
     "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
-    "StepdownTrace", "SubGaussianTail", "TableSampler",
-    "TopKResult", "UnionBound", "UnsupportedMethodError", "WinnerInterval",
+    "StepdownTrace", "SubGaussianTail", "TopKResult",
+    "UnionBound", "UnsupportedMethodError", "WinnerInterval",
     "active_radius", "draw_bank", "m_statistic",
     "mc_quantile", "near_winner_interval",
     "parse_config_text", "population_value_interval", "run_simulation",

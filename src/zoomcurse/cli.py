@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,11 @@ from . import __version__
 from .core import Problem, winner_interval_grid, winner_interval_root
 from .errors import InfeasibleAlphaError, InternalCheckError
 from .meta import near_winner_interval, winner_identity_set
-from .sampling import EquicorrelatedSampler, TableSampler, draw_bank
+from .sampling import EquicorrelatedSampler, draw_bank
 from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import parse_config_text, run_simulation, width_comparison
 from .stepdown import winner_interval_stepdown
-from .tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
+from .tails import EmpiricalTail, GaussianTail, MonteCarloBound, SubGaussianTail, UnionBound
 from .topk import topk_interval, topk_stepdown
 
 
@@ -120,7 +121,9 @@ def _positive(text: str, what: str) -> float:
 
 
 def parse_noise_spec(spec: str, m: int):
-    """equicorrelated:<rho> | independent | table:<csv> -> noise sampler."""
+    """equicorrelated:<rho> | independent -> noise sampler; table:<csv> -> the
+    table of draws as a bank, every row checked (``_build_bound`` keeps its
+    first rows)."""
     kind, _, arg = spec.partition(":")
     if kind == "independent":
         if arg:
@@ -137,17 +140,18 @@ def parse_noise_spec(spec: str, m: int):
             raise InputError(str(exc)) from exc
     if kind == "table":
         try:
-            rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # loadtxt warns on a file without rows
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(arg, delimiter=",", ndmin=2)
         except OSError as exc:
             raise InputError(f"cannot read {arg}: {exc}") from exc
         except ValueError as exc:
             raise InputError(f"{arg}: malformed numeric CSV") from exc
+        if rows.shape[0] == 0:
+            raise InputError(f"{arg}: no rows")
         if rows.shape[1] != m:
             raise InputError(f"{arg}: table has {rows.shape[1]} columns, need {m}")
-        try:
-            return TableSampler(rows)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return MonteCarloBound(rows)
     raise InputError(f"unknown noise kind {kind!r}")
 
 
@@ -156,22 +160,27 @@ DEFAULT_MC_SAMPLES = 100_000
 
 def _build_bound(args, m: int):
     """Resolve tail/noise flags into a joint bound, refusing bound flags that
-    would otherwise be dropped without a word."""
+    would otherwise be dropped without a word.  A table of draws is its own
+    bank: its first ``--mc-samples`` rows, every row by default."""
     if args.noise is not None and args.tail is not None:
         raise InputError("--tail and --noise each give the joint bound; pass one of them")
     if args.noise is None and args.mc_samples is not None:
         raise InputError("--mc-samples sizes the --noise bank; it needs --noise")
     if args.noise is not None:
-        sampler = parse_noise_spec(args.noise, m)
-        if args.seed is None and not isinstance(sampler, TableSampler):
+        noise = parse_noise_spec(args.noise, m)
+        table = isinstance(noise, MonteCarloBound)
+        if args.seed is None and not table:
             raise InputError("--noise sampling requires --seed")
         n = args.mc_samples
         if n is None:
-            n = (sampler.rows.shape[0] if isinstance(sampler, TableSampler)
-                 else DEFAULT_MC_SAMPLES)
+            n = noise.n if table else DEFAULT_MC_SAMPLES
         if n < 1:
             raise InputError("--mc-samples must be >= 1")
-        return draw_bank(sampler, n, 0 if args.seed is None else args.seed)
+        if not table:
+            return draw_bank(noise, n, args.seed)
+        if n > noise.n:
+            raise InputError(f"requested {n} rows but table has {noise.n}")
+        return MonteCarloBound(noise.abs_samples[:n])
     if args.tail is None:
         raise InputError("give a marginal --tail (or a joint --noise model)")
     model = parse_tail_spec(args.tail)

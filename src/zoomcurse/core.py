@@ -21,11 +21,11 @@ simulation's thousands of intervals on one bound share one solve, and no
 result depends on what the memo holds.  Under a stack bound every radius
 is the end of one certified search over [0, hi] (``_radius_search``): a
 cell search on the lower side and a bisection on the upper side, which is
-also how ``active_radius`` solves r0 itself.  One driver runs the
-searches, keyed by side, in lockstep (``_lockstep``), and one rule keeps a
-side whose sum at r0 reaches alpha at r0 (``_side_radii``); the winner and
-top-k radii (``_union_radii``) and the sigma-scaled ones (``scaled``) go
-through both, ``active_radius`` through the driver alone.  A search that
+also how ``active_radius`` solves r0 itself.  One driver
+(``_side_radii``) runs every search, keyed by side, in lockstep, after one
+rule that keeps a side whose sum at hi reaches alpha at hi: the winner and
+top-k radii (``_union_radii``), the sigma-scaled ones (``scaled``) and
+``active_radius``'s.  A search that
 needs a cell's bound asks ahead of need: first for a shallow dyadic
 subtree, later for the path it is predicted to take, toward a point
 interpolated in log(bound) - log(alpha) between its cell's ends, for a
@@ -164,12 +164,14 @@ def _solve_radius(bound, gaps, alpha: float) -> float:
 
     Under a stack bound, exceedance(max(r, gaps/2)) is non-increasing in r
     and equals 1 at r = 0 (the anchored coordinate contributes S(0) = 1),
-    so the radius is the upper-side ``_radius_search`` on [0, hi], hi the
+    so the radius is the upper side of ``_side_radii`` on [0, hi], hi the
     bound's ``feasible_radius``, a cell's bound being the sum at its lower
-    end: the bisection's midpoints, decisions and stop, bit for bit.
-    ``_side_radii``'s rule at hi is not applied: hi is where the sum is at
-    most alpha up to rounding, and the bisection never evaluates it, so
-    staying there could move r by ulps.
+    end: the bisection's midpoints, decisions and stop, bit for bit, but
+    for the rule of every stack-bound search that a side whose sum at hi
+    reaches alpha stays at hi.  hi is where the sum is at most alpha up to
+    rounding, so the two differ only where a midpoint's computed sum is at
+    most alpha while the sum at hi is at least alpha; the rule then keeps
+    hi, the wider radius.
     """
     if hasattr(bound, "row_max"):
         return mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
@@ -179,9 +181,8 @@ def _solve_radius(bound, gaps, alpha: float) -> float:
     def evaluate(asked):
         return bound.exceedance(np.maximum(np.array(asked[False])[:, :1], halfgaps)).tolist()
 
-    top = evaluate({False: [(hi, hi)]})[0]
-    search = _radius_search(False, hi, alpha, PATH_WIDTHS // bound.m, top)
-    return _lockstep({False: search}, evaluate)[False][0]
+    top = {False: evaluate({False: [(hi, hi)]})[0]}
+    return _side_radii(top, hi, alpha, PATH_WIDTHS // bound.m, evaluate)[False][0]
 
 
 def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
@@ -385,9 +386,8 @@ def _guess(points: dict, alpha: float, a: float, b: float) -> float:
     a cell starting at each end; both ends are known, as a kept cell starts
     at a (or a = 0, where the sum is 1) and a dropped one at b (or b = hi).
     Bounds are read in [1e-300, 1], so a kept cell sent as inf counts as 1,
-    and a sum above alpha at b (at hi, by rounding, in ``active_radius``)
-    as alpha: the search is predicted to go to b.  A guess only chooses
-    which cells are bounded ahead of need."""
+    and a sum above alpha at b as alpha: the search is predicted to go to
+    b.  A guess only chooses which cells are bounded ahead of need."""
     f_a, f_b = (math.log(min(max(points[c], 1e-300), 1.0) / alpha) for c in (a, b))
     return a + (b - a) * f_a / (f_a - min(f_b, 0.0)) if f_a > 0.0 else 0.5 * (a + b)
 
@@ -455,7 +455,7 @@ def _radius_search(lower: bool, hi: float, alpha: float, rows: int, top: float):
     cell it lacks.  Every decision reads the bound of exactly the cell a
     one-step search asks for, and a cell's bound does not depend on which
     cells share its call, so the radius is the one-step search's bit for
-    bit; a wrong guess costs only rows.  ``_lockstep`` drives every search:
+    bit; a wrong guess costs only rows.  ``_side_radii`` drives every search:
     the union endpoint radii (``_union_radii``), ``active_radius``'s and
     the sigma-scaled ones.  Returns the upper end of the first kept cell of
     width <= RADIUS_TOL, or of the current (kept) cell after
@@ -520,16 +520,22 @@ def _step_widths(d, asked: dict) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _lockstep(searches: dict, evaluate) -> dict:
-    """Run ``_radius_search`` generators, keyed by side, in lockstep.
+def _side_radii(top: dict, hi: float, alpha: float, rows: int, evaluate) -> dict:
+    """Radius in [0, hi] and cells bounded and kept of each side of ``top``,
+    which maps the side's ``lower`` flag to its sum at hi.
 
-    Each round every live search asks for its cells and one
-    ``evaluate(asked)`` call bounds them all: ``asked`` maps each side to
-    its cells, and ``evaluate`` returns one list of their bounds, side
-    after side in the order of ``asked``.  Returns each side's radius and
-    numbers of cells bounded and kept; ``searches`` is emptied.
+    A side whose sum at hi already reaches alpha stays at hi (every
+    reduction to the zero-gap radius lands there exactly).  The others run
+    ``_radius_search`` in lockstep, asking for at most ``rows`` cells per
+    call past a step's own: each round every live search asks for its
+    cells and one ``evaluate(asked)`` call bounds them all.  ``asked`` maps
+    each side to its cells, and ``evaluate`` returns one list of their
+    bounds, side after side in the order of ``asked``.
     """
-    done, sent = {}, dict.fromkeys(searches)  # None starts each generator
+    done = dict.fromkeys(top, (hi, 0, 0))
+    searches = {lower: _radius_search(lower, hi, alpha, rows, s) for lower, s in top.items()
+                if s - alpha < (-1e-12 if lower else 0.0)}
+    sent = dict.fromkeys(searches)  # None starts each generator
     while searches:
         asked = {}
         for side, search in list(searches.items()):
@@ -543,20 +549,6 @@ def _lockstep(searches: dict, evaluate) -> dict:
             for side, cells in asked.items():
                 sent[side], bounds = bounds[:len(cells)], bounds[len(cells):]
     return done
-
-
-def _side_radii(top: dict, hi: float, alpha: float, rows: int, evaluate) -> dict:
-    """Radius in [0, hi] and cells bounded and kept of each side of ``top``,
-    which maps the side's ``lower`` flag to its sum at hi.
-
-    A side whose sum at hi already reaches alpha stays at hi (every
-    reduction to the zero-gap radius lands there exactly); the others run
-    ``_radius_search`` in ``_lockstep``, asking for at most ``rows`` cells
-    per call past a step's own.
-    """
-    searches = {lower: _radius_search(lower, hi, alpha, rows, s) for lower, s in top.items()
-                if s - alpha < (-1e-12 if lower else 0.0)}
-    return {**dict.fromkeys(top, (hi, 0, 0)), **_lockstep(searches, evaluate)}
 
 
 def _union_radii(bound, d, alpha: float, hi: float, upper: bool):

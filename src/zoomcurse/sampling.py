@@ -9,7 +9,7 @@ smaller one row-for-row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,48 +75,22 @@ class DiagonalGaussianSampler:
         return rng.standard_normal((n, self.m)) * np.asarray(self.scales)
 
 
-@dataclass(frozen=True)
-class TableSampler:
-    """Fixed table of noise rows, passed through verbatim (no resampling)."""
-
-    rows: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] == 0:
-            raise ValueError("table must be a non-empty 2-d array")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("table entries must be finite")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def exchangeable(self) -> bool:
-        return False  # unknown joint law: never assume symmetry
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n > self.rows.shape[0]:
-            raise ValueError(f"requested {n} rows but table has {self.rows.shape[0]}")
-        return self.rows[:n]
-
-
 def draw_bank(sampler, n: int, seed: int) -> MonteCarloBound:
     """Draw ``n`` rows from ``sampler`` into a Monte-Carlo bound over |xi|.
 
-    Table samplers pass their rows through verbatim (the seed is unused).
-    Random samplers are drawn block-by-block with per-block generators
-    seeded from SeedSequence((seed, block)), so the result is bit-identical
+    A sampler is anything with ``m``, ``exchangeable`` and
+    ``draw(rng, n)``, which returns an n x m array of signed draws from
+    ``rng``.  It is drawn block-by-block with per-block generators seeded
+    from SeedSequence((seed, block)), so the result is bit-identical
     however the blocks are scheduled.  Each block is folded into the one
-    preallocated |xi| array as it is drawn; no signed copy is kept.
+    preallocated |xi| array as it is drawn; no signed copy is kept.  A
+    fixed table of draws needs no sampler: ``MonteCarloBound(rows)`` is
+    its bank.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(sampler, TableSampler):
-        return MonteCarloBound(sampler.draw(np.random.default_rng(0), n),
-                               sampler.exchangeable)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     bank = np.empty((n, sampler.m))
     for block, start in enumerate(range(0, n, BLOCK_ROWS)):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), block]))

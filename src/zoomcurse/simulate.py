@@ -84,6 +84,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _check_grid_points(self.grid_points)
         methods = tuple(_parse_method(name) for name in self.methods)
         if not methods:

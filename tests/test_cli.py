@@ -9,6 +9,7 @@ import pytest
 
 from zoomcurse.cli import _json_default, main, parse_noise_spec, parse_tail_spec, read_scores
 from zoomcurse.core import WinnerInterval
+from zoomcurse.tails import MonteCarloBound
 
 SCHEMA = json.loads(
     resources.files("zoomcurse").joinpath("schema/envelope.schema.json").read_text())
@@ -87,10 +88,15 @@ class TestSpecParsers:
         assert parse_noise_spec("equicorrelated:0.5", 3).rho == 0.5
         rows = tmp_path / "rows.csv"
         rows.write_text("0.1,0.2\n-0.3,0.4\n")
-        assert parse_noise_spec(f"table:{rows}", 2).rows.shape == (2, 2)
+        # a table of draws is its own bank, checked in full
+        bank = parse_noise_spec(f"table:{rows}", 2)
+        assert isinstance(bank, MonteCarloBound) and not bank.exchangeable
+        np.testing.assert_array_equal(bank.abs_samples, [[0.1, 0.2], [0.3, 0.4]])
+        late_nan = tmp_path / "late_nan.csv"
+        late_nan.write_text("0.1,0.2\n-0.3,nan\n")
         for bad, m in (("independent:x", 2), ("equicorrelated:nope", 2),
                        ("equicorrelated:1.5", 2), (f"table:{rows}", 3),
-                       ("mystery:1", 2)):
+                       (f"table:{late_nan}", 2), ("mystery:1", 2)):
             with pytest.raises(ValueError):
                 parse_noise_spec(bad, m)
 
@@ -362,6 +368,38 @@ class TestExitCodes:
                                           "--noise", "independent", "--seed", "1"])
         assert code == 2 and out == "" and err.startswith("zoomcurse:")
 
+    @pytest.mark.parametrize("body", ["", "# no draws here\n\n"], ids=["empty", "comments"])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.filterwarnings("error")  # numpy's warning on a file without rows
+    def test_table_without_rows_exits_2(self, capsys, tmp_path, body, m):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,score\n" + "".join(f"c{j},{j}\n" for j in range(m)))
+        rows = tmp_path / "bank.csv"
+        rows.write_text(body)
+        code, out, err = run_cli(capsys, ["winner-ci", "--input", str(scores), "--alpha", "0.1",
+                                          "--noise", f"table:{rows}"])
+        assert (code, out, err) == (2, "", f"zoomcurse: {rows}: no rows\n")
+
+    def test_more_samples_than_table_rows_exits_2(self, capsys, scores_csv, tmp_path):
+        rows = tmp_path / "bank.csv"
+        rows.write_text("0.1,0.2\n-0.3,0.4\n")
+        code, out, err = run_cli(capsys, ["winner-ci", "--input", scores_csv, "--alpha", "0.1",
+                                          "--noise", f"table:{rows}", "--mc-samples", "3"])
+        assert (code, out, err) == (2, "", "zoomcurse: requested 3 rows but table has 2\n")
+
+    def test_negative_seed_exits_2_before_any_draw(self, capsys, scores_csv, tmp_path,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("noise was drawn for a call that exits 2")
+        monkeypatch.setattr("zoomcurse.sampling.EquicorrelatedSampler.draw", refuse)
+        code, out, err = run_cli(capsys, ["winner-ci", "--input", scores_csv, "--alpha", "0.1",
+                                          "--noise", "independent", "--seed", "-1"])
+        assert code == 2 and out == "" and "seed must be >= 0" in err
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("m = 2\nm_winners = 1\ngap_mult = 6\ntrials = 2\nseed = -1\n")
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 2 and out == "" and "seed must be >= 0" in err
+
     @pytest.mark.parametrize("command", [["identity-set"], ["near-winner", "--index", "1"]])
     def test_table_bank_is_not_exchangeable_exits_2(self, capsys, scores_csv, tmp_path,
                                                     command):
@@ -472,7 +510,7 @@ PUBLIC_NAMES = [
     "ActiveRadius", "DiagonalGaussianSampler", "EmpiricalTail", "EquicorrelatedSampler",
     "GaussianTail", "IdentitySet", "InfeasibleAlphaError", "MonteCarloBound",
     "NearWinnerInterval", "Problem", "ScaledProblem", "SimConfig", "SimReport",
-    "StepdownStep", "StepdownTrace", "SubGaussianTail", "TableSampler", "TopKResult",
+    "StepdownStep", "StepdownTrace", "SubGaussianTail", "TopKResult",
     "UnionBound", "UnsupportedMethodError", "WinnerInterval", "active_radius", "draw_bank",
     "m_statistic", "mc_quantile", "near_winner_interval", "parse_config_text",
     "population_value_interval", "run_simulation", "stepdown_lower", "stepdown_upper",

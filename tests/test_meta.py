@@ -5,8 +5,8 @@ from zoomcurse.core import Problem, winner_interval_root
 from zoomcurse.errors import UnsupportedMethodError
 from zoomcurse.meta import (near_winner_interval, population_value_interval,
                             winner_identity_set)
-from zoomcurse.sampling import EquicorrelatedSampler, TableSampler, draw_bank
-from zoomcurse.tails import GaussianTail, UnionBound
+from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
+from zoomcurse.tails import GaussianTail, MonteCarloBound, UnionBound
 
 GAUSS = GaussianTail(1.0)
 
@@ -116,7 +116,7 @@ class TestSymmetryGate:
 
     def test_nonexchangeable_bank_refused(self):
         rows = np.random.default_rng(0).normal(size=(200, 2))
-        bank = draw_bank(TableSampler(rows), 200, seed=0)
+        bank = MonteCarloBound(rows)
         assert not bank.exchangeable
         p = Problem(np.array([1.0, 0.0]), bank, 0.1)
         with pytest.raises(UnsupportedMethodError):

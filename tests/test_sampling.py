@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from zoomcurse.sampling import (BLOCK_ROWS, DiagonalGaussianSampler,
-                                EquicorrelatedSampler, TableSampler, draw_bank,
-                                m_statistic, mc_order_index, mc_quantile)
+                                EquicorrelatedSampler, draw_bank, m_statistic,
+                                mc_order_index, mc_quantile)
 from zoomcurse.tails import MonteCarloBound
 
 
@@ -81,20 +81,15 @@ class TestDiagonalGaussianSampler:
             DiagonalGaussianSampler((1.0, 0.0))
 
 
-class TestTableSampler:
-    def test_passthrough_rows(self):
-        rows = np.arange(12.0).reshape(4, 3)
-        s = TableSampler(rows)
-        np.testing.assert_array_equal(s.draw(np.random.default_rng(0), 2), rows[:2])
-        with pytest.raises(ValueError):
-            s.draw(np.random.default_rng(0), 5)
-        assert not s.exchangeable
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TableSampler(np.ones(3))
-        with pytest.raises(ValueError):
-            TableSampler(np.array([[1.0, np.nan]]))
+class TestTableBank:
+    # a fixed table of draws is its own bank: MonteCarloBound(rows), with
+    # the CLI keeping the table's first --mc-samples rows
+    def test_first_rows_fold_into_a_read_only_copy(self):
+        rows = np.arange(8.0).reshape(4, 2) - 2.5
+        bank = MonteCarloBound(rows[:3])
+        np.testing.assert_array_equal(bank.abs_samples, np.abs(rows[:3]))
+        assert not bank.exchangeable and not bank.abs_samples.flags.writeable
+        assert rows[0, 0] == -2.5  # the table itself is left alone
 
 
 class TestDrawBank:
@@ -127,12 +122,28 @@ class TestDrawBank:
             bank.abs_samples[0, 0] = 99.0
         assert bank.n == 10 and bank.m == 2
 
-    def test_table_passthrough(self):
-        rows = np.arange(6.0).reshape(3, 2) - 2.5
-        bank = draw_bank(TableSampler(rows), 3, seed=0)
-        np.testing.assert_array_equal(bank.abs_samples, np.abs(rows))
-        assert not bank.exchangeable
-        assert rows[0, 0] == -2.5  # the table itself is left alone
+    @pytest.mark.parametrize("exchangeable", [False, True])
+    def test_any_sampler_with_m_exchangeable_and_draw(self, exchangeable):
+        # draw_bank reads only m, exchangeable and draw(rng, n) off a sampler
+        class Shifted:
+            m = 2
+
+            def __init__(self):
+                self.exchangeable = exchangeable
+
+            def draw(self, rng, n):
+                return rng.standard_normal((n, self.m)) - 1.0
+
+        n = BLOCK_ROWS + 7
+        bank = draw_bank(Shifted(), n, seed=4)
+        blocks = [Shifted().draw(np.random.default_rng(np.random.SeedSequence([4, block])),
+                                 BLOCK_ROWS) for block in (0, 1)]
+        assert bank.abs_samples.tobytes() == np.abs(np.concatenate(blocks)[:n]).tobytes()
+        assert bank.exchangeable is exchangeable
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed"):
+            draw_bank(EquicorrelatedSampler(2, 0.0), 10, seed=-1)
 
 
 class TestMStatistic:
@@ -163,7 +174,7 @@ class TestMStatistic:
             rows = rng.normal(size=(40, 3))
             rows[::4] = 0.0  # all-zero rows, one of them signed zeros
             rows[4] = -0.0
-            bank = draw_bank(TableSampler(rows), 40, seed=0)
+            bank = MonteCarloBound(rows)
         else:
             bank = MonteCarloBound(rng.normal(size=(30, 5)))
         a = bank.abs_samples

@@ -34,6 +34,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kw)
 
+    def test_negative_seed_refused(self):
+        # it used to fail inside numpy's SeedSequence, naming no key
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(m=5, m_winners=1, gap_mult=1.0, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            parse_config_text("m = 3\nm_winners = 1\ngap_mult = 2\nseed = -1")
+
     def test_method_listed_twice(self):
         # both specs normalize to topk:1, which would run twice
         with pytest.raises(ValueError, match="topk:1 is listed twice"):
