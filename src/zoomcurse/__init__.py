@@ -13,8 +13,7 @@ from .core import (ActiveRadius, Problem, WinnerInterval, active_radius,
 from .errors import InfeasibleAlphaError, UnsupportedMethodError
 from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
                    population_value_interval, winner_identity_set)
-from .sampling import (DiagonalGaussianSampler, EquicorrelatedSampler, draw_bank,
-                       m_statistic, mc_quantile)
+from .sampling import EquicorrelatedSampler, draw_bank
 from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import (SimConfig, SimReport, parse_config_text, run_simulation,
                        width_comparison)
@@ -22,22 +21,19 @@ from .stepdown import (StepdownStep, StepdownTrace, stepdown_lower,
                        stepdown_upper, winner_interval_stepdown)
 from .tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                     SubGaussianTail, UnionBound)
-from .topk import TopKResult, top_indices, topk_interval, topk_stepdown
+from .topk import TopKResult, topk_interval, topk_stepdown
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveRadius", "DiagonalGaussianSampler", "EmpiricalTail",
-    "EquicorrelatedSampler", "GaussianTail", "IdentitySet",
-    "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval", "Problem",
-    "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
-    "StepdownTrace", "SubGaussianTail", "TopKResult",
-    "UnionBound", "UnsupportedMethodError", "WinnerInterval",
-    "active_radius", "draw_bank", "m_statistic",
-    "mc_quantile", "near_winner_interval",
-    "parse_config_text", "population_value_interval", "run_simulation",
-    "stepdown_lower", "stepdown_upper", "top_indices",
-    "topk_interval", "topk_stepdown", "width_comparison",
+    "ActiveRadius", "EmpiricalTail", "EquicorrelatedSampler", "GaussianTail",
+    "IdentitySet", "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval",
+    "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
+    "StepdownTrace", "SubGaussianTail", "TopKResult", "UnionBound",
+    "UnsupportedMethodError", "WinnerInterval",
+    "active_radius", "draw_bank", "near_winner_interval", "parse_config_text",
+    "population_value_interval", "run_simulation", "stepdown_lower",
+    "stepdown_upper", "topk_interval", "topk_stepdown", "width_comparison",
     "winner_identity_set", "winner_interval_grid", "winner_interval_root",
     "winner_interval_scaled", "winner_interval_stepdown",
 ]

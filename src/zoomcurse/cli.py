@@ -45,7 +45,7 @@ class ScoreTable:
 def read_scores(path: str) -> ScoreTable:
     """Parse a `label,score[,sigma]` CSV with a mandatory header row."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -94,7 +94,7 @@ def parse_tail_spec(spec: str):
         return SubGaussianTail(_positive(arg, "subgaussian proxy"))
     if kind == "empirical":
         try:
-            with open(arg, encoding="utf-8") as fh:
+            with open(arg, encoding="utf-8-sig") as fh:
                 values = [float(line.split("#", 1)[0])
                           for line in fh if line.split("#", 1)[0].strip()]
         except OSError as exc:
@@ -142,7 +142,7 @@ def parse_noise_spec(spec: str, m: int):
         try:
             with warnings.catch_warnings():  # loadtxt warns on a file without rows
                 warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+                rows = np.loadtxt(arg, delimiter=",", ndmin=2, encoding="utf-8-sig")
         except OSError as exc:
             raise InputError(f"cannot read {arg}: {exc}") from exc
         except ValueError as exc:
@@ -161,16 +161,21 @@ DEFAULT_MC_SAMPLES = 100_000
 def _build_bound(args, m: int):
     """Resolve tail/noise flags into a joint bound, refusing bound flags that
     would otherwise be dropped without a word.  A table of draws is its own
-    bank: its first ``--mc-samples`` rows, every row by default."""
+    bank: its first ``--mc-samples`` rows, every row by default; it draws
+    nothing, so it takes no ``--seed``."""
     if args.noise is not None and args.tail is not None:
         raise InputError("--tail and --noise each give the joint bound; pass one of them")
     if args.noise is None and args.mc_samples is not None:
         raise InputError("--mc-samples sizes the --noise bank; it needs --noise")
+    if args.noise is None and args.seed is not None:
+        raise InputError("--seed seeds the --noise sampler; it needs --noise")
     if args.noise is not None:
         noise = parse_noise_spec(args.noise, m)
         table = isinstance(noise, MonteCarloBound)
         if args.seed is None and not table:
             raise InputError("--noise sampling requires --seed")
+        if args.seed is not None and table:
+            raise InputError("--seed seeds the --noise sampler; a table: bank draws nothing")
         n = args.mc_samples
         if n is None:
             n = noise.n if table else DEFAULT_MC_SAMPLES
@@ -344,7 +349,7 @@ def _add_common(sub):
     sub.add_argument("--mc-samples", type=int, default=None,
                      help="bank rows for --noise, which it requires (default 100000, or the whole table)")
     sub.add_argument("--seed", type=int, default=None,
-                     help="required whenever noise is sampled")
+                     help="required whenever --noise is sampled, refused otherwise")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,9 @@
 """Noise samplers, Monte-Carlo banks of |xi|, and Monte-Carlo quantiles.
 
+``EquicorrelatedSampler`` is the one built-in sampler; ``draw_bank`` takes
+any object with ``m``, ``exchangeable`` and ``draw(rng, n)``.  A fixed
+table of draws needs no sampler: ``MonteCarloBound(rows)`` is its bank.
+
 Banks are drawn in fixed-size blocks whose generators are seeded by hashing
 (master seed, block index) through numpy's SeedSequence.  The bank contents
 therefore depend only on the seed and the row range, never on how many
@@ -47,32 +51,6 @@ class EquicorrelatedSampler:
         z *= math.sqrt(1.0 - self.rho)
         z += math.sqrt(self.rho) * z0[:, None]
         return z
-
-
-@dataclass(frozen=True)
-class DiagonalGaussianSampler:
-    """Independent centered Gaussian noise with per-coordinate scales."""
-
-    scales: tuple
-
-    def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=float)
-        if scales.ndim != 1 or scales.size == 0:
-            raise ValueError("scales must be a non-empty 1-d sequence")
-        if np.any(~np.isfinite(scales)) or np.any(scales <= 0):
-            raise ValueError("scales must be positive and finite")
-        object.__setattr__(self, "scales", tuple(float(s) for s in scales))
-
-    @property
-    def m(self) -> int:
-        return len(self.scales)
-
-    @property
-    def exchangeable(self) -> bool:
-        return len(set(self.scales)) == 1
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self.m)) * np.asarray(self.scales)
 
 
 def draw_bank(sampler, n: int, seed: int) -> MonteCarloBound:

@@ -152,15 +152,16 @@ def simultaneous_radius(config: SimConfig) -> float:
 
 def run_simulation(config: SimConfig, *, include_raw: bool = False) -> SimReport:
     m, alpha = config.m, config.alpha
+    model = GaussianTail(1.0)
+    bound = UnionBound((model,) * m)
+    # the Bonferroni radius refuses an infeasible level before any bank is drawn
+    r_bonf = bound.feasible_radius(alpha)
+    r_unc = model.isf(alpha)
     sampler = EquicorrelatedSampler(m, config.rho)
     r_sim = simultaneous_radius(config)
     theta = np.zeros(m)
     theta[config.m_winners:] = -config.gap_mult * r_sim
     best = frozenset(range(config.m_winners))
-    model = GaussianTail(1.0)
-    bound = UnionBound((model,) * m)
-    r_bonf = model.isf(alpha / m)
-    r_unc = model.isf(alpha)
     need_grid = any(name in ("zoom_grid", "identity_set") for name in config.methods)
     widths = {name: np.empty(config.trials) for name in config.methods}
     covered = {name: np.empty(config.trials, dtype=bool) for name in config.methods}

@@ -7,8 +7,10 @@ and the per-coordinate share of what remains is recomputed.  The radius at
 the stopping step dominates the corresponding endpoint-equation root, so
 these give closed-form-cheap but slightly wider intervals.
 
-Requires identical marginal tails across coordinates (the budget shares
-alpha_j / (m - j + 1) assume one shared quantile function).
+Requires one shared marginal tail across coordinates (the budget shares
+alpha_j / (m - j + 1) assume one quantile function): the bound must be
+``exchangeable`` and carry its per-coordinate ``models``, as a
+``UnionBound`` of equal models does.
 
 Both radii are clamped at the Bonferroni radius S_inv(alpha / m): the
 endpoint-equation roots never exceed it, so the clamped interval still
@@ -47,9 +49,9 @@ class StepdownTrace:
 
 
 def marginal_model(bound):
-    """Extract the shared marginal tail model of a union bound with
-    identical marginals, or refuse any other bound."""
-    if not getattr(bound, "identical_marginals", False):
+    """The shared marginal tail model of an exchangeable bound with
+    ``models``, or refuse any other bound."""
+    if not (bound.exchangeable and hasattr(bound, "models")):
         raise UnsupportedMethodError(
             "step-down methods need one shared marginal tail model")
     return bound.models[0]

@@ -22,7 +22,9 @@ and there are two kinds.  A stack bound (``UnionBound``) offers ``m``, an
 that row alone, ``feasible_radius(alpha)``, ``exchangeable`` and the
 ``_r0`` memo.  A bank (``MonteCarloBound``) offers ``m``, ``n``,
 ``blocks()``, ``row_max``, ``exchangeable`` and ``_r0``; the solvers tell
-it apart by its ``row_max``.
+it apart by its ``row_max``.  The step-down methods need exactly two things
+more of a bound: ``exchangeable`` must hold and the bound must carry
+``models``, its per-coordinate marginal tails.
 """
 from __future__ import annotations
 
@@ -241,10 +243,6 @@ class UnionBound:
     def m(self) -> int:
         return len(self.models)
 
-    @property
-    def identical_marginals(self) -> bool:
-        return self.exchangeable
-
     def feasible_radius(self, alpha: float) -> float:
         """A radius at which the bound is certainly <= alpha: the largest
         marginal S_inv(alpha / m), from one call per family."""
@@ -336,11 +334,3 @@ class MonteCarloBound:
         entries, so a scan's temporaries stay bounded however large n is."""
         rows = _block_rows(self.m)
         return (self.abs_samples[s:s + rows] for s in range(0, self.n, rows))
-
-    def exceedance(self, widths) -> float:
-        """Fraction of bank rows with some |xi_j| strictly above widths_j,
-        counted block by block (``blocks``)."""
-        w = _as_radii(widths)
-        if w.shape != (self.m,):
-            raise ValueError(f"width vector must have shape ({self.m},)")
-        return sum(int(np.count_nonzero((a > w).any(axis=1))) for a in self.blocks()) / self.n

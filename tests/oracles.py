@@ -7,8 +7,10 @@ pieces, the two-scan forms of the Monte-Carlo lower pieces and reaches
 that the fused block scan replaced, and the union radius search that asks
 for one step's cells per exceedance call, which the look-ahead search
 replaced, and the bisection that solved ``active_radius`` under a union
-bound before that search took it over.  ``CountingBound`` is a stack bound
-that is not a ``UnionBound``.  The package itself uses none of them.
+bound before that search took it over.  ``bank_exceedance`` is a bank's
+joint exceedance counted row by row, which no solver asks a bank for.
+``CountingBound`` is a stack bound that is not a ``UnionBound``.  The
+package itself uses none of them.
 """
 import math
 
@@ -156,6 +158,12 @@ def sequential_exceedance(bound, widths):
     w = np.asarray(widths, dtype=float)
     total = sum(np.asarray(model.sf(w[..., j])) for j, model in enumerate(bound.models))
     return np.minimum(total, 1.0)
+
+
+def bank_exceedance(bound, widths) -> float:
+    """Fraction of a bank's rows with some |xi_j| strictly above widths_j."""
+    w = np.asarray(widths, dtype=float)
+    return float(np.mean(np.any(bound.abs_samples > w, axis=1)))
 
 
 class CountingBound:

@@ -317,6 +317,29 @@ class TestExitCodes:
         assert code == 3
         assert "infeasible" in err
 
+    def test_infeasible_simulation_level_exits_3_before_any_draw(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # alpha / m lies below the tails' supported minimum; this used to exit 2
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bank was drawn for a level that exits 3")
+        monkeypatch.setattr("zoomcurse.simulate.draw_bank", refuse)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("m = 3\nm_winners = 1\ngap_mult = 6\nalpha = 1e-13\ntrials = 2\n")
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 3 and out == ""
+        assert err.startswith("zoomcurse: infeasible: ")
+
+    @pytest.mark.parametrize("bound", ["tail", "table"])
+    def test_seed_without_a_draw_exits_2(self, capsys, scores_csv, tmp_path, bound):
+        # nothing reads the seed of a tail or a table bank; this used to exit 0
+        rows = tmp_path / "bank.csv"
+        rows.write_text("0.1,0.2\n-0.3,0.4\n")
+        spec = ["--tail", "gaussian:1"] if bound == "tail" else ["--noise", f"table:{rows}"]
+        code, out, err = run_cli(capsys, ["winner-ci", "--input", scores_csv, "--alpha", "0.1",
+                                          *spec, "--seed", "7"])
+        assert code == 2 and out == ""
+        assert err.startswith("zoomcurse:") and "--seed" in err and "--noise" in err
+
     def test_internal_check_exits_4(self, capsys, scores_csv, monkeypatch):
         # infinite cell widths bound every sum by 0, so the radius solver drops
         # the cell holding r = 0, which S(0) = 1 keeps for every real tail;
@@ -491,6 +514,27 @@ class TestByteStability:
         assert first.stdout == second.stdout
         jsonschema.validate(json.loads(first.stdout), SCHEMA)
 
+    @pytest.mark.parametrize("kind", ["input", "table", "empirical"])
+    def test_byte_order_mark_reads_as_the_plain_file(self, capsys, tmp_path, kind):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        bodies = {"input": "label,score\na,1.5\nb,0.25\nc,-1.0\n",
+                  "table": "0.1,-0.2,0.3\n-0.4,0.5,0.6\n0.7,0.8,-0.9\n1.0,0.1,0.2\n",
+                  "empirical": "0.5\n1.0\n2.5\n"}
+        plain = {name: tmp_path / f"{name}.txt" for name in bodies}
+        for name, path in plain.items():
+            path.write_text(bodies[name], encoding="utf-8")
+        marked = {**plain, kind: tmp_path / "marked.txt"}
+        marked[kind].write_text("\ufeff" + bodies[kind], encoding="utf-8")
+
+        def argv(files):
+            spec = {"input": ["--tail", "gaussian:1"],
+                    "table": ["--noise", f"table:{files['table']}"],
+                    "empirical": ["--tail", f"empirical:{files['empirical']}"]}[kind]
+            return ["winner-ci", "--input", str(files["input"]), "--alpha", "0.3", *spec]
+        code, out, err = run_cli(capsys, argv(plain))
+        assert code == 0, err
+        assert run_cli(capsys, argv(marked)) == (code, out, err)
+
 
 def _numpy_scipy_modules(imports: str) -> set:
     code = (f"import sys, {imports}; print(*sorted(m for m in sys.modules "
@@ -507,21 +551,26 @@ def test_cli_import_loads_only_what_numpy_and_scipy_special_load():
 
 
 PUBLIC_NAMES = [
-    "ActiveRadius", "DiagonalGaussianSampler", "EmpiricalTail", "EquicorrelatedSampler",
-    "GaussianTail", "IdentitySet", "InfeasibleAlphaError", "MonteCarloBound",
-    "NearWinnerInterval", "Problem", "ScaledProblem", "SimConfig", "SimReport",
-    "StepdownStep", "StepdownTrace", "SubGaussianTail", "TopKResult",
-    "UnionBound", "UnsupportedMethodError", "WinnerInterval", "active_radius", "draw_bank",
-    "m_statistic", "mc_quantile", "near_winner_interval", "parse_config_text",
-    "population_value_interval", "run_simulation", "stepdown_lower", "stepdown_upper",
-    "top_indices", "topk_interval", "topk_stepdown", "width_comparison",
-    "winner_identity_set", "winner_interval_grid", "winner_interval_root",
-    "winner_interval_scaled", "winner_interval_stepdown",
+    "ActiveRadius", "EmpiricalTail", "EquicorrelatedSampler", "GaussianTail",
+    "IdentitySet", "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval",
+    "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
+    "StepdownTrace", "SubGaussianTail", "TopKResult", "UnionBound",
+    "UnsupportedMethodError", "WinnerInterval", "active_radius", "draw_bank",
+    "near_winner_interval", "parse_config_text", "population_value_interval",
+    "run_simulation", "stepdown_lower", "stepdown_upper", "topk_interval",
+    "topk_stepdown", "width_comparison", "winner_identity_set", "winner_interval_grid",
+    "winner_interval_root", "winner_interval_scaled", "winner_interval_stepdown",
 ]
 
 
 def test_public_surface_is_pinned():
     import zoomcurse
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(zoomcurse.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(zoomcurse, name) is not None
+    # solver helpers stay importable from their modules, outside the namespace
+    from zoomcurse.sampling import m_statistic, mc_order_index, mc_quantile
+    from zoomcurse.topk import top_indices
+    for helper in (m_statistic, mc_order_index, mc_quantile, top_indices):
+        assert helper.__name__ not in zoomcurse.__all__

@@ -19,8 +19,8 @@ from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
 from zoomcurse.stepdown import winner_interval_stepdown
 from zoomcurse.topk import topk_interval, topk_stepdown
 
-from oracles import (CountingBound, contains, endpoint_sum, mc_reach_scan, sorted_pieces,
-                     union_radii_one_step, worst_case_theta)
+from oracles import (CountingBound, bank_exceedance, contains, endpoint_sum, mc_reach_scan,
+                     sorted_pieces, union_radii_one_step, worst_case_theta)
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -105,13 +105,12 @@ class TestActiveRadius:
 
     def test_mc_matches_quantile_definition(self):
         bank = draw_bank(EquicorrelatedSampler(3, 0.4), 2000, seed=9)
-        b = bank
         g = np.array([0.0, 1.0, 3.0])
-        r = active_radius(b, g, 0.1).r
+        r = active_radius(bank, g, 0.1).r
         # exactly the conservative order statistic: just feasible at r,
         # infeasible any lower
-        assert b.exceedance(np.maximum(r, g / 2)) <= 0.1
-        assert b.exceedance(np.maximum(np.nextafter(r, 0.0), g / 2)) > 0.1
+        assert bank_exceedance(bank, np.maximum(r, g / 2)) <= 0.1
+        assert bank_exceedance(bank, np.maximum(np.nextafter(r, 0.0), g / 2)) > 0.1
 
     def test_gap_anchoring_enforced(self):
         b = UnionBound((GaussianTail(1.0),) * 2)
@@ -156,7 +155,7 @@ def _memo_results(bound, x, alpha):
         sigma = np.linspace(0.8, 1.6, x.size)
         out.append(winner_interval_scaled(ScaledProblem(p, sigma)))
         out.append(winner_interval_scaled(ScaledProblem(p, np.ones(x.size))))
-    if isinstance(bound, MonteCarloBound) or bound.identical_marginals:
+    if bound.exchangeable:
         out += [winner_identity_set(p), near_winner_interval(p, 1),
                 near_winner_interval(p, x.size - 1), population_value_interval(p)]
     return [repr(result) for result in out]

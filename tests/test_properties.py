@@ -124,7 +124,7 @@ def test_grid_root_and_meta_endpoints_are_bit_identical(p):
     root = winner_interval_root(p)
     for iv in (winner_interval_grid(p), winner_interval_grid(p, 101, refine=True)):
         assert (iv.t_l, iv.t_u) == (root.t_l, root.t_u)
-    if p.bound.identical_marginals:
+    if p.bound.exchangeable:
         pop = population_value_interval(p)
         assert (pop.t_l, pop.t_u) == (root.t_l, root.t_u)
 

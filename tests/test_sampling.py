@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zoomcurse.sampling import (BLOCK_ROWS, DiagonalGaussianSampler,
-                                EquicorrelatedSampler, draw_bank, m_statistic,
+from zoomcurse.sampling import (BLOCK_ROWS, EquicorrelatedSampler, draw_bank, m_statistic,
                                 mc_order_index, mc_quantile)
 from zoomcurse.tails import MonteCarloBound
 
@@ -64,21 +63,6 @@ class TestEquicorrelatedSampler:
         assert out.shape == (rows, s.m)
         # the block itself plus the common factor; the two-term sum held three
         assert peak < 1.25 * block_bytes
-
-
-class TestDiagonalGaussianSampler:
-    def test_scaling(self):
-        s = DiagonalGaussianSampler((1.0, 3.0))
-        x = s.draw(np.random.default_rng(1), 100_000)
-        assert np.allclose(x.std(axis=0), [1.0, 3.0], rtol=0.03)
-        assert not s.exchangeable
-        assert DiagonalGaussianSampler((2.0, 2.0)).exchangeable
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiagonalGaussianSampler(())
-        with pytest.raises(ValueError):
-            DiagonalGaussianSampler((1.0, 0.0))
 
 
 class TestTableBank:

@@ -116,7 +116,7 @@ class TestTopkStepdown:
             assert sd.r_max >= grid.r_max - 1e-9
             assert sd.winners == grid.winners
 
-    def test_needs_identical_marginals(self):
+    def test_needs_one_shared_marginal(self):
         p = Problem(np.array([1.0, 0.0]),
                     UnionBound((GaussianTail(1.0), GaussianTail(2.0))), 0.1)
         with pytest.raises(UnsupportedMethodError):
