@@ -1,6 +1,11 @@
 """Command-line interface: score tables in, JSON envelopes out.
 
 Input is a CSV with header ``label,score`` or ``label,score,sigma``.  Every
+input file (scores, ``empirical:`` knots, ``table:`` banks, ``simulate``
+configs) is read by one reader, ``_read_text``: UTF-8, with a leading
+byte-order mark skipped and any line ends; a file in another encoding is an
+input error that names it.  The two numeric kinds, the knots and the banks,
+are parsed by one more, ``_read_numbers``.  Every
 subcommand prints one JSON envelope (format ``zoomcurse/v1``; schema shipped
 alongside this module) with deterministic, sorted, byte-stable output.
 
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 import warnings
@@ -42,13 +48,40 @@ class ScoreTable:
     sigma: np.ndarray | None
 
 
-def read_scores(path: str) -> ScoreTable:
-    """Parse a `label,score[,sigma]` CSV with a mandatory header row."""
+def _read_text(path: str) -> str:
+    """Text of an input file, which must be UTF-8; a leading byte-order mark
+    is skipped and line ends are kept as written."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_numbers(path: str, columns: int) -> np.ndarray:
+    """Rows of a numeric CSV file (``_read_text``) of ``columns`` columns:
+    the ``table:`` bank and, one column, the ``empirical:`` knots.  ``#``
+    starts a comment; a line of blanks, with or without one, is skipped."""
+    lines = io.StringIO(_read_text(path), newline=None)  # any line ends
+    try:
+        with warnings.catch_warnings():  # loadtxt warns on a file without rows
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt((line for line in lines if line.split("#", 1)[0].strip()),
+                              delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed numeric CSV") from exc
+    if rows.shape[0] == 0:
+        raise InputError(f"{path}: no rows")
+    if rows.shape[1] != columns:
+        raise InputError(f"{path}: table has {rows.shape[1]} columns, need {columns}")
+    return rows
+
+
+def read_scores(path: str) -> ScoreTable:
+    """Parse a `label,score[,sigma]` CSV with a mandatory header row."""
+    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [h.strip().lower() for h in rows[0]]
@@ -92,21 +125,8 @@ def parse_tail_spec(spec: str):
         return GaussianTail(_positive(arg, "gaussian scale"))
     if kind == "subgaussian":
         return SubGaussianTail(_positive(arg, "subgaussian proxy"))
-    if kind == "empirical":
-        try:
-            with open(arg, encoding="utf-8-sig") as fh:
-                values = [float(line.split("#", 1)[0])
-                          for line in fh if line.split("#", 1)[0].strip()]
-        except OSError as exc:
-            raise InputError(f"cannot read {arg}: {exc}") from exc
-        except ValueError as exc:
-            raise InputError(f"{arg}: every line must hold one number") from exc
-        if not values:
-            raise InputError(f"{arg}: no values")
-        try:
-            return EmpiricalTail(np.abs(values))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    if kind == "empirical":  # the knots' own checks raise ValueError, an input error
+        return EmpiricalTail(np.abs(_read_numbers(arg, 1)[:, 0]))
     raise InputError(f"unknown tail kind {kind!r}")
 
 
@@ -139,19 +159,7 @@ def parse_noise_spec(spec: str, m: int):
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if kind == "table":
-        try:
-            with warnings.catch_warnings():  # loadtxt warns on a file without rows
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(arg, delimiter=",", ndmin=2, encoding="utf-8-sig")
-        except OSError as exc:
-            raise InputError(f"cannot read {arg}: {exc}") from exc
-        except ValueError as exc:
-            raise InputError(f"{arg}: malformed numeric CSV") from exc
-        if rows.shape[0] == 0:
-            raise InputError(f"{arg}: no rows")
-        if rows.shape[1] != m:
-            raise InputError(f"{arg}: table has {rows.shape[1]} columns, need {m}")
-        return MonteCarloBound(rows)
+        return MonteCarloBound(_read_numbers(arg, m))
     raise InputError(f"unknown noise kind {kind!r}")
 
 
@@ -310,11 +318,9 @@ def cmd_near_winner(args) -> dict:
 def cmd_simulate(args) -> dict:
     if args.include_raw and not args.out_json:
         raise InputError("--include-raw needs --out-json, the report it adds the trials to")
+    source = _read_text(args.config)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = parse_config_text(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {args.config}: {exc}") from exc
+        config = parse_config_text(source)
     except ValueError as exc:
         raise InputError(f"{args.config}: {exc}") from exc
     report = run_simulation(config, include_raw=args.include_raw)

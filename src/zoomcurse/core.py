@@ -20,20 +20,22 @@ solves once per bound and level and keeps in the bound's ``_r0`` memo: the
 simulation's thousands of intervals on one bound share one solve, and no
 result depends on what the memo holds.  Under a stack bound every radius
 is the end of one certified search over [0, hi] (``_radius_search``): a
-cell search on the lower side and a bisection on the upper side, which is
-also how ``active_radius`` solves r0 itself.  One driver
-(``_side_radii``) runs every search, keyed by side, in lockstep, after one
-rule that keeps a side whose sum at hi reaches alpha at hi: the winner and
-top-k radii (``_union_radii``), the sigma-scaled ones (``scaled``) and
-``active_radius``'s.  A search that
-needs a cell's bound asks ahead of need: first for a shallow dyadic
-subtree, later for the path it is predicted to take, toward a point
-interpolated in log(bound) - log(alpha) between its cell's ends, for a
-number of levels that doubles while paths are used to the end and shrinks
-after a miss.  Both sides' cells go to one exceedance call on a stack of
-width rows built per side from columns of cell ends (``_step_widths``),
-at most 2 ** 14 widths (rows x m) per side past a step's own cells, so at
-m = 10000 each call holds one step, as without look-ahead.  The search
+cell search on the lower side and a bisection on the upper side.  One
+function (``_union_radii``) runs the searches of the sides it is given on
+one test's width rows: the winner and top-k radii on the basic test, and
+``active_radius``'s, r0 included, as the upper side alone of the active
+test max(r, gaps/2).  One driver (``_side_radii``) runs every search,
+keyed by side, in lockstep, after one rule that keeps a side whose sum at
+hi reaches alpha at hi: ``_union_radii``'s and the sigma-scaled ones
+(``scaled``).  A search that needs a cell's bound asks ahead of need:
+first for a shallow dyadic subtree, later for the path it is predicted to
+take, toward a point interpolated in log(bound) - log(alpha) between its
+cell's ends, for a number of levels that doubles while paths are used to
+the end and shrinks after a miss.  Both sides' cells go to one
+exceedance call on a stack of width rows built per side from columns of
+cell ends (``_step_widths``), at most 2 ** 14 widths (rows x m) per side
+past a step's own cells, so at m = 10000 each call holds one step, as
+without look-ahead.  The search
 then replays its steps from the bounds it holds until one needs a cell it
 lacks.  Each decision reads the bound of the very cell a one-step search
 asks for, and a row's bound does not depend on the rows beside it, so no
@@ -164,40 +166,36 @@ def _solve_radius(bound, gaps, alpha: float) -> float:
 
     Under a stack bound, exceedance(max(r, gaps/2)) is non-increasing in r
     and equals 1 at r = 0 (the anchored coordinate contributes S(0) = 1),
-    so the radius is the upper side of ``_side_radii`` on [0, hi], hi the
-    bound's ``feasible_radius``, a cell's bound being the sum at its lower
-    end: the bisection's midpoints, decisions and stop, bit for bit, but
-    for the rule of every stack-bound search that a side whose sum at hi
-    reaches alpha stays at hi.  hi is where the sum is at most alpha up to
-    rounding, so the two differ only where a midpoint's computed sum is at
-    most alpha while the sum at hi is at least alpha; the rule then keeps
-    hi, the wider radius.
+    so the radius is the upper side alone of ``_union_radii`` on [0, hi],
+    hi the bound's ``feasible_radius``, with the active test's geometry
+    k = 2 and s = 0: ``_cell_widths`` gives max(a, gaps/2) there (up to the
+    sign of a zero width, which no tail tells apart), a cell's bound being
+    the sum at its lower end.  That search makes the bisection's midpoints,
+    decisions and stop, bit for bit, but for the rule of every stack-bound
+    search that a side whose sum at hi reaches alpha stays at hi.  hi is
+    where the sum is at most alpha up to rounding, so the two differ only
+    where a midpoint's computed sum is at most alpha while the sum at hi is
+    at least alpha; the rule then keeps hi, the wider radius.
     """
     if hasattr(bound, "row_max"):
         return mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
-    halfgaps = 0.5 * gaps
     hi = bound.feasible_radius(alpha)
-
-    def evaluate(asked):
-        return bound.exceedance(np.maximum(np.array(asked[False])[:, :1], halfgaps)).tolist()
-
-    top = {False: evaluate({False: [(hi, hi)]})[0]}
-    return _side_radii(top, hi, alpha, PATH_WIDTHS // bound.m, evaluate)[False][0]
+    return _union_radii(bound, gaps, alpha, hi, (False,), 2.0, 0.0)[0][0]
 
 
 def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
     """Smallest radius r whose widened test max(r, gaps/2) passes the joint bound.
 
     Stack bounds are inverted by the certified search of the other stack
-    radii (``_radius_search`` above the anchor: a bisection that looks
-    ahead); banks come directly from the conservative order statistic of
-    the per-row max statistic, with no iteration.  The
-    zero-gap radius r0, which every interval of a bound at a level starts
-    from, is solved once per bound and level: the bound keeps it in its
-    ``_r0`` memo, and later zero-gap calls read it back.  A level that
-    raises is not stored.  The bounds are immutable and the stored value is
-    the one a fresh solve returns, so no result depends on what the memo
-    holds.
+    radii: the upper side of ``_union_radii`` on the active test's width
+    rows (a bisection that looks ahead); banks come directly from the
+    conservative order statistic of the per-row max statistic, with no
+    iteration.  The zero-gap radius r0, which every interval of a bound at
+    a level starts from, is solved the same way, once per bound and level:
+    the bound keeps it in its ``_r0`` memo, and later zero-gap calls read it
+    back.  A level that raises is not stored.  The bounds are immutable and
+    the stored value is the one a fresh solve returns, so no result depends
+    on what the memo holds.
     """
     alpha = _check_alpha(alpha)
     gaps = _check_gaps(gaps, bound.m)
@@ -357,10 +355,12 @@ def _cell_widths(d, lower: bool, a, b, k=3.0, s=1.0) -> np.ndarray:
 
     Term j of the lower sum has width max(r, (d_j - s r)/k_j), V-shaped with
     its minimum at d_j/(k_j + s); the upper width max(r, (d_j + s r)/k_j)
-    grows with r.  The basic test has k = 3 and s = 1 (the sigma-scaled one
-    passes its own).  Each tail S_j is non-increasing, so taking every term
-    at its own smallest width on the cell bounds the whole sum there.  With
-    a == b this is the sum at r = a itself.
+    grows with r.  The basic test has k = 3 and s = 1; the active test of
+    ``active_radius``, max(r, gaps/2), is the upper width at k = 2 and
+    s = 0; the sigma-scaled one passes its own.  Each tail S_j is
+    non-increasing, so taking every term at its own smallest width on the
+    cell bounds the whole sum there.  With a == b this is the sum at r = a
+    itself.
     """
     if lower:
         c = np.clip(d / (k + s), a, b)
@@ -456,9 +456,9 @@ def _radius_search(lower: bool, hi: float, alpha: float, rows: int, top: float):
     one-step search asks for, and a cell's bound does not depend on which
     cells share its call, so the radius is the one-step search's bit for
     bit; a wrong guess costs only rows.  ``_side_radii`` drives every search:
-    the union endpoint radii (``_union_radii``), ``active_radius``'s and
-    the sigma-scaled ones.  Returns the upper end of the first kept cell of
-    width <= RADIUS_TOL, or of the current (kept) cell after
+    ``_union_radii``'s (the union endpoint radii and ``active_radius``'s)
+    and the sigma-scaled ones.  Returns the upper end of the first kept
+    cell of width <= RADIUS_TOL, or of the current (kept) cell after
     MAX_SEARCH_STEPS steps, and the numbers of cells the steps bounded and
     kept (cells asked for ahead and never used are not counted).
     """
@@ -505,9 +505,10 @@ def _radius_search(lower: bool, hi: float, alpha: float, rows: int, top: float):
     return b, bounded, kept
 
 
-def _step_widths(d, asked: dict) -> np.ndarray:
+def _step_widths(d, asked: dict, k=3.0, s=1.0) -> np.ndarray:
     """Width rows of one search round: the rows of each side's cells in
-    turn, ``asked`` mapping the side's ``lower`` flag to its cells.
+    turn, ``asked`` mapping the side's ``lower`` flag to its cells, on the
+    test of geometry (k, s) (``_cell_widths``).
 
     Each side's rows come from one ``_cell_widths`` call on column vectors
     of its cells' ends (a, b).  Every width is elementwise, so each row is
@@ -515,7 +516,7 @@ def _step_widths(d, asked: dict) -> np.ndarray:
     zero width (numpy's loops settle a tie of -0.0 and +0.0 by shape),
     which no tail tells apart.  A lone side's rows are returned uncopied.
     """
-    parts = [_cell_widths(d, lower, *np.array(cells).T[:, :, None])
+    parts = [_cell_widths(d, lower, *np.array(cells).T[:, :, None], k, s)
              for lower, cells in asked.items() if cells]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -551,22 +552,23 @@ def _side_radii(top: dict, hi: float, alpha: float, rows: int, evaluate) -> dict
     return done
 
 
-def _union_radii(bound, d, alpha: float, hi: float, upper: bool):
-    """Largest accepted radius in [0, hi] of the lower endpoint equation and,
-    if ``upper``, of the upper one, under a stack bound.
+def _union_radii(bound, d, alpha: float, hi: float, sides: tuple, k=3.0, s=1.0):
+    """Largest accepted radius in [0, hi] of each endpoint equation in
+    ``sides`` (``lower`` flags), under a stack bound.
 
-    The lower sum is sum_j S_j(max(r, (d_j - r)/3)), the upper one has
-    d_j + r.  Each round of ``_side_radii`` bounds the cells both sides ask
-    for in one exceedance call on their stacked rows (``_step_widths``), at
-    most PATH_WIDTHS // m rows per side but for a step's own cells; the
-    sums at hi come from one such call on point cells.  Returns the radii
-    and the numbers of cells the searches bounded and kept, which, like the
-    radii, are the one-step searches' own.
+    The lower sum is sum_j S_j(max(r, (d_j - s r)/k)), the upper one has
+    d_j + s r (``_cell_widths``): the basic test by default, the active test
+    of ``active_radius`` with k = 2 and s = 0.  Each round of ``_side_radii``
+    bounds the cells the sides ask for in one exceedance call on their
+    stacked rows (``_step_widths``), at most PATH_WIDTHS // m rows per side
+    but for a step's own cells; the sums at hi come from one such call on
+    point cells.  Returns the radii, in the order of ``sides``, and the
+    numbers of cells the searches bounded and kept, which, like the radii,
+    are the one-step searches' own.
     """
     def evaluate(asked):
-        return bound.exceedance(_step_widths(d, asked)).tolist()
+        return bound.exceedance(_step_widths(d, asked, k, s)).tolist()
 
-    sides = (True, False)[:1 + upper]
     top = dict(zip(sides, evaluate({lower: [(hi, hi)] for lower in sides})))
     found = _side_radii(top, hi, alpha, PATH_WIDTHS // d.size, evaluate)
     radii, bounded, kept = zip(*(found[lower] for lower in sides))
@@ -608,7 +610,7 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
         bounded, kept = accept.size, int(np.count_nonzero(accept))
         diagnostics["bridged"] = not bool(accept[:last + 1].all())
     else:
-        radii, bounded, kept = _union_radii(bound, d, alpha, r0, upper)
+        radii, bounded, kept = _union_radii(bound, d, alpha, r0, (True, False)[:1 + upper])
     if upper and radii[0] < radii[1] - 1e-9:
         raise InternalCheckError("lower radius cannot undercut the upper radius")
     diagnostics.update(bonferroni_lower=bool(radii[0] == r0), grid_points=bounded,

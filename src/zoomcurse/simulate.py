@@ -57,6 +57,8 @@ class SimConfig:
 
     ``grid_points`` is validated and ignored; it is kept only because the
     benchmark under ``perfbench/`` sets it.  A method may be listed once.
+    ``gap_mult`` must be positive and finite; ``run_simulation`` also
+    refuses one whose losers' mean -gap_mult * r_sim overflows.
     """
 
     m: int
@@ -75,8 +77,8 @@ class SimConfig:
             raise ValueError("m must be >= 1")
         if not 1 <= self.m_winners <= self.m:
             raise ValueError("m_winners must lie in [1, m]")
-        if not self.gap_mult > 0:
-            raise ValueError("gap_mult must be positive")
+        if not 0 < self.gap_mult < np.inf:
+            raise ValueError("gap_mult must be positive and finite")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         _check_alpha(self.alpha)
@@ -161,6 +163,8 @@ def run_simulation(config: SimConfig, *, include_raw: bool = False) -> SimReport
     r_sim = simultaneous_radius(config)
     theta = np.zeros(m)
     theta[config.m_winners:] = -config.gap_mult * r_sim
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"gap_mult = {config.gap_mult} overflows the losers' mean")
     best = frozenset(range(config.m_winners))
     need_grid = any(name in ("zoom_grid", "identity_set") for name in config.methods)
     widths = {name: np.empty(config.trials) for name in config.methods}

@@ -9,8 +9,9 @@ for one step's cells per exceedance call, which the look-ahead search
 replaced, and the bisection that solved ``active_radius`` under a union
 bound before that search took it over.  ``bank_exceedance`` is a bank's
 joint exceedance counted row by row, which no solver asks a bank for.
-``CountingBound`` is a stack bound that is not a ``UnionBound``.  The
-package itself uses none of them.
+``CountingBound`` is a stack bound that is not a ``UnionBound``.
+``sweep_configs`` builds the cells of the acceptance sweep, for its test and
+for ``tools/sweep_digest.py``.  The package itself uses none of them.
 """
 import math
 
@@ -20,6 +21,7 @@ from zoomcurse.core import (MAX_MERGE_PASSES, MAX_SEARCH_STEPS, RADIUS_TOL, Acti
                             _check_scores, _merged_pieces, _step_widths, active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
+from zoomcurse.simulate import SimConfig
 from zoomcurse.topk import top_indices
 
 
@@ -279,6 +281,24 @@ def union_radii_one_step(bound, d, alpha: float, hi: float, upper: bool):
             answers = iter(keep)
             sent = {i: [next(answers) for _ in cells[i]] for i in cells}
     return radii, bounded, kept
+
+
+SWEEP_METHODS = ("zoom_grid", "zoom_stepdown", "bonferroni", "uncorrected",
+                 "topk:3", "identity_set")
+SWEEP_SEED = 20260815
+
+
+def sweep_configs(seed: int = SWEEP_SEED) -> dict:
+    """The 12 cells of the acceptance sweep (c05), keyed (m, winners, rho).
+
+    {m in 10, 100} x {winners 1, m/2, m} x {rho 0, 0.5}.  Separation is 8
+    detectability units for a lone winner and 4 otherwise, 2000 trials per
+    cell, one shared seed.  ``tools/sweep_digest.py`` hashes their reports.
+    """
+    return {(m, m_w, rho): SimConfig(m=m, m_winners=m_w, gap_mult=8.0 if m_w == 1 else 4.0,
+                                     rho=rho, alpha=0.1, trials=2000, seed=seed,
+                                     methods=SWEEP_METHODS, n_mc=100_000, grid_points=2001)
+            for m in (10, 100) for m_w in (1, m // 2, m) for rho in (0.0, 0.5)}
 
 
 def active_radius_bisection(bound, gaps, alpha: float) -> float:

@@ -18,17 +18,15 @@ from scipy.stats import norm
 from zoomcurse.core import Problem, winner_interval_grid, winner_interval_root
 from zoomcurse.meta import near_winner_interval, population_value_interval
 from zoomcurse.scaled import ScaledProblem, winner_interval_scaled
-from zoomcurse.simulate import SimConfig, run_simulation
+from zoomcurse.simulate import run_simulation
 from zoomcurse.stepdown import stepdown_lower, stepdown_upper, winner_interval_stepdown
 from zoomcurse.tails import GaussianTail, UnionBound
 from zoomcurse.topk import topk_interval, topk_stepdown
 
+from oracles import sweep_configs
+
 GAUSS = GaussianTail(1.0)
 MARGINAL_RADIUS = 1.6448536269514722  # two-sided standard normal, level 0.1
-
-SWEEP_METHODS = ("zoom_grid", "zoom_stepdown", "bonferroni", "uncorrected",
-                 "topk:3", "identity_set")
-SWEEP_SEED = 20260815
 
 
 def gaussian_problem(x, alpha=0.1):
@@ -38,22 +36,10 @@ def gaussian_problem(x, alpha=0.1):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """12 configurations: {m in 10,100} x {winners 1, m/2, m} x {rho 0, 0.5}.
-
-    Separation is 8 detectability units for a lone winner and 4 otherwise,
-    2000 trials per cell, one shared seed, raw per-trial records kept.
-    """
-    reports = {}
+    """The 12 cells of ``sweep_configs``, raw per-trial records kept."""
     t0 = time.perf_counter()
-    for m in (10, 100):
-        for m_w in (1, m // 2, m):
-            for rho in (0.0, 0.5):
-                cfg = SimConfig(m=m, m_winners=m_w,
-                                gap_mult=8.0 if m_w == 1 else 4.0,
-                                rho=rho, alpha=0.1, trials=2000,
-                                seed=SWEEP_SEED, methods=SWEEP_METHODS,
-                                n_mc=100_000, grid_points=2001)
-                reports[(m, m_w, rho)] = run_simulation(cfg, include_raw=True)
+    reports = {key: run_simulation(cfg, include_raw=True)
+               for key, cfg in sweep_configs().items()}
     return {"reports": reports, "elapsed": time.perf_counter() - t0}
 
 

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from zoomcurse import core, simulate
 from zoomcurse.cli import _json_default, main, parse_noise_spec, parse_tail_spec, read_scores
 from zoomcurse.core import WinnerInterval
 from zoomcurse.tails import MonteCarloBound
@@ -329,6 +330,26 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("zoomcurse: infeasible: ")
 
+    @pytest.mark.parametrize("gap_mult, draws", [("inf", 0), ("1e308", 1)])
+    def test_unbuildable_layout_exits_2_naming_gap_mult(self, capsys, tmp_path, monkeypatch,
+                                                        gap_mult, draws):
+        # the losers' mean -gap_mult * r_sim used to overflow to -inf and exit 2
+        # with "scores must be finite"; an infinite gap_mult is refused before
+        # any draw, a finite one once r_sim is known
+        drawn, draw = [], simulate.draw_bank
+
+        def counted(*args, **kwargs):
+            drawn.append(1)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "draw_bank", counted)
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(f"m = 3\nm_winners = 1\ngap_mult = {gap_mult}\ntrials = 2\nn_mc = 100\n")
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 2 and out == "" and len(drawn) == draws
+        assert err.startswith("zoomcurse: ") and "gap_mult" in err
+        assert "scores must be finite" not in err
+
     @pytest.mark.parametrize("bound", ["tail", "table"])
     def test_seed_without_a_draw_exits_2(self, capsys, scores_csv, tmp_path, bound):
         # nothing reads the seed of a tail or a table bank; this used to exit 0
@@ -341,11 +362,18 @@ class TestExitCodes:
         assert err.startswith("zoomcurse:") and "--seed" in err and "--noise" in err
 
     def test_internal_check_exits_4(self, capsys, scores_csv, monkeypatch):
-        # infinite cell widths bound every sum by 0, so the radius solver drops
-        # the cell holding r = 0, which S(0) = 1 keeps for every real tail;
-        # the cell ends come as columns, one row per cell
-        monkeypatch.setattr("zoomcurse.core._cell_widths",
-                            lambda d, lower, a, b: np.full(np.broadcast(d, a, b).shape, np.inf))
+        # infinite lower cell widths bound every lower sum by 0, so the radius
+        # solver drops the cell holding r = 0, which S(0) = 1 keeps for every
+        # real tail; the upper side, r0's included, keeps its real widths.
+        # The cell ends come as columns, one row per cell
+        widths = core._cell_widths
+
+        def broken(d, lower, a, b, *geometry):
+            if lower:
+                return np.full(np.broadcast(d, a, b).shape, np.inf)
+            return widths(d, lower, a, b, *geometry)
+
+        monkeypatch.setattr("zoomcurse.core._cell_widths", broken)
         code, out, err = run_cli(capsys, ["winner-ci", "--input", scores_csv,
                                           "--alpha", "0.1", "--tail", "gaussian:1"])
         assert code == 4 and out == ""
@@ -503,6 +531,43 @@ def test_json_default_covers_envelope_values():
         json.dumps({"bad": object()}, default=_json_default)
 
 
+# one file of each input kind, each with a character outside ASCII, so that
+# its Latin-1 bytes are not UTF-8
+INPUT_BODIES = {"input": "label,score\ncaf\u00e9,1.5\nb,0.25\nc,-1.0\n",
+                "table": "# draws, \u00e9chantillon\n"
+                         "0.1,-0.2,0.3\n-0.4,0.5,0.6\n0.7,0.8,-0.9\n1.0,0.1,0.2\n",
+                "empirical": "0.5  # demi-\u00e9cart\n1.0\n2.5\n",
+                "config": "# cellule r\u00e9duite\nm = 3\nm_winners = 1\ngap_mult = 4\n"
+                          "trials = 3\nn_mc = 500\nmethods = zoom_grid, bonferroni\n"}
+
+
+def _plain_inputs(tmp_path) -> dict:
+    files = {name: tmp_path / f"{name}.txt" for name in INPUT_BODIES}
+    for name, path in files.items():
+        path.write_text(INPUT_BODIES[name], encoding="utf-8", newline="")
+    return files
+
+
+def _input_argv(files, kind):
+    """The command that reads the file of ``kind`` (and the plain others it needs)."""
+    if kind == "config":
+        return ["simulate", "--config", str(files["config"])]
+    spec = {"input": ["--tail", "gaussian:1"],
+            "table": ["--noise", f"table:{files['table']}"],
+            "empirical": ["--tail", f"empirical:{files['empirical']}"]}[kind]
+    return ["winner-ci", "--input", str(files["input"]), "--alpha", "0.3", *spec]
+
+
+def _reads_as_the_plain_file(capsys, tmp_path, kind, text):
+    """The file of ``kind`` written as ``text`` gives the plain file's output."""
+    plain = _plain_inputs(tmp_path)
+    code, out, err = run_cli(capsys, _input_argv(plain, kind))
+    assert code == 0, err
+    changed = {**plain, kind: tmp_path / "changed.txt"}
+    changed[kind].write_text(text, encoding="utf-8", newline="")
+    assert run_cli(capsys, _input_argv(changed, kind)) == (code, out, err)
+
+
 class TestByteStability:
     def test_repeated_runs_identical(self, scores_csv):
         argv = [sys.executable, "-m", "zoomcurse.cli", "winner-ci",
@@ -514,26 +579,25 @@ class TestByteStability:
         assert first.stdout == second.stdout
         jsonschema.validate(json.loads(first.stdout), SCHEMA)
 
-    @pytest.mark.parametrize("kind", ["input", "table", "empirical"])
+    @pytest.mark.parametrize("kind", sorted(INPUT_BODIES))
     def test_byte_order_mark_reads_as_the_plain_file(self, capsys, tmp_path, kind):
         # spreadsheet "CSV UTF-8" exports start with a byte-order mark
-        bodies = {"input": "label,score\na,1.5\nb,0.25\nc,-1.0\n",
-                  "table": "0.1,-0.2,0.3\n-0.4,0.5,0.6\n0.7,0.8,-0.9\n1.0,0.1,0.2\n",
-                  "empirical": "0.5\n1.0\n2.5\n"}
-        plain = {name: tmp_path / f"{name}.txt" for name in bodies}
-        for name, path in plain.items():
-            path.write_text(bodies[name], encoding="utf-8")
-        marked = {**plain, kind: tmp_path / "marked.txt"}
-        marked[kind].write_text("\ufeff" + bodies[kind], encoding="utf-8")
+        _reads_as_the_plain_file(capsys, tmp_path, kind, "\ufeff" + INPUT_BODIES[kind])
 
-        def argv(files):
-            spec = {"input": ["--tail", "gaussian:1"],
-                    "table": ["--noise", f"table:{files['table']}"],
-                    "empirical": ["--tail", f"empirical:{files['empirical']}"]}[kind]
-            return ["winner-ci", "--input", str(files["input"]), "--alpha", "0.3", *spec]
-        code, out, err = run_cli(capsys, argv(plain))
-        assert code == 0, err
-        assert run_cli(capsys, argv(marked)) == (code, out, err)
+    @pytest.mark.parametrize("ends", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("kind", sorted(INPUT_BODIES))
+    def test_line_ends_read_as_the_plain_file(self, capsys, tmp_path, kind, ends):
+        _reads_as_the_plain_file(capsys, tmp_path, kind, INPUT_BODIES[kind].replace("\n", ends))
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
+    @pytest.mark.parametrize("kind", sorted(INPUT_BODIES))
+    def test_another_encoding_exits_2_naming_the_file(self, capsys, tmp_path, kind, encoding):
+        files = _plain_inputs(tmp_path)
+        files[kind] = tmp_path / "encoded.txt"
+        files[kind].write_bytes(INPUT_BODIES[kind].encode(encoding))
+        code, out, err = run_cli(capsys, _input_argv(files, kind))
+        assert code == 2 and out == ""
+        assert err.startswith(f"zoomcurse: {files[kind]}: not UTF-8 text")
 
 
 def _numpy_scipy_modules(imports: str) -> set:

@@ -193,6 +193,33 @@ class TestZeroGapMemo:
         active_radius(bound, np.zeros(m), 0.5 if family == "empirical" else 0.1)
         assert 0 < len(calls) <= 6
 
+    # (calls, rows) of exceedance for a fresh r0 and for an anchored radius
+    # whose gaps lead to a score 1 ahead of normal scores of scale 3
+    SOLVE_COUNTS = {
+        ("empirical", 10): ((1, 1), (6, 46)), ("empirical", 100): ((5, 42), (5, 42)),
+        ("empirical", 1000): ((5, 42), (5, 42)),
+        ("gaussian", 10): ((5, 40), (5, 40)), ("gaussian", 100): ((5, 40), (5, 40)),
+        ("gaussian", 1000): ((5, 41), (6, 43)),
+        ("scales", 10): ((5, 41), (5, 41)), ("scales", 100): ((5, 44), (5, 44)),
+        ("scales", 1000): ((6, 48), (6, 48)),
+        ("subgaussian", 10): ((5, 41), (5, 41)), ("subgaussian", 100): ((1, 1), (5, 41)),
+        ("subgaussian", 1000): ((1, 1), (6, 43)),
+    }
+
+    @pytest.mark.parametrize("m", [10, 100, 1000])
+    @pytest.mark.parametrize("family", ["empirical", "gaussian", "scales", "subgaussian"])
+    def test_a_fresh_solve_makes_the_pinned_calls_and_rows(self, family, m):
+        # pinned: a change to how active_radius builds or asks for rows shows here
+        alpha = 0.5 if family == "empirical" else 0.1
+        x = np.random.default_rng(m).normal(scale=3.0, size=m)
+        x[0] = x.max() + 1.0
+        counts = []
+        for gaps in (np.zeros(m), x[0] - x):
+            bound = CountingBound(MEMO_BOUNDS[family](m))
+            active_radius(bound, gaps, alpha)
+            counts.append((bound.calls, bound.rows))
+        assert tuple(counts) == self.SOLVE_COUNTS[family, m]
+
     def test_bank_partitions_its_row_maxima_once(self, monkeypatch):
         bank = draw_bank(EquicorrelatedSampler(4, 0.3), 5000, seed=3)
         partitions, quantile = [], core.mc_quantile
@@ -604,7 +631,7 @@ def _counted_searches(x, anchor: int, alpha=0.1):
     r0 = active_radius(bound, np.zeros(x.size), alpha).r
     d = np.sort(x)[-anchor] - x
     ahead, one_step = CountingBound(bound), CountingBound(bound)
-    got = _union_radii(ahead, d, alpha, r0, anchor == 1)
+    got = _union_radii(ahead, d, alpha, r0, (True, False)[:1 + (anchor == 1)])
     assert got == union_radii_one_step(one_step, d, alpha, r0, anchor == 1)
     assert got[1] > 0  # some side searched
     return ahead, one_step

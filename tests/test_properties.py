@@ -299,7 +299,7 @@ def test_look_ahead_search_is_the_one_step_search_bit_for_bit(case, guess):
     bound, d, alpha, hi, upper = case
     want = union_radii_one_step(bound, d, alpha, hi, upper)
     with mock.patch.object(core, "_guess", GUESSES[guess]):
-        got = _union_radii(bound, d, alpha, hi, upper)
+        got = _union_radii(bound, d, alpha, hi, (True, False)[:1 + upper])
     assert got == want
 
 

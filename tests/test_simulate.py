@@ -20,6 +20,8 @@ class TestSimConfig:
         dict(m=5, m_winners=6, gap_mult=1.0),
         dict(m=5, m_winners=0, gap_mult=1.0),
         dict(m=5, m_winners=1, gap_mult=0.0),
+        dict(m=5, m_winners=1, gap_mult=float("inf")),
+        dict(m=5, m_winners=1, gap_mult=float("nan")),
         dict(m=5, m_winners=1, gap_mult=1.0, rho=1.0),
         dict(m=5, m_winners=1, gap_mult=1.0, rho=-0.1),
         dict(m=5, m_winners=1, gap_mult=1.0, trials=0),
@@ -33,6 +35,14 @@ class TestSimConfig:
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             SimConfig(**kw)
+
+    def test_overflowing_losers_mean_is_refused_naming_gap_mult(self):
+        cfg = SimConfig(m=3, m_winners=1, gap_mult=1e308, trials=2, n_mc=100)
+        with pytest.raises(ValueError, match="gap_mult"):
+            run_simulation(cfg)
+        # without losers there is no mean to overflow
+        cfg = SimConfig(m=3, m_winners=3, gap_mult=1e308, trials=2, n_mc=100)
+        assert run_simulation(cfg).summaries
 
     def test_negative_seed_refused(self):
         # it used to fail inside numpy's SeedSequence, naming no key
