@@ -2,12 +2,12 @@
 
 Input is a CSV with header ``label,score`` or ``label,score,sigma``.  Every
 input file (scores, ``empirical:`` knots, ``table:`` banks, ``simulate``
-configs) is read by one reader, ``_read_text``: UTF-8, with a leading
+configs) is opened by one reader, ``_read_input``: UTF-8, with a leading
 byte-order mark skipped and any line ends; a file in another encoding is an
 input error that names it.  The two numeric kinds, the knots and the banks,
-are parsed by one more, ``_read_numbers``.  Every
-subcommand prints one JSON envelope (format ``zoomcurse/v1``; schema shipped
-alongside this module) with deterministic, sorted, byte-stable output.
+are streamed through one parser, ``_read_numbers``.  Every subcommand
+prints one JSON envelope (format ``zoomcurse/v1``; schema shipped alongside
+this module) with deterministic, sorted, byte-stable output.
 
 Exit codes: 0 success, 2 input/usage error, 3 the error budget is
 statistically infeasible, 4 internal invariant violation.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import sys
 import warnings
@@ -48,12 +47,14 @@ class ScoreTable:
     sigma: np.ndarray | None
 
 
-def _read_text(path: str) -> str:
-    """Text of an input file, which must be UTF-8; a leading byte-order mark
-    is skipped and line ends are kept as written."""
+def _read_input(path: str, parse, newline: str | None = None):
+    """``parse(fh)`` of an input file opened as UTF-8 text, a leading
+    byte-order mark skipped (``newline`` as for ``open``).  Failing to open
+    or to decode it, also while ``parse`` reads, is an input error that
+    names the file."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            return parse(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -61,27 +62,28 @@ def _read_text(path: str) -> str:
 
 
 def _read_numbers(path: str, columns: int) -> np.ndarray:
-    """Rows of a numeric CSV file (``_read_text``) of ``columns`` columns:
-    the ``table:`` bank and, one column, the ``empirical:`` knots.  ``#``
-    starts a comment; a line of blanks, with or without one, is skipped."""
-    lines = io.StringIO(_read_text(path), newline=None)  # any line ends
-    try:
-        with warnings.catch_warnings():  # loadtxt warns on a file without rows
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt((line for line in lines if line.split("#", 1)[0].strip()),
-                              delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed numeric CSV") from exc
+    """Rows of a numeric CSV file of ``columns`` columns, streamed from
+    ``_read_input`` with any line ends: the ``table:`` bank and, one column,
+    the ``empirical:`` knots.  ``#`` starts a comment; an empty line is
+    skipped."""
+    with warnings.catch_warnings():  # loadtxt warns on a file without rows
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = _read_input(path, lambda fh: np.loadtxt(fh, delimiter=",", ndmin=2))
+        except InputError:
+            raise  # a ValueError too: the file could not be opened or decoded
+        except ValueError as exc:
+            raise InputError(f"{path}: malformed numeric CSV") from exc
     if rows.shape[0] == 0:
         raise InputError(f"{path}: no rows")
     if rows.shape[1] != columns:
-        raise InputError(f"{path}: table has {rows.shape[1]} columns, need {columns}")
+        raise InputError(f"{path}: {rows.shape[1]} columns, need {columns}")
     return rows
 
 
 def read_scores(path: str) -> ScoreTable:
     """Parse a `label,score[,sigma]` CSV with a mandatory header row."""
-    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    rows = _read_input(path, lambda fh: list(csv.reader(fh)), newline="")
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [h.strip().lower() for h in rows[0]]
@@ -318,7 +320,7 @@ def cmd_near_winner(args) -> dict:
 def cmd_simulate(args) -> dict:
     if args.include_raw and not args.out_json:
         raise InputError("--include-raw needs --out-json, the report it adds the trials to")
-    source = _read_text(args.config)
+    source = _read_input(args.config, lambda fh: fh.read())
     try:
         config = parse_config_text(source)
     except ValueError as exc:

@@ -288,7 +288,7 @@ SWEEP_METHODS = ("zoom_grid", "zoom_stepdown", "bonferroni", "uncorrected",
 SWEEP_SEED = 20260815
 
 
-def sweep_configs(seed: int = SWEEP_SEED) -> dict:
+def sweep_configs() -> dict:
     """The 12 cells of the acceptance sweep (c05), keyed (m, winners, rho).
 
     {m in 10, 100} x {winners 1, m/2, m} x {rho 0, 0.5}.  Separation is 8
@@ -296,7 +296,7 @@ def sweep_configs(seed: int = SWEEP_SEED) -> dict:
     cell, one shared seed.  ``tools/sweep_digest.py`` hashes their reports.
     """
     return {(m, m_w, rho): SimConfig(m=m, m_winners=m_w, gap_mult=8.0 if m_w == 1 else 4.0,
-                                     rho=rho, alpha=0.1, trials=2000, seed=seed,
+                                     rho=rho, alpha=0.1, trials=2000, seed=SWEEP_SEED,
                                      methods=SWEEP_METHODS, n_mc=100_000, grid_points=2001)
             for m in (10, 100) for m_w in (1, m // 2, m) for rho in (0.0, 0.5)}
 

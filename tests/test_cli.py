@@ -599,6 +599,19 @@ class TestByteStability:
         assert code == 2 and out == ""
         assert err.startswith(f"zoomcurse: {files[kind]}: not UTF-8 text")
 
+    @pytest.mark.parametrize("kind, body, message", [
+        ("empirical", "0.5,1\n1.0,2\n", "2 columns, need 1"),
+        ("table", "0.1,0.2\n0.3,0.4\n", "2 columns, need 3"),
+        ("empirical", "0.5\n   \n1.0\n", "malformed numeric CSV"),
+        ("empirical", "1_000\n", "malformed numeric CSV"),
+    ], ids=["knots-columns", "table-columns", "knots-blank-line", "knots-underscore"])
+    def test_numeric_file_refusal_names_the_file(self, capsys, tmp_path, kind, body, message):
+        files = _plain_inputs(tmp_path)
+        files[kind] = tmp_path / "numbers.txt"
+        files[kind].write_text(body)
+        code, out, err = run_cli(capsys, _input_argv(files, kind))
+        assert (code, out, err) == (2, "", f"zoomcurse: {files[kind]}: {message}\n")
+
 
 def _numpy_scipy_modules(imports: str) -> set:
     code = (f"import sys, {imports}; print(*sorted(m for m in sys.modules "
