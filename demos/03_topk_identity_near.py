@@ -46,8 +46,7 @@ print()
 print("=== 4. Valid intervals for the non-winners ===")
 for label in ("bix", "cor", "eke"):
     j = labels.index(label)
-    nw = near_winner_interval(p, j)
-    pieces = ", ".join(f"[{lo:.3f}, {hi:.3f}]" for lo, hi in nw.pieces)
-    print(f"  {label:4s} score {x[j]:5.1f} -> {pieces}")
+    lo, hi = near_winner_interval(p, j).hull
+    print(f"  {label:4s} score {x[j]:5.1f} -> [{lo:.3f}, {hi:.3f}]")
 print("the further behind the winner a candidate is, the more its interval")
 print("must stretch downward: losing is evidence, but only one-sided.")

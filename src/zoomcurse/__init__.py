@@ -15,10 +15,8 @@ from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
                    population_value_interval, winner_identity_set)
 from .sampling import EquicorrelatedSampler, draw_bank
 from .scaled import ScaledProblem, winner_interval_scaled
-from .simulate import (SimConfig, SimReport, parse_config_text, run_simulation,
-                       width_comparison)
-from .stepdown import (StepdownStep, StepdownTrace, stepdown_lower,
-                       stepdown_upper, winner_interval_stepdown)
+from .simulate import SimConfig, SimReport, run_simulation
+from .stepdown import StepdownStep, StepdownTrace, winner_interval_stepdown
 from .tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                     SubGaussianTail, UnionBound)
 from .topk import TopKResult, topk_interval, topk_stepdown
@@ -31,9 +29,8 @@ __all__ = [
     "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
     "StepdownTrace", "SubGaussianTail", "TopKResult", "UnionBound",
     "UnsupportedMethodError", "WinnerInterval",
-    "active_radius", "draw_bank", "near_winner_interval", "parse_config_text",
-    "population_value_interval", "run_simulation", "stepdown_lower",
-    "stepdown_upper", "topk_interval", "topk_stepdown", "width_comparison",
-    "winner_identity_set", "winner_interval_grid", "winner_interval_root",
-    "winner_interval_scaled", "winner_interval_stepdown",
+    "active_radius", "draw_bank", "near_winner_interval", "population_value_interval",
+    "run_simulation", "topk_interval", "topk_stepdown", "winner_identity_set",
+    "winner_interval_grid", "winner_interval_root", "winner_interval_scaled",
+    "winner_interval_stepdown",
 ]

@@ -65,7 +65,8 @@ def _read_numbers(path: str, columns: int) -> np.ndarray:
     """Rows of a numeric CSV file of ``columns`` columns, streamed from
     ``_read_input`` with any line ends: the ``table:`` bank and, one column,
     the ``empirical:`` knots.  ``#`` starts a comment; an empty line is
-    skipped."""
+    skipped.  Every value must be finite; the check reads the extremes, so
+    it makes no copy of the rows."""
     with warnings.catch_warnings():  # loadtxt warns on a file without rows
         warnings.simplefilter("ignore", UserWarning)
         try:
@@ -78,6 +79,8 @@ def _read_numbers(path: str, columns: int) -> np.ndarray:
         raise InputError(f"{path}: no rows")
     if rows.shape[1] != columns:
         raise InputError(f"{path}: {rows.shape[1]} columns, need {columns}")
+    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):  # NaN propagates
+        raise InputError(f"{path}: values must be finite")
     return rows
 
 

@@ -111,11 +111,9 @@ class Problem:
 
 @dataclass(frozen=True)
 class ActiveRadius:
-    """Critical radius of an acceptance test plus its active coordinate set."""
+    """Critical radius r of an acceptance test at one gap vector."""
 
     r: float
-    active: tuple
-    alpha_used: float
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,7 @@ def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
         r = bound._r0.get(alpha)
         if r is None:
             r = bound._r0[alpha] = _solve_radius(bound, gaps, alpha)
-    active = np.nonzero(gaps <= 2.0 * r)[0]
-    return ActiveRadius(float(r), tuple(active.tolist()), alpha)
+    return ActiveRadius(float(r))
 
 
 def _mc_accept_threshold(n: int, alpha: float) -> int:

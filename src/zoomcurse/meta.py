@@ -36,7 +36,8 @@ class IdentitySet:
 
 @dataclass(frozen=True)
 class NearWinnerInterval:
-    """Confidence region for a named candidate's mean: up to two closed pieces."""
+    """Confidence region for a named candidate's mean: one closed interval,
+    kept as the 1-tuple ``pieces`` of (lo, hi); ``hull`` is that interval."""
 
     index: int
     pieces: tuple
@@ -87,14 +88,17 @@ def winner_identity_set(problem: Problem) -> IdentitySet:
 
 
 def near_winner_interval(problem: Problem, index: int) -> NearWinnerInterval:
-    """Confidence region for the mean of candidate ``index`` (winner allowed).
+    """Confidence interval for the mean of candidate ``index`` (winner allowed).
 
     Two mechanisms cover theta_index: either it tracks the winner's mean
     within the selection geometry (a piece around X_index of half-width
     r_l, intersected with the winner's own range shifted by the observed
     deficit), or it sits so far below that only the winner's upper radius
-    constrains it.  The union of the two closed pieces is returned, sorted;
-    overlapping pieces merge.
+    constrains it (the far piece).  The first piece is non-empty only when
+    deficit <= 4 r_l, and then it meets the far piece, which reaches up to
+    X_index + (deficit + r_u) / 3: a gap between them would need
+    2 deficit > 9 r_l + r_u.  So the region is one interval, the hull of
+    both pieces, or the far piece alone.
     """
     _require_symmetric(problem.bound)
     x = problem.x
@@ -102,23 +106,13 @@ def near_winner_interval(problem: Problem, index: int) -> NearWinnerInterval:
         raise ValueError(f"index {index} out of range")
     index = int(index)
     iv = winner_interval_grid(problem)
-    i_hat = iv.winner
     r_l, r_u = iv.r_l, iv.r_u
-    deficit = float(x[i_hat] - x[index])
-    pieces = []
-    lo1 = max(x[i_hat] - 3.0 * r_l, x[index] - r_l)
-    hi1 = min(x[i_hat] + r_u, x[index] + r_l)
+    deficit = float(x[iv.winner] - x[index])
+    lo = x[index] - deficit - r_u
+    hi = x[index] + (deficit + r_u) / 3.0
+    lo1 = max(x[iv.winner] - 3.0 * r_l, x[index] - r_l)
+    hi1 = min(x[iv.winner] + r_u, x[index] + r_l)
     if lo1 <= hi1:
-        pieces.append((float(lo1), float(hi1)))
-    lo2 = x[index] - deficit - r_u
-    hi2 = x[index] + (deficit + r_u) / 3.0
-    pieces.append((float(lo2), float(hi2)))
-    pieces.sort()
-    merged = [pieces[0]]
-    for lo, hi in pieces[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
+        lo, hi = min(lo, lo1), max(hi, hi1)
     diagnostics = {"winner_interval": iv, "deficit": deficit}
-    return NearWinnerInterval(index, tuple(merged), problem.alpha, diagnostics)
+    return NearWinnerInterval(index, ((float(lo), float(hi)),), problem.alpha, diagnostics)

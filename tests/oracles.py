@@ -10,6 +10,10 @@ replaced, and the bisection that solved ``active_radius`` under a union
 bound before that search took it over.  ``bank_exceedance`` is a bank's
 joint exceedance counted row by row, which no solver asks a bank for.
 ``CountingBound`` is a stack bound that is not a ``UnionBound``.
+``active_set`` is the active set that ``ActiveRadius`` no longer carries;
+``accepted_projections`` projects the accepted mean vectors of a grid onto
+each coordinate, and ``near_winner_pieces`` is the two-piece merge that
+``near_winner_interval`` replaced.
 ``sweep_configs`` builds the cells of the acceptance sweep, for its test and
 for ``tools/sweep_digest.py``.  The package itself uses none of them.
 """
@@ -17,11 +21,12 @@ import math
 
 import numpy as np
 
-from zoomcurse.core import (MAX_MERGE_PASSES, MAX_SEARCH_STEPS, RADIUS_TOL, ActiveRadius,
-                            _check_scores, _merged_pieces, _step_widths, active_radius)
+from zoomcurse.core import (MAX_MERGE_PASSES, MAX_SEARCH_STEPS, RADIUS_TOL, _check_scores,
+                            _merged_pieces, _step_widths, active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.simulate import SimConfig
+from zoomcurse.tails import GaussianTail, UnionBound
 from zoomcurse.topk import top_indices
 
 
@@ -47,11 +52,84 @@ def contains(problem, t: float) -> bool:
     i_hat = problem.winner
     theta = worst_case_theta(problem.x, i_hat, t)
     gaps = np.max(theta) - theta
-    ar = active_radius(problem.bound, gaps, problem.alpha)
+    r = active_radius(problem.bound, gaps, problem.alpha).r
     # the empirical winner is active in its own worst case (gap 0)
-    if i_hat not in ar.active:
+    if i_hat not in active_set(gaps, r):
         raise InternalCheckError("the winner must be active in its own worst case")
-    return bool(abs(problem.x[i_hat] - t) <= ar.r)
+    return bool(abs(problem.x[i_hat] - t) <= r)
+
+
+def active_set(gaps, r: float) -> tuple:
+    """Coordinates whose width max(r, gaps_j / 2) is the radius itself:
+    {j : gaps_j <= 2 r}, the active set of the test at radius r."""
+    return tuple(np.flatnonzero(np.asarray(gaps, dtype=float) <= 2.0 * r).tolist())
+
+
+def accepted_projections(x, alpha: float, g_win: int, g_other: int):
+    """Project the confidence region's direct definition onto every coordinate.
+
+    Enumerates mean vectors on a box grid (g_win points along the winner's
+    axis, g_other along each other one), finds each one's active radius
+    under the standard Gaussian union bound by lockstep bisection, and keeps
+    those whose acceptance box contains the scores x.  Returns, per
+    coordinate, the least and the greatest surviving value and the grid
+    step along its axis.  The grid covers every accepted mean vector: the
+    top mean is within r0 of its score, and a mean below 2 X_j - max(theta)
+    cannot accept coordinate j.
+    """
+    x = _check_scores(x)
+    m = x.size
+    i_hat = int(np.argmax(x))
+    gauss = GaussianTail(1.0)
+    bound = UnionBound((gauss,) * m)
+    r0 = gauss.isf(alpha / m)
+    axes = []
+    for j in range(m):
+        if j == i_hat:
+            axes.append(np.linspace(x[i_hat] - r0, x[i_hat] + r0, g_win))
+        else:
+            lo = 2.0 * x[j] - x[i_hat] - r0 - 0.5
+            axes.append(np.linspace(lo, x[i_hat] + r0 + 0.5, g_other))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    theta = np.stack([a.ravel() for a in mesh], axis=1)
+    gaps = theta.max(axis=1, keepdims=True) - theta
+    lo = np.zeros(theta.shape[0])
+    hi = np.full(theta.shape[0], r0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = bound.exceedance(np.maximum(mid[:, None], gaps / 2.0)) <= alpha
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    width = np.maximum(hi[:, None], gaps / 2.0)
+    member = np.all(np.abs(x[None, :] - theta) <= width, axis=1)
+    if not member.any():
+        raise InternalCheckError("no mean vector on the grid accepts the scores")
+    accepted = theta[member]
+    steps = np.array([axis[1] - axis[0] for axis in axes])
+    return accepted.min(axis=0), accepted.max(axis=0), steps
+
+
+def near_winner_pieces(x, index: int, winner: int, r_l: float, r_u: float) -> tuple:
+    """The near-winner region of candidate ``index`` as two pieces merged:
+    the winner-tracking piece, when non-empty, and the far piece, sorted,
+    each piece that starts inside the last kept one merged into it."""
+    deficit = float(x[winner] - x[index])
+    pieces = []
+    lo1 = max(x[winner] - 3.0 * r_l, x[index] - r_l)
+    hi1 = min(x[winner] + r_u, x[index] + r_l)
+    if lo1 <= hi1:
+        pieces.append((float(lo1), float(hi1)))
+    lo2 = x[index] - deficit - r_u
+    hi2 = x[index] + (deficit + r_u) / 3.0
+    pieces.append((float(lo2), float(hi2)))
+    pieces.sort()
+    merged = [pieces[0]]
+    for lo, hi in pieces[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
 
 
 def gaps_topk(theta, k: int) -> np.ndarray:
@@ -92,19 +170,21 @@ def endpoint_sum(bound, d, r, sign):
     return bound.exceedance(widths)
 
 
-def active_radius_scaled(bound, theta, sigma, alpha: float) -> ActiveRadius:
-    """Standardized active radius of the scaled test at mean vector theta.
+def active_radius_scaled(bound, theta, sigma, alpha: float) -> tuple:
+    """Standardized active radius of the scaled test at mean vector theta,
+    and its active set.
 
     Solves S(max(r, d_j)) <= alpha for the scaled gaps
     d_j = (max theta - theta_j) / (sigma_j + sigma_i*); the active set is
-    {j : d_j <= r}.
+    {j : d_j <= r}.  Returns (r, active set).
     """
     theta = _check_scores(theta)
     sigma = _check_sigma(sigma, theta.size)
     i_star = int(np.argmax(theta))
     gaps = theta[i_star] - theta
     d = gaps / (sigma + sigma[i_star])
-    return active_radius(bound, 2.0 * d, alpha)
+    r = active_radius(bound, 2.0 * d, alpha).r
+    return r, active_set(2.0 * d, r)
 
 
 def scaled_worst_case(x, winner: int, t, t_star, i_star: int, sigma) -> np.ndarray:

@@ -23,7 +23,7 @@ from zoomcurse.stepdown import stepdown_lower, stepdown_upper, winner_interval_s
 from zoomcurse.tails import GaussianTail, UnionBound
 from zoomcurse.topk import topk_interval, topk_stepdown
 
-from oracles import sweep_configs
+from oracles import accepted_projections, sweep_configs
 
 GAUSS = GaussianTail(1.0)
 MARGINAL_RADIUS = 1.6448536269514722  # two-sided standard normal, level 0.1
@@ -182,39 +182,12 @@ def test_c08_population_value_equals_winner_interval():
 
 
 def _oracle_hull(x, alpha, g_win, g_other):
-    """Project the region's direct definition onto the winner coordinate.
-
-    Enumerates mean vectors on a box grid, finds each one's active radius by
-    lockstep bisection, keeps those whose acceptance box contains the scores,
-    and returns the extent of the surviving winner-coordinate values.
-    """
-    m = x.size
+    """Project the region's direct definition onto the winner coordinate:
+    ``accepted_projections`` (brute force over a box grid of mean vectors)
+    read at the winner, with the grid step along its axis."""
+    lo, hi, steps = accepted_projections(x, alpha, g_win, g_other)
     i_hat = int(np.argmax(x))
-    bound = UnionBound((GAUSS,) * m)
-    r0 = GAUSS.isf(alpha / m)
-    axes = []
-    for j in range(m):
-        if j == i_hat:
-            axes.append(np.linspace(x[i_hat] - r0, x[i_hat] + r0, g_win))
-        else:
-            # means below 2*X_j - max(theta) can never accept coordinate j
-            lo = 2.0 * x[j] - x[i_hat] - r0 - 0.5
-            axes.append(np.linspace(lo, x[i_hat] + r0 + 0.5, g_other))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    theta = np.stack([a.ravel() for a in mesh], axis=1)
-    gaps = theta.max(axis=1, keepdims=True) - theta
-    lo = np.zeros(theta.shape[0])
-    hi = np.full(theta.shape[0], r0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = bound.exceedance(np.maximum(mid[:, None], gaps / 2.0)) <= alpha
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    width = np.maximum(hi[:, None], gaps / 2.0)
-    member = np.all(np.abs(x[None, :] - theta) <= width, axis=1)
-    assert member.any()
-    vals = theta[member, i_hat]
-    return float(vals.min()), float(vals.max()), float(axes[i_hat][1] - axes[i_hat][0])
+    return float(lo[i_hat]), float(hi[i_hat]), float(steps[i_hat])
 
 
 def test_c09_brute_force_projection_oracle():

@@ -311,6 +311,26 @@ class TestExitCodes:
             assert code == 2, (argv, err)
             assert err.startswith("zoomcurse:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["winner-ci", "--input", "{scores}", "--noise", "independent", "--seed", "1",
+          "--mc-samples", "0"], "--mc-samples must be >= 1"),
+        (["identity-set", "--input", "{sigma}", "--tail", "gaussian:1"],
+         "identity sets do not take per-candidate sigma"),
+        (["near-winner", "--input", "{sigma}", "--tail", "gaussian:1", "--index", "0"],
+         "near-winner intervals do not take per-candidate sigma"),
+        (["near-winner", "--input", "{scores}", "--tail", "gaussian:1", "--index", "7"],
+         "--index must lie in [0, 2]"),
+        (["winner-ci", "--input", "{scores}", "--tail", "gaussian:abc"],
+         "gaussian scale must be a number, got 'abc'"),
+    ], ids=["mc-samples-0", "identity-set-sigma", "near-winner-sigma", "index-past-end",
+            "tail-scale-not-a-number"])
+    def test_refusal_exits_2_naming_its_cause(self, capsys, tmp_path, sigma_csv, argv, message):
+        scores = tmp_path / "three.csv"
+        scores.write_text(INPUT_BODIES["input"], encoding="utf-8")
+        argv = [arg.format(scores=scores, sigma=sigma_csv) for arg in argv]
+        code, out, err = run_cli(capsys, [*argv, "--alpha", "0.1"])
+        assert (code, out, err) == (2, "", f"zoomcurse: {message}\n")
+
     def test_infeasible_alpha_exits_3(self, capsys, scores_csv):
         code, _, err = run_cli(capsys, ["winner-ci", "--input", scores_csv,
                                         "--alpha", "1e-12",
@@ -589,6 +609,12 @@ class TestByteStability:
     def test_line_ends_read_as_the_plain_file(self, capsys, tmp_path, kind, ends):
         _reads_as_the_plain_file(capsys, tmp_path, kind, INPUT_BODIES[kind].replace("\n", ends))
 
+    @pytest.mark.parametrize("line", ["", " , "], ids=["empty", "blank-cells"])
+    def test_blank_score_line_reads_as_the_plain_file(self, capsys, tmp_path, line):
+        # a line between two data rows, empty or of blank cells, is skipped
+        header, first, rest = INPUT_BODIES["input"].split("\n", 2)
+        _reads_as_the_plain_file(capsys, tmp_path, "input", "\n".join([header, first, line, rest]))
+
     @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
     @pytest.mark.parametrize("kind", sorted(INPUT_BODIES))
     def test_another_encoding_exits_2_naming_the_file(self, capsys, tmp_path, kind, encoding):
@@ -604,7 +630,11 @@ class TestByteStability:
         ("table", "0.1,0.2\n0.3,0.4\n", "2 columns, need 3"),
         ("empirical", "0.5\n   \n1.0\n", "malformed numeric CSV"),
         ("empirical", "1_000\n", "malformed numeric CSV"),
-    ], ids=["knots-columns", "table-columns", "knots-blank-line", "knots-underscore"])
+        ("empirical", "0.5\nnan\n1.0\n", "values must be finite"),
+        ("empirical", "0.5\n-inf\n", "values must be finite"),
+        ("table", "0.1,0.2,0.3\n0.4,inf,0.6\n", "values must be finite"),
+    ], ids=["knots-columns", "table-columns", "knots-blank-line", "knots-underscore",
+            "knots-nan", "knots-minus-inf", "table-inf"])
     def test_numeric_file_refusal_names_the_file(self, capsys, tmp_path, kind, body, message):
         files = _plain_inputs(tmp_path)
         files[kind] = tmp_path / "numbers.txt"
@@ -633,21 +663,23 @@ PUBLIC_NAMES = [
     "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
     "StepdownTrace", "SubGaussianTail", "TopKResult", "UnionBound",
     "UnsupportedMethodError", "WinnerInterval", "active_radius", "draw_bank",
-    "near_winner_interval", "parse_config_text", "population_value_interval",
-    "run_simulation", "stepdown_lower", "stepdown_upper", "topk_interval",
-    "topk_stepdown", "width_comparison", "winner_identity_set", "winner_interval_grid",
+    "near_winner_interval", "population_value_interval", "run_simulation",
+    "topk_interval", "topk_stepdown", "winner_identity_set", "winner_interval_grid",
     "winner_interval_root", "winner_interval_scaled", "winner_interval_stepdown",
 ]
 
 
 def test_public_surface_is_pinned():
     import zoomcurse
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 31
     assert sorted(zoomcurse.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(zoomcurse, name) is not None
     # solver helpers stay importable from their modules, outside the namespace
     from zoomcurse.sampling import m_statistic, mc_order_index, mc_quantile
+    from zoomcurse.simulate import parse_config_text, width_comparison
+    from zoomcurse.stepdown import stepdown_lower, stepdown_upper
     from zoomcurse.topk import top_indices
-    for helper in (m_statistic, mc_order_index, mc_quantile, top_indices):
+    for helper in (m_statistic, mc_order_index, mc_quantile, parse_config_text,
+                   stepdown_lower, stepdown_upper, top_indices, width_comparison):
         assert helper.__name__ not in zoomcurse.__all__

@@ -19,8 +19,8 @@ from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
 from zoomcurse.stepdown import winner_interval_stepdown
 from zoomcurse.topk import topk_interval, topk_stepdown
 
-from oracles import (CountingBound, bank_exceedance, contains, endpoint_sum, mc_reach_scan,
-                     sorted_pieces, union_radii_one_step, worst_case_theta)
+from oracles import (CountingBound, active_set, bank_exceedance, contains, endpoint_sum,
+                     mc_reach_scan, sorted_pieces, union_radii_one_step, worst_case_theta)
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -79,14 +79,13 @@ class TestActiveRadius:
         b = UnionBound((GaussianTail(1.0),) * 3)
         ar = active_radius(b, np.zeros(3), 0.1)
         assert ar.r == pytest.approx(GAUSS_ISF_10_OVER_3, abs=1e-9)
-        assert ar.active == (0, 1, 2)
-        assert ar.alpha_used == 0.1
+        assert active_set(np.zeros(3), ar.r) == (0, 1, 2)
 
     def test_huge_gaps_reduce_to_marginal(self):
         b = UnionBound((GaussianTail(1.0),) * 2)
         ar = active_radius(b, np.array([0.0, 1e9]), 0.1)
         assert ar.r == pytest.approx(GAUSS_ISF_10, abs=1e-9)
-        assert ar.active == (0,)
+        assert active_set(np.array([0.0, 1e9]), ar.r) == (0,)
 
     def test_monotone_in_gaps(self):
         b = UnionBound((GaussianTail(1.0),) * 4)

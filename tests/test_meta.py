@@ -8,6 +8,8 @@ from zoomcurse.meta import (near_winner_interval, population_value_interval,
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.tails import GaussianTail, MonteCarloBound, UnionBound
 
+from oracles import accepted_projections
+
 GAUSS = GaussianTail(1.0)
 
 # scores (10, 0), alpha 0.1: root lower radius and the far-loser piece for
@@ -82,6 +84,20 @@ class TestNearWinnerInterval:
         for gap in np.linspace(0.0, 12.0, 25):
             res = near_winner_interval(gaussian_problem([10.0, 10.0 - gap]), 1)
             assert len(res.pieces) == 1
+
+    def test_hull_holds_the_projection_of_the_accepted_grid(self):
+        # every candidate's values among the mean vectors of a grid whose
+        # acceptance box holds the scores, on c09's grids
+        rng = np.random.default_rng(1012)
+        for trial in range(12):
+            m = 2 if trial % 2 == 0 else 3
+            x = rng.normal(size=m) * rng.uniform(0.5, 3.0)
+            p = gaussian_problem(x)
+            lo, hi, _ = (accepted_projections(x, 0.1, 161, 161) if m == 2
+                         else accepted_projections(x, 0.1, 41, 41))
+            for j in range(m):
+                hull_lo, hull_hi = near_winner_interval(p, j).hull
+                assert hull_lo - 1e-9 <= lo[j] and hi[j] <= hull_hi + 1e-9, (x, j)
 
     def test_hull_shrinks_when_deficit_shrinks(self):
         wide = near_winner_interval(gaussian_problem([10.0, 0.0]), 1)

@@ -5,7 +5,8 @@ alpha in [1e-3, 0.5], and scores that may tie.  The union search's stacked
 step rows are pinned to per-cell rows bit for bit, and the look-ahead
 search to the one-step search it replaced, with its guesses honest or
 forced wrong, up to 1000 candidates; ``active_radius`` is pinned to the
-bisection that search replaced.  A last test pins the
+bisection that search replaced, and ``near_winner_interval`` to the
+two-piece merge it replaced.  A last test pins the
 Monte-Carlo block scan's per-row pieces to the sort merge and, with the
 reaches, to the two separate scans it replaced, on tables built to tie,
 touch, chain and leave the one-piece fast path.  Hypothesis keeps no
@@ -23,13 +24,14 @@ from zoomcurse.core import (MAX_MERGE_PASSES, Problem, _cell_widths, _lower_piec
                             _merged_pieces, _step_widths, _union_radii, active_radius,
                             winner_interval_grid, winner_interval_root)
 from zoomcurse.errors import InfeasibleAlphaError
-from zoomcurse.meta import population_value_interval
+from zoomcurse.meta import near_winner_interval, population_value_interval
 from zoomcurse.tails import (MIN_TAIL_PROB, EmpiricalTail, GaussianTail, SubGaussianTail,
                              UnionBound)
 from zoomcurse.topk import topk_interval
 
 from oracles import (active_radius_bisection, endpoint_sum, lower_pieces_two_scans,
-                     mc_reach_scan, sequential_exceedance, sorted_pieces, union_radii_one_step)
+                     mc_reach_scan, near_winner_pieces, sequential_exceedance, sorted_pieces,
+                     union_radii_one_step)
 
 _T5 = np.random.default_rng(5)
 EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
@@ -149,6 +151,17 @@ def test_no_winner_value_outside_the_interval_is_accepted(p):
         if t.size:
             sums = np.asarray(endpoint_sum(p.bound, d, np.abs(xw - t), sign))
             assert np.all(sums <= p.alpha)
+
+
+@SETTINGS
+@given(union_problems(), st.integers(0, 39))
+def test_near_winner_interval_is_the_two_piece_merge_bit_for_bit(p, index):
+    # one marginal for all, so the bound is exchangeable as the region needs
+    p = Problem(p.x, UnionBound((p.bound.models[0],) * p.m), p.alpha)
+    index %= p.m
+    res = near_winner_interval(p, index)
+    iv = res.diagnostics["winner_interval"]
+    assert repr(res.pieces) == repr(near_winner_pieces(p.x, index, iv.winner, iv.r_l, iv.r_u))
 
 
 @SETTINGS

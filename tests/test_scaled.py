@@ -9,7 +9,7 @@ from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.scaled import ScaledProblem, _ScaledTest, winner_interval_scaled
 from zoomcurse.tails import EmpiricalTail, GaussianTail, SubGaussianTail, UnionBound
 
-from oracles import (active_radius_scaled, scaled_sums, scaled_worst_case,
+from oracles import (active_radius_scaled, active_set, scaled_sums, scaled_worst_case,
                      worst_case_theta)
 
 GAUSS_ISF_10 = 1.6448536269514722
@@ -64,21 +64,21 @@ class TestScaledActiveRadius:
         for _ in range(20):
             theta = rng.normal(size=4) * 3
             gaps = theta.max() - theta
-            plain = active_radius(b, gaps, 0.1)
-            scaled = active_radius_scaled(b, theta, np.ones(4), 0.1)
-            assert scaled.r == plain.r  # 2 * (g / 2) is exact
-            assert scaled.active == plain.active
+            plain = active_radius(b, gaps, 0.1).r
+            scaled, active = active_radius_scaled(b, theta, np.ones(4), 0.1)
+            assert scaled == plain  # 2 * (g / 2) is exact
+            assert active == active_set(gaps, plain)
 
     def test_small_sigma_winner_narrows_radius(self):
         # rival widths shrink when the loser coordinates are noisier
         b = UnionBound((GaussianTail(1.0),) * 2)
         theta = np.array([5.0, 0.0])
-        tight = active_radius_scaled(b, theta, np.array([1.0, 1.0]), 0.1)
-        loose = active_radius_scaled(b, theta, np.array([1.0, 9.0]), 0.1)
+        tight, tight_active = active_radius_scaled(b, theta, np.array([1.0, 1.0]), 0.1)
+        loose, loose_active = active_radius_scaled(b, theta, np.array([1.0, 9.0]), 0.1)
         # larger rival sigma shrinks the scaled gap, pulling it back into
         # the active set and pushing the radius toward the zero-gap value
-        assert loose.r >= tight.r
-        assert loose.active == (0, 1) and tight.active == (0,)
+        assert loose >= tight
+        assert loose_active == (0, 1) and tight_active == (0,)
 
 
 class TestScaledWorstCase:
