@@ -47,9 +47,10 @@ exceed pieces below the anchor and its reach above it.  The lower exceed
 count is piecewise constant in r and a sweep over its breakpoints gives it
 exactly (``_mc_sweep``).  Most rows exceed on one piece from r = 0 to the
 largest end among their intervals that start at or below 0, and the fused
-pass settles them from the row maxima alone; the few whose intervals reach
-past it are gathered and grown by vectorized max passes
-(``_lower_pieces``), and only the rest are sorted (``_merged_pieces``).
+pass settles them from the row maxima alone (``_lower_pieces``).  Each of
+the few rows whose intervals reach past it is gathered as that piece plus
+its intervals that start above 0, and the gathered rows of every block are
+merged by one sort per call (``_merge_by_row``).
 Above the anchor each row exceeds up to its own reach, so the upper radius
 is an order statistic of the reaches.
 """
@@ -215,66 +216,46 @@ def _mc_accept_threshold(n: int, alpha: float) -> int:
     return n - mc_order_index(1.0 - alpha, n) + 1
 
 
-def _merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row unions of the open intervals (L, U), as flat (starts, ends).
+def _merge_by_row(rows, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row unions of non-empty open intervals given as flat (row, start,
+    end) triples, as flat (starts, ends).
 
-    Intervals within one row are merged first so each row counts at most
-    once; touching open intervals stay separate: (a,b) and (b,c) omit b.
+    The triples are sorted by (row, start); a piece starts where a start
+    reaches the running maximum of the row's earlier ends, so touching open
+    intervals stay separate ((a,b) and (b,c) omit b), and ends at that
+    maximum.  The maximum is taken on integer ranks of the ends, each row's
+    offset above every rank of the rows before it, so it is exact and one
+    accumulate serves every row.
     """
-    n, m = L.shape
-    empty = ~(U > L)
-    l_key = np.where(empty, np.inf, L)
-    u_val = np.where(empty, -np.inf, U)
-    order = np.argsort(l_key, axis=1, kind="stable")
-    ls = np.take_along_axis(l_key, order, axis=1)
-    us = np.take_along_axis(u_val, order, axis=1)
-    umax = np.maximum.accumulate(us, axis=1)
-    new = np.isfinite(ls)
-    if m > 1:
-        new[:, 1:] &= ls[:, 1:] >= umax[:, :-1]
-    rows, cols = np.nonzero(new)
-    if rows.size == 0:
-        return np.empty(0), np.empty(0)
-    last = np.empty(rows.size, dtype=bool)
-    last[:-1] = rows[1:] != rows[:-1]
-    last[-1] = True
-    next_col = np.concatenate([cols[1:], [1]])
-    return ls[rows, cols], umax[rows, np.where(last, m - 1, next_col - 1)]
-
-
-# Growth passes allowed per row in ``_lower_pieces``.  Each pass joins the
-# intervals that start inside a row's current piece, so a row needs one pass
-# per link of a chain of overlapping intervals; rows still growing at the cap
-# go to the sort merge, which is exact for any row.
-MAX_MERGE_PASSES = 16
+    order = np.lexsort((starts, rows))
+    rows, starts = rows[order], starts[order]
+    values, rank = np.unique(ends[order], return_inverse=True)
+    offset = rows * values.size
+    top = values[np.maximum.accumulate(rank + offset) - offset]  # the row's largest end so far
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (starts[1:] >= top[:-1])
+    return starts[new], np.concatenate([top[:-1][new[1:]], top[-1:]])
 
 
 def _lower_pieces(a, row_max, d, r0: float, upper: bool):
-    """Merged exceed pieces of a block of |xi| rows below the anchor, on [0, r0],
+    """Exceed pieces below the anchor, on [0, r0], of a block of |xi| rows
     and, if ``upper``, the rows' reaches above it, from one scan of the block.
 
     Row i exceeds at radius r below the anchor on the open intervals
-    (max(L_j, 0), U_j) with L = d - 3 |xi| and U = min(|xi|, r0): these are
-    the pieces ``_merged_pieces`` gives, bit for bit, without sorting most
-    rows.  The block is read once: with t = 3 |xi|, the seed of the piece at
-    0 is E = min(max |xi_j| over t_j >= d_j, r0), the largest U over the
-    intervals with L <= 0 (d - t <= 0 iff t >= d, since a rounded difference
-    keeps its sign, and min with r0 commutes with max), and the reach is
-    max min(|xi_j|, t_j - d_j), the radius above the anchor up to which the
-    row exceeds (``_radii``).  If E > 0 equals min(row_max, r0), the largest
-    U of all, every non-empty interval ends by E; each starts below its end,
-    so inside (0, E), and the row is exactly the piece (0, E).  Most rows
-    are so.  Only the others are gathered.  The piece at 0 of a gathered
-    row is grown from E by passes E <- max(E, max U over intervals with
-    L < E), while the row's last end (max U over its non-empty intervals)
-    lies past E.  A pass joins only intervals that start strictly inside
-    the piece, so the piece stays one interval (0, E); an interval that
-    starts at E touches it and stays out, as in the sort merge.  A row whose
-    last end is E is the piece (0, E); the rest go through
-    ``_merged_pieces``: no piece at 0 (E = 0), a growth that stops short of
-    the last end (a later piece), or still growing after MAX_MERGE_PASSES
-    passes.  L is compared as rounded, exactly as the sort merge compares it.
-    Returns (starts, ends, reach), reach None unless ``upper``.
+    (max(L_j, 0), U_j) with L = d - 3 |xi| and U = min(|xi|, r0).  The block
+    is read once: with t = 3 |xi|, the seed of the piece at 0 is
+    E = min(max |xi_j| over t_j >= d_j, r0), the largest U over the
+    intervals with L <= 0 and so their union (0, E) (d - t <= 0 iff t >= d,
+    since a rounded difference keeps its sign, and min with r0 commutes with
+    max), and the reach is max min(|xi_j|, t_j - d_j), the radius above the
+    anchor up to which the row exceeds (``_radii``).  If E > 0 equals
+    min(row_max, r0), the largest U of all, every non-empty interval ends by
+    E; each starts below its end, so inside (0, E), and the row is exactly
+    the piece (0, E).  Most rows are so.  Only the others are gathered: each
+    gives its seed (0, E) if E > 0 and its non-empty intervals with L > 0,
+    as (row, start, end) triples for ``_merge_by_row``, L compared as
+    rounded.  Returns (E of the one-piece rows, rows, starts, ends, reach),
+    rows indexing the block and reach None unless ``upper``.
     """
     t = np.multiply(a, 3.0)
     scratch = np.multiply(a, t >= d)  # |xi| >= 0, so a masked-out entry is 0
@@ -283,53 +264,45 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
     if upper:
         np.subtract(t, d, out=t)
         reach = np.minimum(a, t, out=scratch).max(axis=1)
-    rest = np.flatnonzero((E <= 0.0) | (E != np.minimum(row_max, r0)))
-    if rest.size == 0:
-        return np.zeros(E.size), E, reach
-    a, E_rest = a[rest], E[rest]  # the gathered rows
+    gather = (E <= 0.0) | (E != np.minimum(row_max, r0))
+    rest = np.flatnonzero(gather)
+    if rest.size == 0:  # the common block: no gathered row, nothing to copy
+        return E, rest, E[:0], E[:0], reach
+    a = a[rest]  # the gathered rows
     L = np.multiply(a, 3.0)
     np.subtract(d, L, out=L)
     U = np.minimum(a, r0)
-    last_end = np.max(U * (U > L), axis=1)  # of the row's non-empty intervals
-    live = np.flatnonzero((E_rest > 0.0) & (last_end > E_rest))
-    for _ in range(MAX_MERGE_PASSES):
-        if live.size == 0:
-            break
-        grown = np.max(U[live] * (L[live] < E_rest[live, None]), axis=1)
-        keep = (grown > E_rest[live]) & (last_end[live] > grown)
-        E_rest[live] = grown
-        live = live[keep]
-    single = (E_rest > 0.0) & (last_end <= E_rest)
-    E[rest] = E_rest
-    if single.all():
-        return np.zeros(E.size), E, reach
-    one = np.ones(E.size, dtype=bool)
-    one[rest[~single]] = False
-    starts, ends = _merged_pieces(np.maximum(L[~single], 0.0), U[~single])
-    return (np.concatenate([np.zeros(np.count_nonzero(one)), starts]),
-            np.concatenate([E[one], ends]), reach)
+    i, j = np.nonzero((L > 0.0) & (U > L))
+    seeded = rest[E[rest] > 0.0]
+    return (E[~gather], np.concatenate([seeded, rest[i]]),
+            np.concatenate([np.zeros(seeded.size), L[i, j]]),
+            np.concatenate([E[seeded], U[i, j]]), reach)
 
 
 def _mc_scan(bound, d, r0: float, upper: bool):
     """Flat lower pieces on [0, r0] of every bank row and, if ``upper``, the
     rows' reaches, from one pass over the bank (``_lower_pieces`` per block,
-    with the block's slice of ``row_max``)."""
+    with the block's slice of ``row_max``).  The triples of the gathered
+    rows of every block are merged once, after the pass (``_merge_by_row``)."""
     parts, stop = [], 0
     for a in bound.blocks():
         start, stop = stop, stop + a.shape[0]
-        parts.append(_lower_pieces(a, bound.row_max[start:stop], d, r0, upper))
-    starts, ends, reach = zip(*parts)
-    return np.concatenate(starts), np.concatenate(ends), np.concatenate(reach) if upper else None
+        single, rows, starts, ends, reach = _lower_pieces(
+            a, bound.row_max[start:stop], d, r0, upper)
+        parts.append((single, rows + start, starts, ends, reach))
+    single, rows, starts, ends, reach = zip(*parts)
+    starts, ends = _merge_by_row(*map(np.concatenate, (rows, starts, ends)))
+    return (np.concatenate([np.zeros(sum(map(len, single))), starts]),
+            np.concatenate([*single, ends]), np.concatenate(reach) if upper else None)
 
 
 def _mc_sweep(n: int, alpha: float, starts, ends, lo: float, hi: float):
     """Exact acceptance cells of a bank of n rows on [lo, hi].
 
     ``starts`` and ``ends`` are the flat open pieces, merged per row and
-    lying in [lo, hi], on which each row exceeds (``_mc_scan``, or
-    ``_merged_pieces`` of clipped intervals).  Since each row counts once,
-    the exceed count is piecewise constant: just right of a breakpoint p it
-    is #{starts <= p} - #{ends <= p}.  Returns the sorted breakpoints (lo
+    lying in [lo, hi], on which each row exceeds (``_mc_scan``).  Since each
+    row counts once, the exceed count is piecewise constant: just right of a
+    breakpoint p it is #{starts <= p} - #{ends <= p}.  Returns the sorted breakpoints (lo
     and hi included) and, for each open cell between neighbours, whether
     its count reaches the acceptance threshold.
     """
@@ -582,10 +555,10 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     the bank's stored row maxima (``m_statistic`` at zero gaps), with no scan, and one
     pass over the bank (``_mc_scan``) gives both sides.  A row exceeds at
     radius r below the anchor iff r lies in some open interval
-    (d_j - 3 |xi_j|, |xi_j|); ``_lower_pieces`` merges each row's intervals
-    on [0, r0], from the row maxima where the row is one piece from 0, by
-    max passes where it grows to one, and by the sort merge otherwise, and
-    the sweep of the pieces gives the lower side exactly; the cell holding
+    (d_j - 3 |xi_j|, |xi_j|); the scan takes each row's union of them on
+    [0, r0] from the row maxima where the row is one piece from 0, and from
+    one sparse merge of the gathered rows' intervals otherwise, and the
+    sweep of the pieces gives the lower side exactly; the cell holding
     r = 0 is always kept, so the anchor itself is never left out.  Above
     the anchor the exceed count falls with r, so the upper radius is the
     conservative order statistic of the rows' reaches, as r0 is of the row

@@ -5,7 +5,7 @@ current gap is large enough to rule its coordinate out of the acceptance
 region, that coordinate's error contribution is subtracted from the budget
 and the per-coordinate share of what remains is recomputed.  The radius at
 the stopping step dominates the corresponding endpoint-equation root, so
-these give closed-form-cheap but slightly wider intervals.
+these give slightly wider intervals.
 
 Requires one shared marginal tail across coordinates (the budget shares
 alpha_j / (m - j + 1) assume one quantile function): the bound must be

@@ -138,7 +138,9 @@ class EmpiricalTail:
     """Piecewise-linear tail bound through sorted absolute-error values.
 
     The bound interpolates the knots (0, 1), (t_(1), 1 - 1/n), ...,
-    (t_(n), 0) and is identically 0 beyond the largest table entry.
+    (t_(n), 0) and is identically 0 beyond the largest table entry.  Zero
+    values make no knot, so S(0) = 1 as every solver assumes: with k zeros
+    the first knot after (0, 1) is (t_(k+1), 1 - (k+1)/n).
     """
 
     table: tuple = field(repr=False)
@@ -149,8 +151,10 @@ class EmpiricalTail:
             raise ValueError("empirical table must contain at least one value")
         if np.any(~np.isfinite(values)) or values[0] < 0:
             raise ValueError("empirical table values must be finite and non-negative")
-        knots_r = np.concatenate([[0.0], values])
-        knots_s = np.concatenate([[1.0], 1.0 - np.arange(1, values.size + 1) / values.size])
+        positive = values > 0.0
+        knots_r = np.concatenate([[0.0], values[positive]])
+        knots_s = np.concatenate(
+            [[1.0], (1.0 - np.arange(1, values.size + 1) / values.size)[positive]])
         object.__setattr__(self, "table", tuple(values))
         object.__setattr__(self, "_knots_r", knots_r)
         object.__setattr__(self, "_knots_s", knots_s)

@@ -2,14 +2,16 @@
 
 Direct, unoptimized statements of the least favorable configurations and
 of the acceptance tests, basic and sigma-scaled, the union bound summed
-model by model, a canonical order for comparing merged Monte-Carlo exceed
-pieces, the two-scan forms of the Monte-Carlo lower pieces and reaches
-that the fused block scan replaced, and the union radius search that asks
+model by model, the dense sort merge of per-row Monte-Carlo exceed
+intervals and a canonical order for comparing merged pieces, the two-scan
+forms of the Monte-Carlo lower pieces and reaches that the fused block scan
+replaced, and the union radius search that asks
 for one step's cells per exceedance call, which the look-ahead search
 replaced, and the bisection that solved ``active_radius`` under a union
 bound before that search took it over.  ``bank_exceedance`` is a bank's
 joint exceedance counted row by row, which no solver asks a bank for.
-``CountingBound`` is a stack bound that is not a ``UnionBound``.
+``CountingBound`` is a stack bound that is not a ``UnionBound``, and
+``blocked_bank`` a bank over an array, read in blocks of a chosen size.
 ``active_set`` is the active set that ``ActiveRadius`` no longer carries;
 ``accepted_projections`` projects the accepted mean vectors of a grid onto
 each coordinate, and ``near_winner_pieces`` is the two-piece merge that
@@ -18,11 +20,12 @@ each coordinate, and ``near_winner_pieces`` is the two-piece merge that
 for ``tools/sweep_digest.py``.  The package itself uses none of them.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from zoomcurse.core import (MAX_MERGE_PASSES, MAX_SEARCH_STEPS, RADIUS_TOL, _check_scores,
-                            _merged_pieces, _step_widths, active_radius)
+from zoomcurse.core import (MAX_SEARCH_STEPS, RADIUS_TOL, _check_scores, _step_widths,
+                            active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.simulate import SimConfig
@@ -274,17 +277,57 @@ def sorted_pieces(starts, ends):
     return starts[order], ends[order]
 
 
+def merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row unions of the open intervals (L, U) of (rows, m) arrays, as
+    flat (starts, ends), by a stable argsort of every row's starts.
+
+    Intervals within one row are merged first so each row counts at most
+    once; touching open intervals stay separate: (a,b) and (b,c) omit b.
+    """
+    n, m = L.shape
+    empty = ~(U > L)
+    l_key = np.where(empty, np.inf, L)
+    u_val = np.where(empty, -np.inf, U)
+    order = np.argsort(l_key, axis=1, kind="stable")
+    ls = np.take_along_axis(l_key, order, axis=1)
+    us = np.take_along_axis(u_val, order, axis=1)
+    umax = np.maximum.accumulate(us, axis=1)
+    new = np.isfinite(ls)
+    if m > 1:
+        new[:, 1:] &= ls[:, 1:] >= umax[:, :-1]
+    rows, cols = np.nonzero(new)
+    if rows.size == 0:
+        return np.empty(0), np.empty(0)
+    last = np.empty(rows.size, dtype=bool)
+    last[:-1] = rows[1:] != rows[:-1]
+    last[-1] = True
+    next_col = np.concatenate([cols[1:], [1]])
+    return ls[rows, cols], umax[rows, np.where(last, m - 1, next_col - 1)]
+
+
+# Growth passes of ``lower_pieces_two_scans`` before a row goes to the sort.
+MERGE_PASSES = 16
+
+
+def blocked_bank(a, rows: int):
+    """The bank protocol that ``core._mc_scan`` reads (``blocks()`` and
+    ``row_max``) over the |xi| rows ``a``, in blocks of ``rows`` rows."""
+    return SimpleNamespace(row_max=a.max(axis=1),
+                           blocks=lambda: (a[s:s + rows] for s in range(0, len(a), rows)))
+
+
 def lower_pieces_two_scans(a, d, r0):
     """Merged lower exceed pieces of |xi| rows on [0, r0], from L = d - 3|xi|
     and U = min(|xi|, r0) formed for every row: the seed E = max U over
-    L <= 0 and the last end max U over U > L of each row, max passes for the
-    rows whose last end lies past E, the sort merge for the rest."""
+    L <= 0 and the last end max U over U > L of each row, up to MERGE_PASSES
+    passes E <- max U over L < E for the rows whose last end lies past E,
+    and ``merged_pieces`` for every row the passes leave unsettled."""
     L = d - 3.0 * a
     U = np.minimum(a, r0)
     E = np.max(U * (L <= 0.0), axis=1)
     last_end = np.max(U * (U > L), axis=1)
     live = np.flatnonzero((E > 0.0) & (last_end > E))
-    for _ in range(MAX_MERGE_PASSES):
+    for _ in range(MERGE_PASSES):
         if live.size == 0:
             break
         grown = np.max(U[live] * (L[live] < E[live, None]), axis=1)
@@ -292,7 +335,7 @@ def lower_pieces_two_scans(a, d, r0):
         E[live] = grown
         live = live[keep]
     single = (E > 0.0) & (last_end <= E)
-    starts, ends = _merged_pieces(np.maximum(L[~single], 0.0), U[~single])
+    starts, ends = merged_pieces(np.maximum(L[~single], 0.0), U[~single])
     return (np.concatenate([np.zeros(np.count_nonzero(single)), starts]),
             np.concatenate([E[single], ends]))
 

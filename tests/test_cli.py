@@ -145,6 +145,25 @@ class TestWinnerCi:
                                 "--method", "root"])
         assert env["result"]["width"] > 0
 
+    def test_empirical_tail_with_zeros(self, capsys, tmp_path):
+        # zeros in the knots file: S(0) is still 1, so no solver rejects the
+        # cell holding r = 0 (this exited 4 with an internal error)
+        knots = tmp_path / "k.txt"
+        knots.write_text("0\n0\n1\n")
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,score\na,10\nb,0\n")
+        sigma = tmp_path / "sigma.csv"
+        sigma.write_text("label,score,sigma\na,10,1\nb,0,2\n")
+        spec = ["--input", str(scores), "--alpha", "0.5", "--tail", f"empirical:{knots}"]
+        for argv in (["winner-ci", *spec, "--method", "root"],
+                     ["winner-ci", *spec[2:], "--input", str(sigma)]):
+            lo, hi = run_json(capsys, argv)["result"]["interval"]
+            assert lo <= 10.0 <= hi
+        assert run_json(capsys, ["topk-ci", *spec, "--k", "1"])["result"]["r_max"] > 0.0
+        assert run_json(capsys, ["identity-set", *spec])["result"]["members"] == ["a"]
+        lo, hi = run_json(capsys, ["near-winner", *spec, "--label", "b"])["result"]["hull"]
+        assert lo <= 0.0 <= hi
+
     def test_stepdown_empirical_tail_many_far_rivals(self, capsys, tmp_path):
         # a lone leader 8 above 49 rivals under a |t_5| tail: the upper
         # walk's refunds exhaust the budget, which used to exit 3

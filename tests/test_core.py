@@ -5,10 +5,9 @@ import pytest
 from scipy.stats import norm
 
 from zoomcurse import core
-from zoomcurse.core import (MAX_MERGE_PASSES, Problem, WinnerInterval, _cell_widths,
-                            _lower_pieces, _mc_accept_threshold, _mc_sweep, _merged_pieces,
-                            _union_radii, active_radius, winner_interval_grid,
-                            winner_interval_root)
+from zoomcurse.core import (Problem, WinnerInterval, _cell_widths, _lower_pieces,
+                            _mc_accept_threshold, _mc_scan, _mc_sweep, _union_radii,
+                            active_radius, winner_interval_grid, winner_interval_root)
 from zoomcurse.errors import (InfeasibleAlphaError, InternalCheckError,
                               UnsupportedMethodError)
 from zoomcurse.meta import near_winner_interval, population_value_interval, winner_identity_set
@@ -19,8 +18,9 @@ from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
 from zoomcurse.stepdown import winner_interval_stepdown
 from zoomcurse.topk import topk_interval, topk_stepdown
 
-from oracles import (CountingBound, active_set, bank_exceedance, contains, endpoint_sum,
-                     mc_reach_scan, sorted_pieces, union_radii_one_step, worst_case_theta)
+from oracles import (CountingBound, active_set, bank_exceedance, blocked_bank, contains,
+                     endpoint_sum, mc_reach_scan, merged_pieces, sorted_pieces,
+                     union_radii_one_step, worst_case_theta)
 
 # frozen from a 50-digit erf oracle
 GAUSS_ISF_10 = 1.6448536269514722         # two-sided 0.1 quantile
@@ -44,6 +44,9 @@ class TestProblem:
             Problem(np.array([1.0, np.nan]), b, 0.1)
         with pytest.raises(ValueError):
             Problem(np.array([1.0, 2.0]), b, 1.0)
+        for x in (np.zeros((1, 2)), np.array([])):  # 2-d, empty
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                Problem(x, b, 0.1)
 
     def test_winner_breaks_ties_low(self):
         assert gaussian_problem([3.0, 7.0, 7.0]).winner == 1
@@ -117,6 +120,8 @@ class TestActiveRadius:
             active_radius(b, np.array([0.5, 1.0]), 0.1)
         with pytest.raises(ValueError):
             active_radius(b, np.array([0.0, -1.0]), 0.1)
+        with pytest.raises(ValueError, match="2 entries"):
+            active_radius(b, np.zeros(3), 0.1)
 
     def test_infeasible_budget(self):
         b = UnionBound((GaussianTail(1.0),) * 2)
@@ -430,7 +435,7 @@ class TestMonteCarloGridAcceptance:
 
         # the t-axis exceed intervals, clipped to [lo, hi]
         upper = np.minimum(x[0] + a, x + 3.0 * a)
-        pieces = _merged_pieces(np.maximum(x[0] - a, lo), np.minimum(upper, hi))
+        pieces = merged_pieces(np.maximum(x[0] - a, lo), np.minimum(upper, hi))
         points, accept = _mc_sweep(bank.n, 0.1, *pieces, lo, hi)
         # the count is constant on each open cell, so its midpoint decides it
         mids = 0.5 * (points[:-1] + points[1:])
@@ -472,9 +477,10 @@ class TestMonteCarloGridAcceptance:
         # duplicate that must not count twice, and the last column is empty
         L = np.array([[0.0, 1.0, 0.0], [0.5, 3.0, 0.0], [1.0, 1.6, 0.0]])
         U = np.array([[1.0, 2.0, 0.0], [1.5, 4.0, 0.0], [3.0, 1.8, 0.0]])
-        starts, ends = _merged_pieces(L, U)
-        np.testing.assert_array_equal(starts, [0.0, 1.0, 0.5, 3.0, 1.0])
-        np.testing.assert_array_equal(ends, [1.0, 2.0, 1.5, 4.0, 3.0])
+        i, j = np.nonzero(U > L)  # the same intervals as (row, start, end) triples
+        for starts, ends in (merged_pieces(L, U), core._merge_by_row(i, L[i, j], U[i, j])):
+            np.testing.assert_array_equal(starts, [0.0, 1.0, 0.5, 3.0, 1.0])
+            np.testing.assert_array_equal(ends, [1.0, 2.0, 1.5, 4.0, 3.0])
         # cells (0,.5) (.5,1) (1,1.5) (1.5,2) (2,3) (3,4) hold 1 2 3 2 1 1 rows
         for alpha, expected in ((0.7, [0, 0, 1, 0, 0, 0]), (0.4, [0, 1, 1, 1, 0, 0])):
             points, accept = _mc_sweep(3, alpha, starts, ends, 0.0, 4.0)
@@ -492,25 +498,24 @@ class TestMonteCarloGridAcceptance:
         assert 2.0 - r0 - 1e-12 <= iv.t_l and iv.t_u <= 2.0 + r0 + 1e-12
 
 
-def _count_sorted_rows(monkeypatch) -> list:
-    """Wrap core._merged_pieces so each call records how many rows it merged."""
-    rows, merge = [], core._merged_pieces
+def _count_merged_rows(monkeypatch) -> list:
+    """Wrap core._merge_by_row so each call records how many rows it merged."""
+    rows, merge = [], core._merge_by_row
 
-    def counted(L, U):
-        rows.append(L.shape[0])
-        return merge(L, U)
+    def counted(row, starts, ends):
+        rows.append(np.unique(row).size)
+        return merge(row, starts, ends)
 
-    monkeypatch.setattr(core, "_merged_pieces", counted)
+    monkeypatch.setattr(core, "_merge_by_row", counted)
     return rows
 
 
 class TestLowerPieces:
-    """The grown single piece at 0 and its fallback to the sort merge."""
+    """The single piece at 0 and the sparse merge of the rows it does not settle."""
 
-    def test_rows_off_the_fast_path_take_the_sort(self, monkeypatch):
-        # chain j covers (j/2, j/2 + 1): each pass joins one more link, so
-        # a chain longer than the cap is still growing when the passes stop
-        links = MAX_MERGE_PASSES + 2
+    def test_rows_off_the_fast_path_take_the_sort(self):
+        # chain j covers (j/2, j/2 + 1), so the merge joins every link
+        links = 18
         j = np.arange(links, dtype=float)
         chain = (0.5 * j + 1.0, 2.0 * j + 3.0)  # |xi| and d with L = j/2
         rows = [
@@ -529,29 +534,32 @@ class TestLowerPieces:
         for i, (r, _) in enumerate(rows):
             a[i, stop[i] - r.size:stop[i]] = r
         r0 = 100.0
-        sorted_rows = _count_sorted_rows(monkeypatch)
-        starts, ends, reach = _lower_pieces(a, a.max(axis=1), d, r0, upper=True)
-        assert sorted_rows == [3]  # the long chain, the touching pair, the late piece
-        assert reach.tobytes() == mc_reach_scan(a, d).tobytes()
-        expected = _merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
-        got = sorted_pieces(starts, ends)
-        for have, want in zip(got, sorted_pieces(*expected)):
-            assert have.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(got[0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0])
-        np.testing.assert_array_equal(got[1], [0.5, 1.0, 1.0, 2.0, 0.5 * links + 0.5, 1.0, 2.0])
+        single, gathered = _lower_pieces(a, a.max(axis=1), d, r0, upper=False)[:2]
+        np.testing.assert_array_equal(single, [1.0])  # only the zero-gap row 4
+        np.testing.assert_array_equal(np.unique(gathered), [0, 1, 2, 3, 5])
+        for block_rows in (1, 4, 6):
+            starts, ends, reach = _mc_scan(blocked_bank(a, block_rows), d, r0, upper=True)
+            assert reach.tobytes() == mc_reach_scan(a, d).tobytes()
+            expected = merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
+            got = sorted_pieces(starts, ends)
+            for have, want in zip(got, sorted_pieces(*expected)):
+                assert have.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(got[0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0])
+            np.testing.assert_array_equal(got[1], [0.5, 1.0, 1.0, 2.0, 0.5 * links + 0.5,
+                                                   1.0, 2.0])
 
     def test_fast_path_serves_an_equicorrelated_winner_call(self, monkeypatch):
-        # scores and bank as in the benchmark's m = 250 bank: the sort
-        # merge must stay a fallback for a few rows, not the common path
+        # scores and bank as in the benchmark's m = 250 bank: the merge
+        # must stay the path of a few rows, not the common path
         m, n = 250, 20_000
         rng = np.random.default_rng(3)
         x = rng.normal(0.0, 1.0, m)
         x[:3] += (2.0, 1.5, 1.0)
         p = Problem(x, draw_bank(EquicorrelatedSampler(m, 0.5), n, seed=11), 0.1)
-        sorted_rows = _count_sorted_rows(monkeypatch)
+        merged_rows = _count_merged_rows(monkeypatch)
         iv = winner_interval_grid(p)
         assert iv.t_l < x[0] < iv.t_u
-        assert len(sorted_rows) >= 1 and sum(sorted_rows) < 0.01 * n
+        assert len(merged_rows) == 1 and merged_rows[0] < 0.01 * n
 
 
 def test_winner_and_topk_calls_read_the_bank_once(monkeypatch):

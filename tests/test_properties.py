@@ -6,11 +6,12 @@ step rows are pinned to per-cell rows bit for bit, and the look-ahead
 search to the one-step search it replaced, with its guesses honest or
 forced wrong, up to 1000 candidates; ``active_radius`` is pinned to the
 bisection that search replaced, and ``near_winner_interval`` to the
-two-piece merge it replaced.  A last test pins the
-Monte-Carlo block scan's per-row pieces to the sort merge and, with the
-reaches, to the two separate scans it replaced, on tables built to tie,
-touch, chain and leave the one-piece fast path.  Hypothesis keeps no
-example database here, so a run writes no files.
+two-piece merge it replaced.  Empirical tables holding zeros solve under
+every union solver.  A last test pins the
+Monte-Carlo bank scan's per-row pieces to the dense sort merge and, with
+the reaches, to the two separate scans it replaced, on tables built to tie,
+touch, chain and leave the one-piece fast path, read in blocks of any size.
+Hypothesis keeps no example database here, so a run writes no files.
 """
 from unittest import mock
 
@@ -20,18 +21,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoomcurse import core
-from zoomcurse.core import (MAX_MERGE_PASSES, Problem, _cell_widths, _lower_pieces,
-                            _merged_pieces, _step_widths, _union_radii, active_radius,
-                            winner_interval_grid, winner_interval_root)
+from zoomcurse.core import (Problem, _cell_widths, _mc_scan, _step_widths, _union_radii,
+                            active_radius, winner_interval_grid, winner_interval_root)
 from zoomcurse.errors import InfeasibleAlphaError
 from zoomcurse.meta import near_winner_interval, population_value_interval
+from zoomcurse.scaled import ScaledProblem, winner_interval_scaled
 from zoomcurse.tails import (MIN_TAIL_PROB, EmpiricalTail, GaussianTail, SubGaussianTail,
                              UnionBound)
 from zoomcurse.topk import topk_interval
 
-from oracles import (active_radius_bisection, endpoint_sum, lower_pieces_two_scans,
-                     mc_reach_scan, near_winner_pieces, sequential_exceedance, sorted_pieces,
-                     union_radii_one_step)
+from oracles import (MERGE_PASSES, active_radius_bisection, blocked_bank, endpoint_sum,
+                     lower_pieces_two_scans, mc_reach_scan, merged_pieces, near_winner_pieces,
+                     sequential_exceedance, sorted_pieces, union_radii_one_step)
 
 _T5 = np.random.default_rng(5)
 EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
@@ -172,6 +173,33 @@ def test_radii_are_translation_invariant(p, shift):
     # the gaps X_win - X_j round differently after the shift; the radii
     # may move by that rounding and one solver cell (1e-10)
     assert abs(a.r_l - b.r_l) <= 1e-9 and abs(a.r_u - b.r_u) <= 1e-9
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.5)), min_size=1, max_size=9),
+       st.lists(st.sampled_from(TIED_SCORES), min_size=1, max_size=4),
+       st.floats(0.05, 0.9), st.data())
+def test_empirical_tables_holding_zeros_solve(table, scores, alpha, data):
+    # zero values make no knot, so S(0) = 1 and no solver rejects the cell
+    # holding r = 0; each interval holds its own score
+    tail = EmpiricalTail([0.0, *table])
+    assert tail.sf(0.0) == 1.0
+    x = np.array(scores)
+    bound = UnionBound((tail,) * x.size)
+    try:
+        bound.feasible_radius(alpha)
+    except InfeasibleAlphaError:
+        return
+    p = Problem(x, bound, alpha)
+    sigma = data.draw(st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=x.size,
+                               max_size=x.size))
+    xw = x[p.winner]
+    for iv in (winner_interval_root(p), winner_interval_scaled(ScaledProblem(p, sigma))):
+        assert iv.t_l <= xw <= iv.t_u
+    assert topk_interval(p, data.draw(st.integers(1, x.size))).r_max >= 0.0
+    index = data.draw(st.integers(0, x.size - 1))
+    lo, hi = near_winner_interval(p, index).hull
+    assert lo <= x[index] <= hi
 
 
 @SETTINGS
@@ -348,7 +376,7 @@ ON_GRID = st.integers(0, 30).map(lambda k: k / 10.0)  # 0.1 grid: ties, touching
 
 @st.composite
 def exceed_tables(draw):
-    """|xi| rows, a gap vector and r0 for ``_lower_pieces``, of five kinds.
+    """|xi| rows, a gap vector and r0 for ``_mc_scan``, of five kinds.
 
     "grid" draws both on the 0.1 grid, zeros included; "chain" takes gaps
     d_j = c_(j-1) + 3 c_j + s from a non-decreasing row c, so interval j
@@ -357,13 +385,15 @@ def exceed_tables(draw):
     |xi| = 0 in every column of gap 0; "lone-leader" puts every gap but the
     first near 8, so a row whose first |xi| is not its largest leaves the
     one-piece fast path and one with some |xi| above 2 has a second piece;
-    "random" draws floats.  Outside chains and lone leaders some gaps may be
-    negative, as the gaps to a top-k anchor of the winners above it are.
-    Some rows may be all zero.  r0 is 0, on the grid, or a random float.
+    "random" draws floats.  Chains run up to MERGE_PASSES + 3 links, past
+    the pass cap of the two-scan oracle.  Outside chains and lone leaders
+    some gaps may be negative, as the gaps to a top-k anchor of the winners
+    above it are.  Some rows may be all zero.  r0 is 0, on the grid, or a
+    random float.
     """
     kind = draw(st.sampled_from(("grid", "chain", "zero-gap", "lone-leader", "random")))
     n = draw(st.integers(1, 12))
-    m = draw(st.integers(1, MAX_MERGE_PASSES + 3 if kind == "chain" else 8))
+    m = draw(st.integers(1, MERGE_PASSES + 3 if kind == "chain" else 8))
     value = st.floats(0.0, 3.0) if kind == "random" else ON_GRID
     a = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m))).reshape(n, m)
     d = np.array(draw(st.lists(value, min_size=m, max_size=m)))
@@ -388,15 +418,17 @@ def exceed_tables(draw):
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(exceed_tables())
-def test_lower_pieces_are_the_sort_merge_bit_for_bit(case):
-    # one read of the block gives the pieces of the sort merge and of the
-    # separate lower scan, and the reaches of the separate upper scan
+@given(exceed_tables(), st.integers(1, 12))
+def test_lower_pieces_are_the_sort_merge_bit_for_bit(case, block_rows):
+    # one read of the bank, in blocks of any size, gives the pieces of the
+    # dense sort merge and of the separate lower scan, and the reaches of
+    # the separate upper scan
     a, d, r0 = case
-    starts, ends, reach = _lower_pieces(a, a.max(axis=1), d, r0, upper=True)
+    bank = blocked_bank(a, block_rows)
+    starts, ends, reach = _mc_scan(bank, d, r0, upper=True)
     got = sorted_pieces(starts, ends)
-    merged = _merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
-    lower_only = _lower_pieces(a, a.max(axis=1), d, r0, upper=False)
+    merged = merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
+    lower_only = _mc_scan(bank, d, r0, upper=False)
     assert lower_only[2] is None
     for want in (merged, lower_pieces_two_scans(a, d, r0), lower_only[:2]):
         for have, ref in zip(got, sorted_pieces(*want)):

@@ -129,6 +129,10 @@ class TestDrawBank:
         with pytest.raises(ValueError, match="seed"):
             draw_bank(EquicorrelatedSampler(2, 0.0), 10, seed=-1)
 
+    def test_empty_bank_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            draw_bank(EquicorrelatedSampler(2, 0.0), 0, seed=0)
+
 
 class TestMStatistic:
     def test_hand_example(self):

@@ -25,6 +25,7 @@ class TestSimConfig:
         dict(m=5, m_winners=1, gap_mult=1.0, rho=1.0),
         dict(m=5, m_winners=1, gap_mult=1.0, rho=-0.1),
         dict(m=5, m_winners=1, gap_mult=1.0, trials=0),
+        dict(m=5, m_winners=1, gap_mult=1.0, n_mc=0),
         dict(m=5, m_winners=1, gap_mult=1.0, alpha=0.0),
         dict(m=5, m_winners=1, gap_mult=1.0, methods=("nope",)),
         dict(m=5, m_winners=1, gap_mult=1.0, methods=("topk:6",)),

@@ -71,6 +71,11 @@ class TestSubGaussianTail:
             assert t.sf(t.isf(q)) == pytest.approx(q, rel=1e-12)
         assert t.isf(1.0) == 0.0
 
+    @pytest.mark.parametrize("proxy", [0.0, float("inf")])
+    def test_rejects_bad_proxy(self, proxy):
+        with pytest.raises(ValueError, match="proxy must be positive and finite"):
+            SubGaussianTail(proxy)
+
     def test_dominates_gaussian_of_same_scale(self):
         # the proxy form is a bound, never tighter than the exact tail
         sub, g = SubGaussianTail(1.0), GaussianTail(1.0)
@@ -97,6 +102,17 @@ class TestEmpiricalTail:
         assert t.isf(1e-12) == pytest.approx(4.0, abs=1e-9)
         with pytest.raises(ValueError):
             t.isf(0.0)
+
+    def test_zero_values_make_no_knot(self):
+        # 2 zeros of 4: S(0) = 1, and the first knot after (0, 1) is the
+        # smallest positive value at 1 - 3/4
+        t = EmpiricalTail([0.0, 2.0, 0.0, 1.0])
+        assert t.sf(0.0) == 1.0
+        assert t.sf(1.0) == pytest.approx(0.25)
+        assert t.sf(0.5) == pytest.approx(0.625)
+        assert t.isf(0.625) == pytest.approx(0.5)
+        zeros = EmpiricalTail([0.0, 0.0])
+        assert (zeros.sf(0.0), zeros.sf(1e-9), zeros.isf(0.5)) == (1.0, 0.0, 0.0)
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):

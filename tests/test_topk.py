@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from zoomcurse.core import (Problem, _mc_accept_threshold, _mc_sweep, _merged_pieces,
-                            active_radius, winner_interval_grid)
+from zoomcurse.core import (Problem, _mc_accept_threshold, _mc_sweep, active_radius,
+                            winner_interval_grid)
 from zoomcurse.errors import UnsupportedMethodError
 from zoomcurse.sampling import EquicorrelatedSampler, draw_bank
 from zoomcurse.tails import GaussianTail, UnionBound
 from zoomcurse.topk import TopKResult, top_indices, topk_interval, topk_stepdown
 
-from oracles import gaps_topk, tilde_theta, worst_case_theta
+from oracles import gaps_topk, merged_pieces, tilde_theta, worst_case_theta
 
 GAUSS = GaussianTail(1.0)
 
@@ -143,7 +143,7 @@ class TestTopkMonteCarlo:
         dhat = p.x[top_indices(p.x, k)[-1]] - p.x
         r0 = active_radius(bank, np.zeros(m), 0.1).r
         a = bank.abs_samples
-        points, accept = _mc_sweep(bank.n, 0.1, *_merged_pieces(
+        points, accept = _mc_sweep(bank.n, 0.1, *merged_pieces(
             np.maximum(dhat - 3.0 * a, 0.0), np.minimum(a, r0)), 0.0, r0)
         mids = 0.5 * (points[:-1] + points[1:])
         direct = [_direct_topk_accepts(p.x, k, r, bank.abs_samples, 0.1) for r in mids]
