@@ -42,17 +42,20 @@ asks for, and a row's bound does not depend on the rows beside it, so no
 radius or count of cells depends on the look-ahead; a wrong prediction
 costs rows, not results.  On a bank r0 is one partition of the
 bank's row maxima, stored when the bank is built, and each call reads the
-bank once (``_mc_scan``): one fused pass per block gives every row's
-exceed pieces below the anchor and its reach above it.  The lower exceed
-count is piecewise constant in r and a sweep over its breakpoints gives it
-exactly (``_mc_sweep``).  Most rows exceed on one piece from r = 0 to the
-largest end among their intervals that start at or below 0, and the fused
-pass settles them from the row maxima alone (``_lower_pieces``).  Each of
+bank in one pass (``_mc_scan``), giving every row's exceed pieces below
+the anchor and its reach above it.  The lower exceed count is piecewise
+constant in r and a sweep over its breakpoints gives it exactly
+(``_mc_sweep``).  Above the anchor each row exceeds up to its own reach,
+so the upper radius is an order statistic of the reaches.  The scan
+settles most rows exactly from their stored maximum (``row_max``) and
+its column (``row_arg``), by three rules stated and proved there, and
+reads in full only the rows left.  One fused pass per block gives
+their pieces and reaches; most of them exceed on one piece from r = 0 to
+the largest end among their intervals that start at or below 0, which
+the pass settles from the row maxima alone (``_lower_pieces``).  Each of
 the few rows whose intervals reach past it is gathered as that piece plus
-its intervals that start above 0, and the gathered rows of every block are
-merged by one sort per call (``_merge_by_row``).
-Above the anchor each row exceeds up to its own reach, so the upper radius
-is an order statistic of the reaches.
+its intervals that start above 0, and the gathered rows of every block
+are merged by one sort per call (``_merge_by_row``).
 """
 from __future__ import annotations
 
@@ -251,11 +254,13 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
     anchor up to which the row exceeds (``_radii``).  If E > 0 equals
     min(row_max, r0), the largest U of all, every non-empty interval ends by
     E; each starts below its end, so inside (0, E), and the row is exactly
-    the piece (0, E).  Most rows are so.  Only the others are gathered: each
-    gives its seed (0, E) if E > 0 and its non-empty intervals with L > 0,
-    as (row, start, end) triples for ``_merge_by_row``, L compared as
-    rounded.  Returns (E of the one-piece rows, rows, starts, ends, reach),
-    rows indexing the block and reach None unless ``upper``.
+    the piece (0, E).  Only the others are gathered: each gives its seed
+    (0, E) if E > 0 and its non-empty intervals with L > 0, as (row, start,
+    end) triples for ``_merge_by_row``, L compared as rounded.  L and U are
+    formed in place over the block: L from t (fl(d - t) = -fl(t - d),
+    rounding being symmetric), U in the scratch buffer.  Returns (E of the
+    one-piece rows, rows, starts, ends, reach), rows indexing the block and
+    reach None unless ``upper``.
     """
     t = np.multiply(a, 3.0)
     scratch = np.multiply(a, t >= d)  # |xi| >= 0, so a masked-out entry is 0
@@ -266,34 +271,72 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
         reach = np.minimum(a, t, out=scratch).max(axis=1)
     gather = (E <= 0.0) | (E != np.minimum(row_max, r0))
     rest = np.flatnonzero(gather)
-    if rest.size == 0:  # the common block: no gathered row, nothing to copy
+    if rest.size == 0:  # no gathered row, nothing more to form
         return E, rest, E[:0], E[:0], reach
-    a = a[rest]  # the gathered rows
-    L = np.multiply(a, 3.0)
-    np.subtract(d, L, out=L)
-    U = np.minimum(a, r0)
-    i, j = np.nonzero((L > 0.0) & (U > L))
+    L = np.negative(t, out=t) if upper else np.subtract(d, t, out=t)
+    U = np.minimum(a, r0, out=scratch)
+    i, j = np.nonzero((L > 0.0) & (U > L) & gather[:, None])
     seeded = rest[E[rest] > 0.0]
-    return (E[~gather], np.concatenate([seeded, rest[i]]),
+    return (E[~gather], np.concatenate([seeded, i]),
             np.concatenate([np.zeros(seeded.size), L[i, j]]),
             np.concatenate([E[seeded], U[i, j]]), reach)
 
 
-def _mc_scan(bound, d, r0: float, upper: bool):
-    """Flat lower pieces on [0, r0] of every bank row and, if ``upper``, the
-    rows' reaches, from one pass over the bank (``_lower_pieces`` per block,
-    with the block's slice of ``row_max``).  The triples of the gathered
-    rows of every block are merged once, after the pass (``_merge_by_row``)."""
+def _mc_scan(bound, d, r0: float, k: int | None = None):
+    """Flat lower pieces on [0, r0] of every bank row and, if ``k`` is given,
+    the k-th smallest reach, from one pass over the bank.
+
+    Rows are first settled from the stored row maximum a* = ``row_max``,
+    its column's gap d* = d[``row_arg``] and t* = 3 a*, as rounded:
+    - lower side: a row with t* >= d* is the piece (0, min(a*, r0)), or no
+      piece if that is empty, as ``_lower_pieces`` gives it, since its
+      masked maximum E is a*;
+    - upper side, settled: LB = min(a*, t* - d*) is the reach's own term of
+      column j*, so LB <= reach <= a*, and a row with LB = a* has reach a*;
+    - upper side, skipped: with T the k-th smallest LB, at least n - k + 1
+      rows have LB >= T and so reach T or more, so the k-th smallest reach
+      is at least T and a row with a* < T lies below it.  With c rows
+      skipped it is the (k - c)-th smallest reach of the others (c < k, as
+      each skipped row has LB <= a* < T).
+    The bank is read block by block, and ``_lower_pieces`` runs (with those
+    rows' ``row_max``) only on the rows of each block that no rule settles,
+    gathered.  The triples of the gathered rows of every block are merged
+    once, after the pass (``_merge_by_row``).  Returns (starts, ends,
+    radius), radius None unless ``k``.
+    """
+    a_top = bound.row_max
+    t_top = np.multiply(a_top, 3.0)
+    d_top = d[bound.row_arg]
+    scan = t_top < d_top  # the rows the lower rule does not settle
+    if k is not None:
+        lb = np.minimum(a_top, np.subtract(t_top, d_top, out=d_top), out=d_top)
+        skip = a_top < np.partition(lb, k - 1)[k - 1]
+        scan |= (lb != a_top) & ~skip
+        reach = a_top.copy()  # the reach of every row the upper rules settle
     parts, stop = [], 0
     for a in bound.blocks():
         start, stop = stop, stop + a.shape[0]
-        single, rows, starts, ends, reach = _lower_pieces(
-            a, bound.row_max[start:stop], d, r0, upper)
-        parts.append((single, rows + start, starts, ends, reach))
-    single, rows, starts, ends, reach = zip(*parts)
+        rows = start + np.flatnonzero(scan[start:stop])
+        if rows.size == 0:
+            continue
+        single, gathered, starts, ends, r = _lower_pieces(a[rows - start], a_top[rows], d, r0,
+                                                          k is not None)
+        parts.append((single, rows[gathered], starts, ends))
+        if k is not None:
+            reach[rows] = r
+    E = np.minimum(a_top[~scan], r0)  # the rows settled without a read
+    parts.append((E[E > 0.0], np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)))
+    single, rows, starts, ends = zip(*parts)
     starts, ends = _merge_by_row(*map(np.concatenate, (rows, starts, ends)))
+    radius = None
+    if k is not None:
+        c = int(np.count_nonzero(skip))
+        if not c < k:
+            raise InternalCheckError(f"{c} rows skipped below the order statistic {k}")
+        others = reach[~skip] if c else reach
+        radius = float(np.partition(others, k - c - 1)[k - c - 1])
     return (np.concatenate([np.zeros(sum(map(len, single))), starts]),
-            np.concatenate([*single, ends]), np.concatenate(reach) if upper else None)
+            np.concatenate([*single, ends]), radius)
 
 
 def _mc_sweep(n: int, alpha: float, starts, ends, lo: float, hi: float):
@@ -552,33 +595,36 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     once per bound and level).  Under a stack bound the lower side is a
     certified cell search and the upper side a bisection
     (``_union_radii``).  On a bank (a bound with ``row_max``) r0 comes from
-    the bank's stored row maxima (``m_statistic`` at zero gaps), with no scan, and one
-    pass over the bank (``_mc_scan``) gives both sides.  A row exceeds at
-    radius r below the anchor iff r lies in some open interval
-    (d_j - 3 |xi_j|, |xi_j|); the scan takes each row's union of them on
-    [0, r0] from the row maxima where the row is one piece from 0, and from
-    one sparse merge of the gathered rows' intervals otherwise, and the
-    sweep of the pieces gives the lower side exactly; the cell holding
-    r = 0 is always kept, so the anchor itself is never left out.  Above
-    the anchor the exceed count falls with r, so the upper radius is the
-    conservative order statistic of the rows' reaches, as r0 is of the row
-    maxima; the reaches come from the same pass.  The diagnostics count the
-    lower and upper cells bounded (``grid_points``) and kept
-    (``accepted_points``); Monte-Carlo ones are the lower side's.
+    the bank's stored row maxima (``m_statistic`` at zero gaps), with no
+    scan, and one pass over the bank (``_mc_scan``) gives both sides.  A
+    row exceeds at radius r below the anchor iff r lies in some open
+    interval (d_j - 3 |xi_j|, |xi_j|), and the sweep of each row's union of
+    them on [0, r0] gives the lower side exactly; the cell holding r = 0 is
+    always kept, so the anchor itself is never left out.  Above the anchor
+    the exceed count falls with r, so the upper radius is the conservative
+    order statistic of the rows' reaches, the k-th smallest, as r0 is of
+    the row maxima, selected by ``_mc_scan``, which settles most rows from
+    ``row_max`` and ``row_arg``.  ``bridged`` flags a rejected cell below
+    the last accepted one that holds a float: breakpoints that
+    agree in exact arithmetic may round one ulp apart, and the open cell
+    between them holds no radius.  The diagnostics count the lower and
+    upper cells bounded (``grid_points``) and kept (``accepted_points``);
+    Monte-Carlo ones are the lower side's.
     """
     bound, alpha = problem.bound, problem.alpha
     r0 = active_radius(bound, np.zeros(problem.m), alpha).r
     diagnostics = {"zero_gap_radius": r0}
     if hasattr(bound, "row_max"):
-        starts, ends, reach = _mc_scan(bound, d, r0, upper)
+        k = mc_order_index(1.0 - alpha, bound.n) if upper else None
+        starts, ends, r_u = _mc_scan(bound, d, r0, k)
         points, accept = _mc_sweep(bound.n, alpha, starts, ends, 0.0, r0)
         accept[0] = True
         last = accept.size - 1 - int(np.argmax(accept[::-1]))
-        radii = [float(points[last + 1])]
-        if upper:
-            radii.append(mc_quantile(reach, 1.0 - alpha))
+        radii = [float(points[last + 1]), r_u][:1 + upper]
         bounded, kept = accept.size, int(np.count_nonzero(accept))
-        diagnostics["bridged"] = not bool(accept[:last + 1].all())
+        rejected = np.flatnonzero(~accept[:last + 1])
+        holds = np.nextafter(points[rejected], np.inf) < points[rejected + 1]
+        diagnostics["bridged"] = bool(holds.any())
     else:
         radii, bounded, kept = _union_radii(bound, d, alpha, r0, (True, False)[:1 + upper])
     if upper and radii[0] < radii[1] - 1e-9:

@@ -21,10 +21,11 @@ and there are two kinds.  A stack bound (``UnionBound``) offers ``m``, an
 ``exceedance`` of a stack of width rows whose every row's value depends on
 that row alone, ``feasible_radius(alpha)``, ``exchangeable`` and the
 ``_r0`` memo.  A bank (``MonteCarloBound``) offers ``m``, ``n``,
-``blocks()``, ``row_max``, ``exchangeable`` and ``_r0``; the solvers tell
-it apart by its ``row_max``.  The step-down methods need exactly two things
-more of a bound: ``exchangeable`` must hold and the bound must carry
-``models``, its per-coordinate marginal tails.
+``blocks()``, ``row_max``, ``row_arg`` (the column of each row's
+maximum), ``exchangeable`` and ``_r0``; the solvers tell it apart by its
+``row_max``.  The step-down methods need exactly two things more of a
+bound: ``exchangeable`` must hold and the bound must carry ``models``, its
+per-coordinate marginal tails.
 """
 from __future__ import annotations
 
@@ -287,13 +288,17 @@ class MonteCarloBound:
     once, as a read-only n x m array of absolute draws: signed draws are
     folded on construction, and a read-only non-negative array (what
     ``draw_bank`` builds) is adopted without a copy.  ``row_max`` holds each
-    row's largest |xi|, a read-only n-vector computed once, in the same
-    block loop that checks the bank finite and its signs; the zero-gap
-    statistic and every Monte-Carlo radius read it instead of rescanning
-    the bank, and ``_r0`` keeps the zero-gap radius of each level that
-    ``core.active_radius`` has read off them (neither is a field, so
-    equality and repr ignore them).  ``exchangeable`` records whether the coordinates of the
-    sampled law are exchangeable, which symmetric-bound consumers check.
+    row's largest |xi| and ``row_arg`` its column (the first one on ties,
+    as ``np.argmax`` picks it, in the smallest unsigned type that holds
+    m - 1), read-only n-vectors computed once, in the same block loop that
+    checks the bank finite and its signs.  The zero-gap statistic and every
+    Monte-Carlo radius read ``row_max`` instead of rescanning the bank, a
+    bank scan settles most rows from the two (``core._mc_scan``), and
+    ``_r0`` keeps the zero-gap radius of each level that
+    ``core.active_radius`` has read off them (none is a field, so equality
+    and repr ignore them).  ``exchangeable`` records whether the
+    coordinates of the sampled law are exchangeable, which symmetric-bound
+    consumers check.
     """
 
     abs_samples: np.ndarray = field(repr=False)
@@ -305,6 +310,7 @@ class MonteCarloBound:
             raise ValueError("sample bank must be a non-empty 2-d array")
         folded = np.empty(a.shape) if a.flags.writeable else None
         row_max = np.empty(a.shape[0])
+        row_arg = np.empty(a.shape[0], dtype=np.min_scalar_type(a.shape[1] - 1))
         step = _block_rows(a.shape[1])
         for s in range(0, a.shape[0], step):
             block = a[s:s + step]
@@ -316,13 +322,17 @@ class MonteCarloBound:
                 folded[:s] = a[:s]
             if folded is not None:
                 block = np.abs(block, out=folded[s:s + step])
-            np.max(block, axis=1, out=row_max[s:s + step])
+            arg = block.argmax(axis=1)  # the first largest |xi| on ties
+            row_arg[s:s + step] = arg
+            row_max[s:s + step] = np.take_along_axis(block, arg[:, None], axis=1)[:, 0]
         if folded is not None:
             a = folded
             a.setflags(write=False)
         row_max.setflags(write=False)
+        row_arg.setflags(write=False)
         object.__setattr__(self, "abs_samples", a)
         object.__setattr__(self, "row_max", row_max)
+        object.__setattr__(self, "row_arg", row_arg)
         object.__setattr__(self, "_r0", {})  # zero-gap radius per level (core.active_radius)
 
     @property

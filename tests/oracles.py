@@ -310,9 +310,10 @@ MERGE_PASSES = 16
 
 
 def blocked_bank(a, rows: int):
-    """The bank protocol that ``core._mc_scan`` reads (``blocks()`` and
-    ``row_max``) over the |xi| rows ``a``, in blocks of ``rows`` rows."""
-    return SimpleNamespace(row_max=a.max(axis=1),
+    """The bank protocol that ``core._mc_scan`` reads (``blocks()``,
+    ``row_max`` and ``row_arg``) over the |xi| rows ``a``, in blocks of
+    ``rows`` rows."""
+    return SimpleNamespace(row_max=a.max(axis=1), row_arg=a.argmax(axis=1),
                            blocks=lambda: (a[s:s + rows] for s in range(0, len(a), rows)))
 
 

@@ -487,6 +487,25 @@ class TestMonteCarloGridAcceptance:
             np.testing.assert_array_equal(points, [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
             np.testing.assert_array_equal(accept, np.array(expected, dtype=bool))
 
+    def test_only_a_rejected_cell_holding_a_float_bridges(self):
+        # row 1 exceeds up to its |xi| of 0.6 and row 3 from its gap less
+        # 3 * 1.1, 0.6 in exact arithmetic but rounded one ulp above; the
+        # open cell between them, the only rejected one, holds no float
+        rows = [[0, 0, 0, .9], [0, 0, .6, 0], [.5, 0, 0, 0], [1.1, 0, 0, 0], [0, 0, .5, .9],
+                [0, .7, .5, 0], [.1, 0, 0, .3], [0, 0, 0, 0], [.1, 0, 0, .4]]
+        p = Problem(np.array([-2.6, -1.5, 1.3, 1.2]), MonteCarloBound(np.array(rows)), 0.3)
+        starts, ends, _ = _mc_scan(p.bound, 1.3 - p.x, 0.9)
+        points, accept = _mc_sweep(p.bound.n, 0.3, starts, ends, 0.0, 0.9)
+        assert list(points[~np.append(accept, True)]) == [0.6]
+        assert points[np.argmin(accept) + 1] == np.nextafter(0.6, 1.0)
+        iv = winner_interval_grid(p)
+        assert (iv.r_l, iv.r_u, iv.diagnostics["bridged"]) == (0.9, 0.6, False)
+        # a rejected cell of width 0.2 does bridge the interval
+        bank = MonteCarloBound(np.array([[0.2, 0.2, 0.2, 0.4], [0.1, 0.1, 2.2, 0.0],
+                                         [0.0, 0.2, 0.5, 0.3]]))
+        iv = winner_interval_grid(Problem(np.array([2.4, 2.4, 0.5, 0.6]), bank, 0.4))
+        assert (iv.r_l, iv.r_u, iv.diagnostics["bridged"]) == (0.5, 0.2, True)
+
     def test_mc_interval_against_wider_bank_brackets(self):
         # grid interval under the empirical bound contains the winner score
         # and stays within the zero-gap box
@@ -537,9 +556,12 @@ class TestLowerPieces:
         single, gathered = _lower_pieces(a, a.max(axis=1), d, r0, upper=False)[:2]
         np.testing.assert_array_equal(single, [1.0])  # only the zero-gap row 4
         np.testing.assert_array_equal(np.unique(gathered), [0, 1, 2, 3, 5])
+        reaches = np.sort(mc_reach_scan(a, d))
         for block_rows in (1, 4, 6):
-            starts, ends, reach = _mc_scan(blocked_bank(a, block_rows), d, r0, upper=True)
-            assert reach.tobytes() == mc_reach_scan(a, d).tobytes()
+            bank = blocked_bank(a, block_rows)
+            for k in range(1, len(rows) + 1):
+                assert _mc_scan(bank, d, r0, k)[2] == reaches[k - 1]
+            starts, ends = _mc_scan(bank, d, r0)[:2]
             expected = merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
             got = sorted_pieces(starts, ends)
             for have, want in zip(got, sorted_pieces(*expected)):

@@ -417,20 +417,34 @@ def exceed_tables(draw):
     return a, d, r0
 
 
+# Gaps below the anchor (-1) and a tie: in rows 0 and 7 the first largest
+# |xi| fails its gap and the tied one after it clears its own.  Rows 3 and
+# 5 are all zero.  In blocks of 4 rows, rows 0-2 leave the lower rule
+# unsettled, so the first block gathers most of its rows, and the second
+# gathers row 7 alone.
+SETTLE_GAPS = np.array([0.0, -1.0, 6.0, 3.0])
+SETTLE_ROWS = np.array([[0.2, 0.5, 1.5, 1.5], [0.1, 0.3, 1.0, 0.2], [0.0, 0.0, 1.8, 0.0],
+                        [0.0, 0.0, 0.0, 0.0], [2.5, 0.1, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0],
+                        [0.3, 1.2, 0.9, 0.1], [0.1, 0.2, 1.9, 1.9]])
+
+
 @settings(max_examples=400, deadline=None, database=None)
 @given(exceed_tables(), st.integers(1, 12))
+@example((SETTLE_ROWS, SETTLE_GAPS, 2.0), 4)
+@example((SETTLE_ROWS, SETTLE_GAPS, 0.0), 4)
+@example((SETTLE_ROWS, SETTLE_GAPS, 1.0), 3)
 def test_lower_pieces_are_the_sort_merge_bit_for_bit(case, block_rows):
     # one read of the bank, in blocks of any size, gives the pieces of the
-    # dense sort merge and of the separate lower scan, and the reaches of
-    # the separate upper scan
+    # dense sort merge and of the separate lower scan, and every order
+    # statistic of the reaches of the separate upper scan
     a, d, r0 = case
     bank = blocked_bank(a, block_rows)
-    starts, ends, reach = _mc_scan(bank, d, r0, upper=True)
-    got = sorted_pieces(starts, ends)
-    merged = merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))
-    lower_only = _mc_scan(bank, d, r0, upper=False)
-    assert lower_only[2] is None
-    for want in (merged, lower_pieces_two_scans(a, d, r0), lower_only[:2]):
-        for have, ref in zip(got, sorted_pieces(*want)):
-            assert have.tobytes() == ref.tobytes()
-    assert reach.tobytes() == mc_reach_scan(a, d).tobytes()
+    wants = [sorted_pieces(*merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))),
+             sorted_pieces(*lower_pieces_two_scans(a, d, r0))]
+    reaches = np.sort(mc_reach_scan(a, d))
+    for k in (None, *range(1, len(a) + 1)):
+        starts, ends, radius = _mc_scan(bank, d, r0, k)
+        for want in wants:
+            for have, ref in zip(sorted_pieces(starts, ends), want):
+                assert have.tobytes() == ref.tobytes()
+        assert radius is None if k is None else radius.hex() == float(reaches[k - 1]).hex()

@@ -193,10 +193,17 @@ class TestMonteCarloBound:
         assert not np.shares_memory(b.abs_samples, signed)  # private copy
         # a read-only |xi| array is adopted as is
         assert MonteCarloBound(b.abs_samples).abs_samples is b.abs_samples
-        # one n x m array; beside it only the read-only n-vector of row maxima
+        # one n x m array; beside it only the read-only n-vectors of row
+        # maxima and of their columns, the first one on a tie
         arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
-        assert [v.shape for v in arrays] == [(2, 2), (2,)]
+        assert [v.shape for v in arrays] == [(2, 2), (2,), (2,)]
         assert arrays[1] is b.row_max and not b.row_max.flags.writeable
+        assert arrays[2] is b.row_arg and not b.row_arg.flags.writeable
+        np.testing.assert_array_equal(b.row_arg, b.abs_samples.argmax(axis=1))
+        np.testing.assert_array_equal(b.row_arg, [1, 1])  # row 0 as folded: |-2| > 1
+        tied = MonteCarloBound(np.array([[0.5, 3.0, 3.0, -3.0], [2.0, 1.0, 0.0, 0.0]]))
+        np.testing.assert_array_equal(tied.row_arg, [1, 0])
+        np.testing.assert_array_equal(tied.row_arg, tied.abs_samples.argmax(axis=1))
 
     def test_read_only_bank_with_a_late_sign_is_folded(self):
         # 2 x 70k entries span three scan blocks; a sign bit (a negative

@@ -15,6 +15,11 @@ covers union bounds only, so this is the byte-identity check of the bank
 scan and sweep (``core._mc_scan``, ``core._mc_sweep``): compare the digest
 between the parent and the change, run on one host.  The package is
 imported from ``src`` next to this directory.
+
+A second line counts, over every bank scan of the run, the bank rows read
+in full (the rows handed to ``core._lower_pieces``) and the rows settled
+without that read (the scanned banks' rows less those read).  Both counts
+depend on the code alone, not on the host.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from zoomcurse import (EquicorrelatedSampler, MonteCarloBound, Problem,  # noqa: E402
-                       draw_bank, near_winner_interval, topk_interval,
+                       core, draw_bank, near_winner_interval, topk_interval,
                        winner_identity_set, winner_interval_grid)
 
 ROWS = 20_000
@@ -62,7 +67,25 @@ def results(problem: Problem):
     yield near_winner_interval(problem, runner_up)
 
 
+def count_rows(counts: dict) -> None:
+    """Wrap ``core._mc_scan`` and ``core._lower_pieces`` to add each scan's
+    bank rows to ``counts["scanned"]`` and the rows read to ``counts["read"]``."""
+    scan, pieces = core._mc_scan, core._lower_pieces
+
+    def counted_scan(bound, *args, **kwargs):
+        counts["scanned"] += bound.row_max.size
+        return scan(bound, *args, **kwargs)
+
+    def counted_pieces(a, *args, **kwargs):
+        counts["read"] += a.shape[0]
+        return pieces(a, *args, **kwargs)
+
+    core._mc_scan, core._lower_pieces = counted_scan, counted_pieces
+
+
 def main() -> None:
+    counts = {"scanned": 0, "read": 0}
+    count_rows(counts)
     digest = hashlib.sha256()
     start = time.perf_counter()
     for seed, bank in enumerate(banks()):
@@ -71,6 +94,7 @@ def main() -> None:
                 for result in results(Problem(x, bank, alpha)):
                     digest.update(repr(result).encode())
     print(digest.hexdigest(), f"{time.perf_counter() - start:.1f} s")
+    print(f"rows read {counts['read']}, settled {counts['scanned'] - counts['read']}")
 
 
 if __name__ == "__main__":
