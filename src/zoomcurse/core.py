@@ -49,13 +49,16 @@ constant in r and a sweep over its breakpoints gives it exactly
 so the upper radius is an order statistic of the reaches.  The scan
 settles most rows exactly from their stored maximum (``row_max``) and
 its column (``row_arg``), by three rules stated and proved there, and
-reads in full only the rows left.  One fused pass per block gives
-their pieces and reaches; most of them exceed on one piece from r = 0 to
-the largest end among their intervals that start at or below 0, which
-the pass settles from the row maxima alone (``_lower_pieces``).  Each of
-the few rows whose intervals reach past it is gathered as that piece plus
-its intervals that start above 0, and the gathered rows of every block
-are merged by one sort per call (``_merge_by_row``).
+reads in full only the rows left, gathered across blocks into batches of
+one block's rows.  One fused pass per batch gives their pieces and
+reaches; most of them exceed on one piece from r = 0 to the largest end
+among their intervals that start at or below 0, which the pass settles
+from the row maxima alone (``_lower_pieces``).  Each of the few rows
+whose intervals reach past it is gathered as that piece plus its
+intervals that start above 0, as (row, start, end) triples; a row of one
+triple is that one piece, and the rows of two or more are merged by one
+sort per call (``_merge_by_row``).  The sweep takes every count by rank,
+from one sort of the pieces' ends.
 """
 from __future__ import annotations
 
@@ -241,11 +244,11 @@ def _merge_by_row(rows, starts, ends) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lower_pieces(a, row_max, d, r0: float, upper: bool):
-    """Exceed pieces below the anchor, on [0, r0], of a block of |xi| rows
-    and, if ``upper``, the rows' reaches above it, from one scan of the block.
+    """Exceed pieces below the anchor, on [0, r0], of a batch of |xi| rows
+    and, if ``upper``, the rows' reaches above it, from one scan of the batch.
 
     Row i exceeds at radius r below the anchor on the open intervals
-    (max(L_j, 0), U_j) with L = d - 3 |xi| and U = min(|xi|, r0).  The block
+    (max(L_j, 0), U_j) with L = d - 3 |xi| and U = min(|xi|, r0).  The batch
     is read once: with t = 3 |xi|, the seed of the piece at 0 is
     E = min(max |xi_j| over t_j >= d_j, r0), the largest U over the
     intervals with L <= 0 and so their union (0, E) (d - t <= 0 iff t >= d,
@@ -256,11 +259,12 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
     E; each starts below its end, so inside (0, E), and the row is exactly
     the piece (0, E).  Only the others are gathered: each gives its seed
     (0, E) if E > 0 and its non-empty intervals with L > 0, as (row, start,
-    end) triples for ``_merge_by_row``, L compared as rounded.  L and U are
-    formed in place over the block: L from t (fl(d - t) = -fl(t - d),
-    rounding being symmetric), U in the scratch buffer.  Returns (E of the
-    one-piece rows, rows, starts, ends, reach), rows indexing the block and
-    reach None unless ``upper``.
+    end) triples, L compared as rounded.  A row of one triple is that one
+    piece, so only rows of two or more go to ``_merge_by_row``.  L and U
+    are formed in place over the batch: L from t (fl(d - t) = -fl(t - d),
+    rounding being symmetric), U in the scratch buffer.  Returns (starts,
+    ends) of the one-piece rows, the (rows, starts, ends) triples of the
+    others, rows indexing the batch, and the reaches, None unless ``upper``.
     """
     t = np.multiply(a, 3.0)
     scratch = np.multiply(a, t >= d)  # |xi| >= 0, so a masked-out entry is 0
@@ -270,16 +274,42 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
         np.subtract(t, d, out=t)
         reach = np.minimum(a, t, out=scratch).max(axis=1)
     gather = (E <= 0.0) | (E != np.minimum(row_max, r0))
-    rest = np.flatnonzero(gather)
-    if rest.size == 0:  # no gathered row, nothing more to form
-        return E, rest, E[:0], E[:0], reach
+    if not gather.any():  # no gathered row, nothing more to form
+        return np.zeros(E.size), E, np.empty(0, dtype=np.intp), E[:0], E[:0], reach
     L = np.negative(t, out=t) if upper else np.subtract(d, t, out=t)
     U = np.minimum(a, r0, out=scratch)
     i, j = np.nonzero((L > 0.0) & (U > L) & gather[:, None])
-    seeded = rest[E[rest] > 0.0]
-    return (E[~gather], np.concatenate([seeded, i]),
-            np.concatenate([np.zeros(seeded.size), L[i, j]]),
-            np.concatenate([E[seeded], U[i, j]]), reach)
+    seeded = np.flatnonzero(E > 0.0)
+    rows = np.concatenate([seeded, i])
+    starts = np.concatenate([np.zeros(seeded.size), L[i, j]])
+    ends = np.concatenate([E[seeded], U[i, j]])
+    many = np.bincount(rows, minlength=E.size)[rows] > 1
+    return starts[~many], ends[~many], rows[many], starts[many], ends[many], reach
+
+
+def _batches(blocks, rows):
+    """The bank rows ``rows`` (sorted indices) read from consecutive
+    ``blocks`` into batches of the first block's row count, the last one
+    short, as (indices, |xi| rows).  One buffer holds every batch, so the
+    temporaries stay those of one block, and each batch is overwritten by
+    the next."""
+    buf, held, stop, i = None, 0, 0, 0
+    for a in blocks:
+        if i == rows.size:
+            break
+        buf = np.empty(a.shape) if buf is None else buf
+        start, stop = stop, stop + a.shape[0]
+        j = int(np.searchsorted(rows, stop))
+        while i < j:
+            take = min(j - i, buf.shape[0] - held)
+            # mode="clip" writes into out unbuffered; every index is in range
+            np.take(a, rows[i:i + take] - start, axis=0, out=buf[held:held + take], mode="clip")
+            i, held = i + take, held + take
+            if held == buf.shape[0]:
+                yield rows[i - held:i], buf
+                held = 0
+    if held:
+        yield rows[i - held:i], buf[:held]
 
 
 def _mc_scan(bound, d, r0: float, k: int | None = None):
@@ -298,36 +328,33 @@ def _mc_scan(bound, d, r0: float, k: int | None = None):
       is at least T and a row with a* < T lies below it.  With c rows
       skipped it is the (k - c)-th smallest reach of the others (c < k, as
       each skipped row has LB <= a* < T).
-    The bank is read block by block, and ``_lower_pieces`` runs (with those
-    rows' ``row_max``) only on the rows of each block that no rule settles,
-    gathered.  The triples of the gathered rows of every block are merged
-    once, after the pass (``_merge_by_row``).  Returns (starts, ends,
-    radius), radius None unless ``k``.
+    The bank is read in one pass over its blocks.  The rows that no rule
+    settles are gathered across blocks into batches of the first block's
+    row count (``_batches``), and ``_lower_pieces`` runs once per batch,
+    with those rows' ``row_max``.  The triples of its rows of two or more
+    pieces are merged once, after the pass (``_merge_by_row``).  Returns
+    (starts, ends, radius), radius None unless ``k``.
     """
     a_top = bound.row_max
     t_top = np.multiply(a_top, 3.0)
-    d_top = d[bound.row_arg]
+    d_top = np.take(d, bound.row_arg)
     scan = t_top < d_top  # the rows the lower rule does not settle
     if k is not None:
         lb = np.minimum(a_top, np.subtract(t_top, d_top, out=d_top), out=d_top)
         skip = a_top < np.partition(lb, k - 1)[k - 1]
         scan |= (lb != a_top) & ~skip
         reach = a_top.copy()  # the reach of every row the upper rules settle
-    parts, stop = [], 0
-    for a in bound.blocks():
-        start, stop = stop, stop + a.shape[0]
-        rows = start + np.flatnonzero(scan[start:stop])
-        if rows.size == 0:
-            continue
-        single, gathered, starts, ends, r = _lower_pieces(a[rows - start], a_top[rows], d, r0,
-                                                          k is not None)
-        parts.append((single, rows[gathered], starts, ends))
+    E = np.minimum(a_top[~scan], r0)  # the rows settled without a read
+    E = E[E > 0.0]
+    pieces, triples = [(np.zeros(E.size), E)], []
+    for rows, a in _batches(bound.blocks(), np.flatnonzero(scan)):
+        *lone, gathered, starts, ends, r = _lower_pieces(a, a_top[rows], d, r0, k is not None)
+        pieces.append(lone)
+        triples.append((rows[gathered], starts, ends))
         if k is not None:
             reach[rows] = r
-    E = np.minimum(a_top[~scan], r0)  # the rows settled without a read
-    parts.append((E[E > 0.0], np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)))
-    single, rows, starts, ends = zip(*parts)
-    starts, ends = _merge_by_row(*map(np.concatenate, (rows, starts, ends)))
+    pieces += [_merge_by_row(*map(np.concatenate, zip(*triples)))] if triples else []
+    starts, ends = map(np.concatenate, zip(*pieces))
     radius = None
     if k is not None:
         c = int(np.count_nonzero(skip))
@@ -335,8 +362,7 @@ def _mc_scan(bound, d, r0: float, k: int | None = None):
             raise InternalCheckError(f"{c} rows skipped below the order statistic {k}")
         others = reach[~skip] if c else reach
         radius = float(np.partition(others, k - c - 1)[k - c - 1])
-    return (np.concatenate([np.zeros(sum(map(len, single))), starts]),
-            np.concatenate([*single, ends]), radius)
+    return starts, ends, radius
 
 
 def _mc_sweep(n: int, alpha: float, starts, ends, lo: float, hi: float):
@@ -344,17 +370,33 @@ def _mc_sweep(n: int, alpha: float, starts, ends, lo: float, hi: float):
 
     ``starts`` and ``ends`` are the flat open pieces, merged per row and
     lying in [lo, hi], on which each row exceeds (``_mc_scan``).  Since each
-    row counts once, the exceed count is piecewise constant: just right of a
-    breakpoint p it is #{starts <= p} - #{ends <= p}.  Returns the sorted breakpoints (lo
+    row counts once, the exceed count is piecewise constant: just right of
+    a breakpoint p it is #{starts <= p} - #{ends <= p}, p being lo or a
+    value inside (lo, hi).  The counts are ranks, found with one sort of
+    the ends.  The starts at or below lo, every settled row's 0 among them,
+    count as one constant; the few inside (lo, hi) are sorted alone and
+    inserted by position into the ends inside it.  At the last copy of a
+    value p, index i of that merged array, i + 1 starts and ends lie in
+    (lo, p], so #{ends <= p} follows from #{starts <= p}, which steps only
+    at the ranks of those few starts.  Returns the sorted breakpoints (lo
     and hi included) and, for each open cell between neighbours, whether
     its count reaches the acceptance threshold.
     """
-    starts, ends = np.sort(starts), np.sort(ends)
-    inside = np.unique(np.concatenate([starts, ends]))
-    points = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
-    count = (np.searchsorted(starts, points[:-1], side="right")
-             - np.searchsorted(ends, points[:-1], side="right"))
-    return points, count >= _mc_accept_threshold(n, alpha)
+    ends = np.sort(ends)
+    low = int(np.searchsorted(ends, lo, side="right"))  # #{ends <= lo}
+    ends = ends[low:np.searchsorted(ends, hi)]  # empty if hi <= lo
+    below = np.count_nonzero(starts <= lo)
+    rise = np.sort(starts[(starts > lo) & (starts < hi)])
+    merged = np.insert(ends, np.searchsorted(ends, rise), rise)
+    at = np.flatnonzero(merged != np.append(merged[1:], np.nan))  # each value's last copy
+    points = np.concatenate([[lo], merged[at], [hi]])
+    # 2 #{starts in (lo, p]}, stepping up by 2 at the rank of each start
+    twice = np.repeat(np.arange(0, 2 * rise.size + 1, 2),
+                      np.diff(np.searchsorted(points[1:-1], rise), prepend=0, append=at.size))
+    # #{starts in (lo, p]} + #{ends in (lo, p]} = at + 1, so the count is
+    # below - low + twice - at - 1, and it must reach the threshold
+    need = _mc_accept_threshold(n, alpha) - below + low
+    return points, np.concatenate([[need <= 0], twice - at > need])
 
 
 # Steps allowed per radius search.  A sum lying within rounding error of

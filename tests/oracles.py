@@ -5,7 +5,8 @@ of the acceptance tests, basic and sigma-scaled, the union bound summed
 model by model, the dense sort merge of per-row Monte-Carlo exceed
 intervals and a canonical order for comparing merged pieces, the two-scan
 forms of the Monte-Carlo lower pieces and reaches that the fused block scan
-replaced, and the union radius search that asks
+replaced, the three-sort breakpoint sweep that counting by rank replaced,
+and the union radius search that asks
 for one step's cells per exceedance call, which the look-ahead search
 replaced, and the bisection that solved ``active_radius`` under a union
 bound before that search took it over.  ``bank_exceedance`` is a bank's
@@ -24,8 +25,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from zoomcurse.core import (MAX_SEARCH_STEPS, RADIUS_TOL, _check_scores, _step_widths,
-                            active_radius)
+from zoomcurse.core import (MAX_SEARCH_STEPS, RADIUS_TOL, _check_scores, _mc_accept_threshold,
+                            _step_widths, active_radius)
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.simulate import SimConfig
@@ -303,6 +304,20 @@ def merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
     last[-1] = True
     next_col = np.concatenate([cols[1:], [1]])
     return ls[rows, cols], umax[rows, np.where(last, m - 1, next_col - 1)]
+
+
+def mc_sweep_sorted(n: int, alpha: float, starts, ends, lo: float, hi: float):
+    """``core._mc_sweep`` by three sorts: the starts, the ends and their
+    union, whose distinct values inside (lo, hi) are the breakpoints, with
+    each breakpoint's count #{starts <= p} - #{ends <= p} binary-searched in
+    both sorted arrays.  Returns the breakpoints (lo and hi included) and
+    whether each open cell between neighbours reaches the threshold."""
+    starts, ends = np.sort(starts), np.sort(ends)
+    inside = np.unique(np.concatenate([starts, ends]))
+    points = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])
+    count = (np.searchsorted(starts, points[:-1], side="right")
+             - np.searchsorted(ends, points[:-1], side="right"))
+    return points, count >= _mc_accept_threshold(n, alpha)
 
 
 # Growth passes of ``lower_pieces_two_scans`` before a row goes to the sort.

@@ -553,9 +553,13 @@ class TestLowerPieces:
         for i, (r, _) in enumerate(rows):
             a[i, stop[i] - r.size:stop[i]] = r
         r0 = 100.0
-        single, gathered = _lower_pieces(a, a.max(axis=1), d, r0, upper=False)[:2]
-        np.testing.assert_array_equal(single, [1.0])  # only the zero-gap row 4
-        np.testing.assert_array_equal(np.unique(gathered), [0, 1, 2, 3, 5])
+        lone_starts, lone_ends, gathered = _lower_pieces(a, a.max(axis=1), d, r0, upper=False)[:3]
+        # the zero-gap row 4 is one piece from its E alone; rows 5 and 3
+        # each give one triple, row 5 its seed and row 3 its interval with
+        # L > 0, so only rows 0 to 2 go to the merge
+        np.testing.assert_array_equal(lone_starts, [0.0, 0.0, 0.5])
+        np.testing.assert_array_equal(lone_ends, [1.0, 0.5, 1.0])
+        np.testing.assert_array_equal(np.unique(gathered), [0, 1, 2])
         reaches = np.sort(mc_reach_scan(a, d))
         for block_rows in (1, 4, 6):
             bank = blocked_bank(a, block_rows)
@@ -582,6 +586,37 @@ class TestLowerPieces:
         iv = winner_interval_grid(p)
         assert iv.t_l < x[0] < iv.t_u
         assert len(merged_rows) == 1 and merged_rows[0] < 0.01 * n
+
+
+@pytest.mark.parametrize("block_rows", range(1, 13))
+def test_rows_read_go_to_lower_pieces_once_in_full_batches(monkeypatch, block_rows):
+    # distinct rows, so each row handed to _lower_pieces names its bank row;
+    # the scans below read 6 to 14 of the 40 rows
+    a = np.abs(np.random.default_rng(8).standard_normal((40, 5))) * [1.0, 1.0, 1.0, 1.0, 1.6]
+    d, r0 = np.array([0.0, 0.3, 1.0, 2.5, 6.0]), 1.5
+    index = {row.tobytes(): i for i, row in enumerate(a)}
+    assert len(index) == len(a)
+    calls, lower = [], core._lower_pieces
+
+    def recorded(rows, *args):
+        calls.append([index[row.tobytes()] for row in rows])
+        return lower(rows, *args)
+
+    monkeypatch.setattr(core, "_lower_pieces", recorded)
+    for k in (None, 1, 10, 20, 36, 40):
+        calls.clear()
+        want = _mc_scan(blocked_bank(a, len(a)), d, r0, k)  # one block, so one call
+        (read,) = calls
+        calls.clear()
+        have = _mc_scan(blocked_bank(a, block_rows), d, r0, k)
+        assert [row for call in calls for row in call] == read  # each row once, in order
+        assert all(len(call) == block_rows for call in calls[:-1])
+        assert 0 < len(calls[-1]) <= block_rows
+        if len(read) < block_rows:
+            assert len(calls) == 1
+        for x, y in zip(sorted_pieces(*have[:2]), sorted_pieces(*want[:2])):
+            assert x.tobytes() == y.tobytes()
+        assert have[2] == want[2]
 
 
 def test_winner_and_topk_calls_read_the_bank_once(monkeypatch):

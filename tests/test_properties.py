@@ -10,7 +10,8 @@ two-piece merge it replaced.  Empirical tables holding zeros solve under
 every union solver.  A last test pins the
 Monte-Carlo bank scan's per-row pieces to the dense sort merge and, with
 the reaches, to the two separate scans it replaced, on tables built to tie,
-touch, chain and leave the one-piece fast path, read in blocks of any size.
+touch, chain and leave the one-piece fast path, read in blocks of any size,
+and the bank sweep's counts by rank to the three-sort sweep they replaced.
 Hypothesis keeps no example database here, so a run writes no files.
 """
 from unittest import mock
@@ -21,8 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoomcurse import core
-from zoomcurse.core import (Problem, _cell_widths, _mc_scan, _step_widths, _union_radii,
-                            active_radius, winner_interval_grid, winner_interval_root)
+from zoomcurse.core import (Problem, _cell_widths, _mc_scan, _mc_sweep, _step_widths,
+                            _union_radii, active_radius, winner_interval_grid,
+                            winner_interval_root)
 from zoomcurse.errors import InfeasibleAlphaError
 from zoomcurse.meta import near_winner_interval, population_value_interval
 from zoomcurse.scaled import ScaledProblem, winner_interval_scaled
@@ -31,8 +33,9 @@ from zoomcurse.tails import (MIN_TAIL_PROB, EmpiricalTail, GaussianTail, SubGaus
 from zoomcurse.topk import topk_interval
 
 from oracles import (MERGE_PASSES, active_radius_bisection, blocked_bank, endpoint_sum,
-                     lower_pieces_two_scans, mc_reach_scan, merged_pieces, near_winner_pieces,
-                     sequential_exceedance, sorted_pieces, union_radii_one_step)
+                     lower_pieces_two_scans, mc_reach_scan, mc_sweep_sorted, merged_pieces,
+                     near_winner_pieces, sequential_exceedance, sorted_pieces,
+                     union_radii_one_step)
 
 _T5 = np.random.default_rng(5)
 EMPIRICAL = EmpiricalTail(np.abs(_T5.standard_t(5, size=300)))
@@ -448,3 +451,36 @@ def test_lower_pieces_are_the_sort_merge_bit_for_bit(case, block_rows):
             for have, ref in zip(sorted_pieces(starts, ends), want):
                 assert have.tobytes() == ref.tobytes()
         assert radius is None if k is None else radius.hex() == float(reaches[k - 1]).hex()
+
+
+# A 0.1 grid, so values repeat, or floats; v + 0.0 folds -0.0 into 0.0, as
+# the three-sort sweep's unstable sort leaves the sign of a zero breakpoint
+# between the two to chance.
+SWEEP_VALUE = st.one_of(st.integers(-5, 35).map(lambda k: k / 10.0),
+                        st.floats(-0.5, 3.5).map(lambda v: v + 0.0))
+
+
+@st.composite
+def sweep_cases(draw):
+    """Arguments of ``_mc_sweep``: starts, ends, lo and hi drawn from one
+    small pool of values, so values repeat, a start may equal an end, and
+    values fall at or below lo and at or above hi; sometimes every start is
+    lo.  Starts and ends may differ in number and hold empty pieces."""
+    pool = st.sampled_from(draw(st.lists(SWEEP_VALUE, min_size=1, max_size=8)))
+    starts = np.array(draw(st.lists(pool, max_size=12)), dtype=float)
+    ends = np.array(draw(st.lists(pool, max_size=12)), dtype=float)
+    lo, hi = sorted(draw(st.lists(pool, min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        starts[:] = lo
+    n = draw(st.integers(max(1, starts.size, ends.size), 16))
+    return n, draw(st.floats(0.01, 0.99)), starts, ends, lo, hi
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(sweep_cases())
+@example((1, 0.1, np.empty(0), np.empty(0), 0.0, 1.0))
+@example((3, 0.5, np.empty(0), np.array([0.4]), 0.0, 0.0))
+@example((4, 0.4, np.array([0.0, 0.5, 1.0, 2.0]), np.array([0.5, 1.0, 1.0, 3.0]), 1.0, 1.0))
+def test_sweep_counts_by_rank_are_the_three_sorts_bit_for_bit(case):
+    for have, want in zip(_mc_sweep(*case), mc_sweep_sorted(*case)):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()

@@ -17,9 +17,11 @@ between the parent and the change, run on one host.  The package is
 imported from ``src`` next to this directory.
 
 A second line counts, over every bank scan of the run, the bank rows read
-in full (the rows handed to ``core._lower_pieces``) and the rows settled
-without that read (the scanned banks' rows less those read).  Both counts
-depend on the code alone, not on the host.
+in full (the rows handed to ``core._lower_pieces``), the rows settled
+without that read (the scanned banks' rows less those read), the calls of
+``core._lower_pieces`` (one per batch of rows read) and the (row, start,
+end) triples sent to ``core._merge_by_row``.  The counts depend on the code
+alone, not on the host.
 """
 from __future__ import annotations
 
@@ -68,9 +70,11 @@ def results(problem: Problem):
 
 
 def count_rows(counts: dict) -> None:
-    """Wrap ``core._mc_scan`` and ``core._lower_pieces`` to add each scan's
-    bank rows to ``counts["scanned"]`` and the rows read to ``counts["read"]``."""
-    scan, pieces = core._mc_scan, core._lower_pieces
+    """Wrap ``core._mc_scan``, ``core._lower_pieces`` and ``core._merge_by_row``
+    to add each scan's bank rows to ``counts["scanned"]``, the rows read to
+    ``counts["read"]``, the calls that read them to ``counts["calls"]`` and
+    the triples merged to ``counts["merged"]``."""
+    scan, pieces, merge = core._mc_scan, core._lower_pieces, core._merge_by_row
 
     def counted_scan(bound, *args, **kwargs):
         counts["scanned"] += bound.row_max.size
@@ -78,13 +82,19 @@ def count_rows(counts: dict) -> None:
 
     def counted_pieces(a, *args, **kwargs):
         counts["read"] += a.shape[0]
+        counts["calls"] += 1
         return pieces(a, *args, **kwargs)
 
-    core._mc_scan, core._lower_pieces = counted_scan, counted_pieces
+    def counted_merge(rows, *args):
+        counts["merged"] += rows.size
+        return merge(rows, *args)
+
+    core._mc_scan, core._lower_pieces, core._merge_by_row = (counted_scan, counted_pieces,
+                                                             counted_merge)
 
 
 def main() -> None:
-    counts = {"scanned": 0, "read": 0}
+    counts = dict.fromkeys(("scanned", "read", "calls", "merged"), 0)
     count_rows(counts)
     digest = hashlib.sha256()
     start = time.perf_counter()
@@ -94,7 +104,8 @@ def main() -> None:
                 for result in results(Problem(x, bank, alpha)):
                     digest.update(repr(result).encode())
     print(digest.hexdigest(), f"{time.perf_counter() - start:.1f} s")
-    print(f"rows read {counts['read']}, settled {counts['scanned'] - counts['read']}")
+    print(f"rows read {counts['read']}, settled {counts['scanned'] - counts['read']}, "
+          f"_lower_pieces calls {counts['calls']}, triples merged {counts['merged']}")
 
 
 if __name__ == "__main__":
