@@ -40,25 +40,26 @@ then replays its steps from the bounds it holds until one needs a cell it
 lacks.  Each decision reads the bound of the very cell a one-step search
 asks for, and a row's bound does not depend on the rows beside it, so no
 radius or count of cells depends on the look-ahead; a wrong prediction
-costs rows, not results.  On a bank r0 is one partition of the
-bank's row maxima, stored when the bank is built, and each call reads the
-bank in one pass (``_mc_scan``), giving every row's exceed pieces below
-the anchor and its reach above it.  The lower exceed count is piecewise
-constant in r and a sweep over its breakpoints gives it exactly
-(``_mc_sweep``).  Above the anchor each row exceeds up to its own reach,
-so the upper radius is an order statistic of the reaches.  The scan
+costs rows, not results.  On a bank the active radius is a conservative
+order statistic, taken by one partition (``_solve_radius``): r0 of the
+bank's row maxima, stored when the bank is built, and at other gaps of
+the active test's per-row statistic, from one scan.  Each interval call
+reads the bank in one pass (``_mc_scan``), giving every row's exceed
+pieces below the anchor and its reach above it.  The lower exceed count
+is piecewise constant in r and a sweep over its breakpoints gives it
+exactly (``_mc_sweep``).  Above the anchor each row exceeds up to its own
+reach, so the upper radius is an order statistic of the reaches.  The scan
 settles most rows exactly from their stored maximum (``row_max``) and
 its column (``row_arg``), by three rules stated and proved there, and
 reads in full only the rows left, gathered across blocks into batches of
 one block's rows.  One fused pass per batch gives their pieces and
-reaches; most of them exceed on one piece from r = 0 to the largest end
-among their intervals that start at or below 0, which the pass settles
-from the row maxima alone (``_lower_pieces``).  Each of the few rows
-whose intervals reach past it is gathered as that piece plus its
-intervals that start above 0, as (row, start, end) triples; a row of one
-triple is that one piece, and the rows of two or more are merged by one
-sort per call (``_merge_by_row``).  The sweep takes every count by rank,
-from one sort of the pieces' ends.
+reaches (``_lower_pieces``): each row gives its piece from r = 0 to the
+largest end among its intervals that start at or below 0, and the
+intervals that start above 0 and end past that piece, as (row, start,
+end) triples; a row of one triple is that one piece, and the rows of two
+or more are merged by one sort per call (``_merge_by_row``).  A piece
+that starts at 0 carries no start, and the sweep takes every count by
+rank, from one sort of the pieces' ends.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalCheckError, UnsupportedMethodError
-from .sampling import m_statistic, mc_order_index, mc_quantile
+from .sampling import mc_order_index
 
 RADIUS_TOL = 1e-10
 
@@ -169,6 +170,15 @@ def _check_grid_points(grid_points: int) -> None:
 def _solve_radius(bound, gaps, alpha: float) -> float:
     """The radius of ``active_radius``, solved afresh.
 
+    On a bank it is the conservative order statistic, the k-th smallest
+    with k = ceil((1 - alpha) n) (``mc_order_index``), of the active test's
+    per-row statistic: the largest |xi_j| over the columns where |xi_j| >
+    gaps_j / 2, 0 if none, an infinite gap knocking its column out.  At
+    zero gaps that is the stored row maximum (``row_max``; |xi| >= 0 holds
+    no sign bit, so |xi| > 0 keeps it), read without a scan; other gaps
+    scan the bank in blocks (``blocks()``), so the temporaries stay
+    bounded.
+
     Under a stack bound, exceedance(max(r, gaps/2)) is non-increasing in r
     and equals 1 at r = 0 (the anchored coordinate contributes S(0) = 1),
     so the radius is the upper side alone of ``_union_radii`` on [0, hi],
@@ -183,7 +193,10 @@ def _solve_radius(bound, gaps, alpha: float) -> float:
     at least alpha; the rule then keeps hi, the wider radius.
     """
     if hasattr(bound, "row_max"):
-        return mc_quantile(m_statistic(bound, gaps), 1.0 - alpha)
+        stat = bound.row_max if not gaps.any() else np.concatenate(
+            [np.max(np.where(a > 0.5 * gaps, a, 0.0), axis=1) for a in bound.blocks()])
+        k = mc_order_index(1.0 - alpha, bound.n)
+        return float(np.partition(stat, k - 1)[k - 1])
     hi = bound.feasible_radius(alpha)
     return _union_radii(bound, gaps, alpha, hi, (False,), 2.0, 0.0)[0][0]
 
@@ -216,8 +229,9 @@ def active_radius(bound, gaps, alpha: float) -> ActiveRadius:
 def _mc_accept_threshold(n: int, alpha: float) -> int:
     """Count of strictly-exceeding rows above which a width is inside the radius.
 
-    Matches the mc_quantile order statistic: w <= quantile iff at least
-    n - ceil((1-alpha)*n) + 1 rows exceed w strictly.
+    Matches the order statistic of ``_solve_radius``: w lies below the
+    k-th smallest of n values, k = ceil((1-alpha)*n), iff at least
+    n - k + 1 of them exceed w strictly.
     """
     return n - mc_order_index(1.0 - alpha, n) + 1
 
@@ -243,7 +257,7 @@ def _merge_by_row(rows, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     return starts[new], np.concatenate([top[:-1][new[1:]], top[-1:]])
 
 
-def _lower_pieces(a, row_max, d, r0: float, upper: bool):
+def _lower_pieces(a, d, r0: float, upper: bool):
     """Exceed pieces below the anchor, on [0, r0], of a batch of |xi| rows
     and, if ``upper``, the rows' reaches above it, from one scan of the batch.
 
@@ -254,14 +268,13 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
     intervals with L <= 0 and so their union (0, E) (d - t <= 0 iff t >= d,
     since a rounded difference keeps its sign, and min with r0 commutes with
     max), and the reach is max min(|xi_j|, t_j - d_j), the radius above the
-    anchor up to which the row exceeds (``_radii``).  If E > 0 equals
-    min(row_max, r0), the largest U of all, every non-empty interval ends by
-    E; each starts below its end, so inside (0, E), and the row is exactly
-    the piece (0, E).  Only the others are gathered: each gives its seed
-    (0, E) if E > 0 and its non-empty intervals with L > 0, as (row, start,
-    end) triples, L compared as rounded.  A row of one triple is that one
-    piece, so only rows of two or more go to ``_merge_by_row``.  L and U
-    are formed in place over the batch: L from t (fl(d - t) = -fl(t - d),
+    anchor up to which the row exceeds (``_radii``).  Each row gives its
+    seed (0, E) if E > 0 and each interval with L > 0 that ends above both
+    L and E, as (row, start, end) triples, L compared as rounded.  An
+    interval with L > 0 that ends by E lies inside (0, E), so the row's
+    union is the same without it.  A row of one triple is that one piece,
+    so only rows of two or more go to ``_merge_by_row``.  L and U are
+    formed in place over the batch: L from t (fl(d - t) = -fl(t - d),
     rounding being symmetric), U in the scratch buffer.  Returns (starts,
     ends) of the one-piece rows, the (rows, starts, ends) triples of the
     others, rows indexing the batch, and the reaches, None unless ``upper``.
@@ -273,12 +286,9 @@ def _lower_pieces(a, row_max, d, r0: float, upper: bool):
     if upper:
         np.subtract(t, d, out=t)
         reach = np.minimum(a, t, out=scratch).max(axis=1)
-    gather = (E <= 0.0) | (E != np.minimum(row_max, r0))
-    if not gather.any():  # no gathered row, nothing more to form
-        return np.zeros(E.size), E, np.empty(0, dtype=np.intp), E[:0], E[:0], reach
     L = np.negative(t, out=t) if upper else np.subtract(d, t, out=t)
     U = np.minimum(a, r0, out=scratch)
-    i, j = np.nonzero((L > 0.0) & (U > L) & gather[:, None])
+    i, j = np.nonzero((L > 0.0) & (U > L) & (U > E[:, None]))
     seeded = np.flatnonzero(E > 0.0)
     rows = np.concatenate([seeded, i])
     starts = np.concatenate([np.zeros(seeded.size), L[i, j]])
@@ -330,10 +340,11 @@ def _mc_scan(bound, d, r0: float, k: int | None = None):
       each skipped row has LB <= a* < T).
     The bank is read in one pass over its blocks.  The rows that no rule
     settles are gathered across blocks into batches of the first block's
-    row count (``_batches``), and ``_lower_pieces`` runs once per batch,
-    with those rows' ``row_max``.  The triples of its rows of two or more
-    pieces are merged once, after the pass (``_merge_by_row``).  Returns
-    (starts, ends, radius), radius None unless ``k``.
+    row count (``_batches``), and ``_lower_pieces`` runs once per batch.
+    The triples of its rows of two or more pieces are merged once, after
+    the pass (``_merge_by_row``).  Returns (starts, ends, radius): the ends
+    of every piece, each in (0, r0], the starts of the pieces that begin
+    above 0, each in (0, r0), and the radius, None unless ``k``.
     """
     a_top = bound.row_max
     t_top = np.multiply(a_top, 3.0)
@@ -345,10 +356,9 @@ def _mc_scan(bound, d, r0: float, k: int | None = None):
         scan |= (lb != a_top) & ~skip
         reach = a_top.copy()  # the reach of every row the upper rules settle
     E = np.minimum(a_top[~scan], r0)  # the rows settled without a read
-    E = E[E > 0.0]
-    pieces, triples = [(np.zeros(E.size), E)], []
+    pieces, triples = [(E[:0], E[E > 0.0])], []
     for rows, a in _batches(bound.blocks(), np.flatnonzero(scan)):
-        *lone, gathered, starts, ends, r = _lower_pieces(a, a_top[rows], d, r0, k is not None)
+        *lone, gathered, starts, ends, r = _lower_pieces(a, d, r0, k is not None)
         pieces.append(lone)
         triples.append((rows[gathered], starts, ends))
         if k is not None:
@@ -362,40 +372,39 @@ def _mc_scan(bound, d, r0: float, k: int | None = None):
             raise InternalCheckError(f"{c} rows skipped below the order statistic {k}")
         others = reach[~skip] if c else reach
         radius = float(np.partition(others, k - c - 1)[k - c - 1])
-    return starts, ends, radius
+    return starts[starts > 0.0], ends, radius
 
 
-def _mc_sweep(n: int, alpha: float, starts, ends, lo: float, hi: float):
-    """Exact acceptance cells of a bank of n rows on [lo, hi].
+def _mc_sweep(n: int, alpha: float, starts, ends, hi: float):
+    """Exact acceptance cells of a bank of n rows on [0, hi].
 
-    ``starts`` and ``ends`` are the flat open pieces, merged per row and
-    lying in [lo, hi], on which each row exceeds (``_mc_scan``).  Since each
-    row counts once, the exceed count is piecewise constant: just right of
-    a breakpoint p it is #{starts <= p} - #{ends <= p}, p being lo or a
-    value inside (lo, hi).  The counts are ranks, found with one sort of
-    the ends.  The starts at or below lo, every settled row's 0 among them,
-    count as one constant; the few inside (lo, hi) are sorted alone and
-    inserted by position into the ends inside it.  At the last copy of a
-    value p, index i of that merged array, i + 1 starts and ends lie in
-    (lo, p], so #{ends <= p} follows from #{starts <= p}, which steps only
-    at the ranks of those few starts.  Returns the sorted breakpoints (lo
-    and hi included) and, for each open cell between neighbours, whether
-    its count reaches the acceptance threshold.
+    ``ends`` are the ends, each in (0, hi], of the flat open pieces, merged
+    per row, on which each row exceeds, and ``starts`` the starts, each in
+    (0, hi), of the pieces that begin above 0 (``_mc_scan``); the other
+    ends.size - starts.size pieces start at 0.  Since each row counts once,
+    the exceed count is piecewise constant: just right of a breakpoint p,
+    0 or a value inside (0, hi), it is #{pieces starting at 0} +
+    #{starts <= p} - #{ends <= p}.  The counts are ranks, found with one
+    sort of the ends: the starts are sorted alone and inserted by position
+    into the ends below hi.  At the last copy of a value p, index i of that
+    merged array, i + 1 starts and ends lie in (0, p], so #{ends <= p}
+    follows from #{starts <= p}, which steps only at the ranks of the
+    starts.  Returns the sorted breakpoints (0 and hi included) and, for
+    each open cell between neighbours, whether its count reaches the
+    acceptance threshold.
     """
+    need = _mc_accept_threshold(n, alpha) - ends.size + starts.size
     ends = np.sort(ends)
-    low = int(np.searchsorted(ends, lo, side="right"))  # #{ends <= lo}
-    ends = ends[low:np.searchsorted(ends, hi)]  # empty if hi <= lo
-    below = np.count_nonzero(starts <= lo)
-    rise = np.sort(starts[(starts > lo) & (starts < hi)])
+    ends = ends[:np.searchsorted(ends, hi)]  # an end at hi is no breakpoint inside
+    rise = np.sort(starts)
     merged = np.insert(ends, np.searchsorted(ends, rise), rise)
     at = np.flatnonzero(merged != np.append(merged[1:], np.nan))  # each value's last copy
-    points = np.concatenate([[lo], merged[at], [hi]])
-    # 2 #{starts in (lo, p]}, stepping up by 2 at the rank of each start
+    points = np.concatenate([[0.0], merged[at], [hi]])
+    # 2 #{starts <= p}, stepping up by 2 at the rank of each start
     twice = np.repeat(np.arange(0, 2 * rise.size + 1, 2),
                       np.diff(np.searchsorted(points[1:-1], rise), prepend=0, append=at.size))
-    # #{starts in (lo, p]} + #{ends in (lo, p]} = at + 1, so the count is
-    # below - low + twice - at - 1, and it must reach the threshold
-    need = _mc_accept_threshold(n, alpha) - below + low
+    # #{starts <= p} + #{ends <= p} = at + 1, so the count is the pieces
+    # starting at 0 plus twice - at - 1, and it must reach the threshold
     return points, np.concatenate([[need <= 0], twice - at > need])
 
 
@@ -636,9 +645,9 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     Both lie in [0, r0], r0 the zero-gap radius (``active_radius``, solved
     once per bound and level).  Under a stack bound the lower side is a
     certified cell search and the upper side a bisection
-    (``_union_radii``).  On a bank (a bound with ``row_max``) r0 comes from
-    the bank's stored row maxima (``m_statistic`` at zero gaps), with no
-    scan, and one pass over the bank (``_mc_scan``) gives both sides.  A
+    (``_union_radii``).  On a bank (a bound with ``row_max``) r0 is an order
+    statistic of the bank's stored row maxima (``_solve_radius``), read with
+    no scan, and one pass over the bank (``_mc_scan``) gives both sides.  A
     row exceeds at radius r below the anchor iff r lies in some open
     interval (d_j - 3 |xi_j|, |xi_j|), and the sweep of each row's union of
     them on [0, r0] gives the lower side exactly; the cell holding r = 0 is
@@ -659,7 +668,7 @@ def _radii(problem: Problem, d, upper: bool) -> tuple[list, dict]:
     if hasattr(bound, "row_max"):
         k = mc_order_index(1.0 - alpha, bound.n) if upper else None
         starts, ends, r_u = _mc_scan(bound, d, r0, k)
-        points, accept = _mc_sweep(bound.n, alpha, starts, ends, 0.0, r0)
+        points, accept = _mc_sweep(bound.n, alpha, starts, ends, r0)
         accept[0] = True
         last = accept.size - 1 - int(np.argmax(accept[::-1]))
         radii = [float(points[last + 1]), r_u][:1 + upper]

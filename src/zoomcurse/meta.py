@@ -11,6 +11,7 @@ bank when its generator is exchangeable.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +89,8 @@ def winner_identity_set(problem: Problem) -> IdentitySet:
 
 
 def near_winner_interval(problem: Problem, index: int) -> NearWinnerInterval:
-    """Confidence interval for the mean of candidate ``index`` (winner allowed).
+    """Confidence interval for the mean of candidate ``index`` (winner
+    allowed), an integer (a Python or NumPy one) in [0, m).
 
     Two mechanisms cover theta_index: either it tracks the winner's mean
     within the selection geometry (a piece around X_index of half-width
@@ -102,8 +104,8 @@ def near_winner_interval(problem: Problem, index: int) -> NearWinnerInterval:
     """
     _require_symmetric(problem.bound)
     x = problem.x
-    if not 0 <= int(index) < x.size:
-        raise ValueError(f"index {index} out of range")
+    if not isinstance(index, numbers.Integral) or not 0 <= index < x.size:
+        raise ValueError(f"index must be an integer in [0, {x.size - 1}], got {index!r}")
     index = int(index)
     iv = winner_interval_grid(problem)
     r_l, r_u = iv.r_l, iv.r_u

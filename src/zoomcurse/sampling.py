@@ -1,4 +1,4 @@
-"""Noise samplers, Monte-Carlo banks of |xi|, and Monte-Carlo quantiles.
+"""Noise samplers, Monte-Carlo banks of |xi|, and their order-statistic index.
 
 ``EquicorrelatedSampler`` is the one built-in sampler; ``draw_bank`` takes
 any object with ``m``, ``exchangeable`` and ``draw(rng, n)``.  A fixed
@@ -80,29 +80,6 @@ def draw_bank(sampler, n: int, seed: int) -> MonteCarloBound:
     return MonteCarloBound(bank, sampler.exchangeable)
 
 
-def m_statistic(bound: MonteCarloBound, gaps) -> np.ndarray:
-    """Per-row max of |xi_j| over coordinates with |xi_j| > gaps_j / 2.
-
-    Rows where no coordinate clears its half-gap contribute 0.  Infinite
-    gaps knock their coordinate out entirely.  When every half-gap is 0 the
-    statistic is the bank's row maxima (``MonteCarloBound.row_max``,
-    computed once when the bank is built), returned as that read-only
-    array without a scan: the zero-gap radius r0 is then one partition.
-    Other gaps scan the bank in blocks (``MonteCarloBound.blocks``), so the
-    temporaries stay bounded.
-    """
-    gaps = np.asarray(gaps, dtype=float)
-    if gaps.ndim != 1 or gaps.size != bound.m:
-        raise ValueError("gaps must be 1-d with one entry per coordinate")
-    if np.any(np.isnan(gaps)) or np.any(gaps < 0):
-        raise ValueError("gaps must be non-negative")
-    half = 0.5 * gaps
-    if not half.any():  # |xi| >= 0 with no sign bit: |xi| > 0 keeps the row max
-        return bound.row_max
-    return np.concatenate([np.max(np.where(a > half, a, 0.0), axis=1)
-                           for a in bound.blocks()])
-
-
 def mc_order_index(level: float, n: int) -> int:
     """1-based order-statistic index ceil(level * n), guarding float round-up.
 
@@ -115,14 +92,3 @@ def mc_order_index(level: float, n: int) -> int:
         raise ValueError("need at least one value")
     k = int(math.ceil(level * n - 1e-9))
     return min(max(k, 1), n)
-
-
-def mc_quantile(values, level: float) -> float:
-    """Conservative Monte-Carlo quantile: the order statistic at ceil(level*n)."""
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size == 0:
-        raise ValueError("need at least one value")
-    if np.any(np.isnan(values)):
-        raise ValueError("values must not contain NaN")
-    k = mc_order_index(level, values.size)
-    return float(np.partition(values, k - 1)[k - 1])

@@ -291,8 +291,8 @@ class MonteCarloBound:
     row's largest |xi| and ``row_arg`` its column (the first one on ties,
     as ``np.argmax`` picks it, in the smallest unsigned type that holds
     m - 1), read-only n-vectors computed once, in the same block loop that
-    checks the bank finite and its signs.  The zero-gap statistic and every
-    Monte-Carlo radius read ``row_max`` instead of rescanning the bank, a
+    checks the bank finite and its signs.  The zero-gap radius and every
+    Monte-Carlo interval read ``row_max`` instead of rescanning the bank, a
     bank scan settles most rows from the two (``core._mc_scan``), and
     ``_r0`` keeps the zero-gap radius of each level that
     ``core.active_radius`` has read off them (none is a field, so equality

@@ -12,6 +12,7 @@ largest one is returned, and r = 0 is always accepted.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,11 @@ class TopKResult:
 
 
 def top_indices(x, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ranked, ties to the lowest index."""
+    """Indices of the k largest scores, ranked, ties to the lowest index.
+    ``k`` is an integer (a Python or NumPy one) in [1, m]."""
     x = _check_scores(x)
-    if not 1 <= k <= x.size:
-        raise ValueError(f"k must lie in [1, {x.size}], got {k}")
+    if not isinstance(k, numbers.Integral) or not 1 <= k <= x.size:
+        raise ValueError(f"k must be an integer in [1, {x.size}], got {k!r}")
     order = np.lexsort((np.arange(x.size), -x))
     return order[:k]
 

@@ -272,10 +272,11 @@ class CountingBound:
 
 
 def sorted_pieces(starts, ends):
-    """Flat (starts, ends) of merged pieces in one canonical order, by start
-    then end, so two merges that list their rows differently compare."""
-    order = np.lexsort((ends, starts))
-    return starts[order], ends[order]
+    """The starts above 0 and the ends of flat merged pieces, each sorted:
+    what ``core._mc_scan`` gives the sweep, in one canonical order, so two
+    merges that list their rows differently compare, and so does one that
+    lists the zero starts with one that leaves them out."""
+    return np.sort(starts[starts > 0.0]), np.sort(ends)
 
 
 def merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
@@ -307,11 +308,14 @@ def merged_pieces(L, U) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mc_sweep_sorted(n: int, alpha: float, starts, ends, lo: float, hi: float):
-    """``core._mc_sweep`` by three sorts: the starts, the ends and their
-    union, whose distinct values inside (lo, hi) are the breakpoints, with
-    each breakpoint's count #{starts <= p} - #{ends <= p} binary-searched in
-    both sorted arrays.  Returns the breakpoints (lo and hi included) and
-    whether each open cell between neighbours reaches the threshold."""
+    """``core._mc_sweep`` by three sorts, on any window [lo, hi] and with
+    every piece's start given, those at or below lo too (``_mc_sweep`` is
+    this at lo = 0 with the zero starts left out): the starts, the ends and
+    their union, whose distinct values inside (lo, hi) are the
+    breakpoints, with each breakpoint's count #{starts <= p} - #{ends <= p}
+    binary-searched in both sorted arrays.  Returns the breakpoints (lo and
+    hi included) and whether each open cell between neighbours reaches the
+    threshold."""
     starts, ends = np.sort(starts), np.sort(ends)
     inside = np.unique(np.concatenate([starts, ends]))
     points = np.concatenate([[lo], inside[(inside > lo) & (inside < hi)], [hi]])

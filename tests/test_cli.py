@@ -695,10 +695,10 @@ def test_public_surface_is_pinned():
     for name in PUBLIC_NAMES:
         assert getattr(zoomcurse, name) is not None
     # solver helpers stay importable from their modules, outside the namespace
-    from zoomcurse.sampling import m_statistic, mc_order_index, mc_quantile
+    from zoomcurse.sampling import mc_order_index
     from zoomcurse.simulate import parse_config_text, width_comparison
     from zoomcurse.stepdown import stepdown_lower, stepdown_upper
     from zoomcurse.topk import top_indices
-    for helper in (m_statistic, mc_order_index, mc_quantile, parse_config_text,
-                   stepdown_lower, stepdown_upper, top_indices, width_comparison):
+    for helper in (mc_order_index, parse_config_text, stepdown_lower, stepdown_upper,
+                   top_indices, width_comparison):
         assert helper.__name__ not in zoomcurse.__all__

@@ -11,7 +11,7 @@ from zoomcurse.core import (Problem, WinnerInterval, _cell_widths, _lower_pieces
 from zoomcurse.errors import (InfeasibleAlphaError, InternalCheckError,
                               UnsupportedMethodError)
 from zoomcurse.meta import near_winner_interval, population_value_interval, winner_identity_set
-from zoomcurse.sampling import EquicorrelatedSampler, draw_bank, mc_quantile
+from zoomcurse.sampling import EquicorrelatedSampler, draw_bank, mc_order_index
 from zoomcurse.scaled import ScaledProblem, winner_interval_scaled
 from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
@@ -19,7 +19,7 @@ from zoomcurse.stepdown import winner_interval_stepdown
 from zoomcurse.topk import topk_interval, topk_stepdown
 
 from oracles import (CountingBound, active_set, bank_exceedance, blocked_bank, contains,
-                     endpoint_sum, mc_reach_scan, merged_pieces, sorted_pieces,
+                     endpoint_sum, mc_reach_scan, mc_sweep_sorted, merged_pieces, sorted_pieces,
                      union_radii_one_step, worst_case_theta)
 
 # frozen from a 50-digit erf oracle
@@ -129,6 +129,106 @@ class TestActiveRadius:
             active_radius(b, np.zeros(2), 1e-12)
 
 
+def _count_scans(monkeypatch) -> list:
+    """Wrap MonteCarloBound.blocks so each scan of a bank records a 1."""
+    scans, blocks = [], MonteCarloBound.blocks
+
+    def counted(self):
+        scans.append(1)
+        return blocks(self)
+
+    monkeypatch.setattr(MonteCarloBound, "blocks", counted)
+    return scans
+
+
+def _order_statistic(values, alpha: float) -> float:
+    """The k-th smallest of ``values``, k = mc_order_index(1 - alpha, n), by a full sort."""
+    return float(np.sort(values)[mc_order_index(1.0 - alpha, len(values)) - 1])
+
+
+BANK_ALPHAS = (0.01, 0.1, 0.37, 0.5, 0.9, 0.99)
+
+
+class TestBankActiveRadius:
+    """On a bank the active radius is the conservative order statistic of
+    each row's largest |xi_j| over the columns with |xi_j| > gaps_j / 2."""
+
+    def test_hand_example(self):
+        # row 0: only |3| clears its half-gap 1; row 1: nothing clears (the
+        # anchor's |xi| of 0 does not exceed its half-gap 0)
+        bank = MonteCarloBound(np.array([[0.0, 3.0, -1.0], [0.0, 0.5, 2.0]]))
+        gaps = np.array([0.0, 2.0, 5.0])
+        assert active_radius(bank, gaps, 0.4).r == 3.0  # k = 2 of 2
+        assert active_radius(bank, gaps, 0.9).r == 0.0  # k = 1 of 2
+
+    def test_infinite_gap_knocks_out_coordinate(self):
+        bank = MonteCarloBound(np.array([[1.0, 9.0]]))
+        assert active_radius(bank, np.array([0.0, np.inf]), 0.1).r == 1.0
+
+    def test_radius_is_the_exact_order_statistic(self):
+        # k = ceil((1 - alpha) n), with no interpolation, on one column read
+        # at zero gaps
+        values = np.random.default_rng(3).standard_normal(1001)
+        bank = MonteCarloBound(values[:, None])
+        for alpha in (0.5, 0.1, 0.025):
+            assert active_radius(bank, np.zeros(1), alpha).r == _order_statistic(
+                np.abs(values), alpha)
+
+    def test_radius_takes_the_conservative_side(self):
+        tens = MonteCarloBound(np.arange(1.0, 11.0)[:, None])  # 1..10
+        assert active_radius(tens, np.zeros(1), 0.1).r == 9.0
+        assert active_radius(tens, np.zeros(1), 0.099).r == 10.0
+
+    def test_zero_gaps_give_row_max_abs(self):
+        samples = np.random.default_rng(2).standard_normal((50, 4))
+        bank = MonteCarloBound(samples)
+        for alpha in BANK_ALPHAS:
+            assert active_radius(bank, np.zeros(4), alpha).r == _order_statistic(
+                np.abs(samples).max(axis=1), alpha)
+
+    @pytest.mark.parametrize("make", ["drawn", "drawn-2-blocks", "table", "signed"])
+    def test_zero_gaps_read_the_row_maxima_without_a_scan(self, monkeypatch, make):
+        rng = np.random.default_rng(4)
+        if make.startswith("drawn"):
+            n = 70_000 if make == "drawn-2-blocks" else 5_000
+            bank = draw_bank(EquicorrelatedSampler(3, 0.5), n, seed=9)
+        elif make == "table":
+            rows = rng.normal(size=(40, 3))
+            rows[::4] = 0.0  # all-zero rows, one of them signed zeros
+            rows[4] = -0.0
+            bank = MonteCarloBound(rows)
+        else:
+            bank = MonteCarloBound(rng.normal(size=(30, 5)))
+        a = bank.abs_samples
+        # bit for bit the per-row scan that nonzero gaps make
+        scanned = np.where(a > 0.0, a, 0.0).max(axis=1)
+        assert bank.row_max.tobytes() == scanned.tobytes()
+        scans = _count_scans(monkeypatch)
+        for alpha in BANK_ALPHAS:
+            assert active_radius(bank, np.zeros(bank.m), alpha).r == _order_statistic(
+                scanned, alpha)
+        assert scans == []
+
+    def test_nonzero_gaps_scan_the_bank_once(self, monkeypatch):
+        bank = draw_bank(EquicorrelatedSampler(4, 0.3), 40_000, seed=2)
+        assert len(list(bank.blocks())) > 1
+        a = bank.abs_samples
+        scans = _count_scans(monkeypatch)
+        for gaps in (np.array([0.0, 1.0, 0.0, 3.0]), np.array([0.0, 2.5, np.inf, 0.4]),
+                     np.array([0.0, 5e-324, 0.0, 0.0])):  # a half-gap of 0: the row maxima
+            want = np.where(a > 0.5 * gaps, a, 0.0).max(axis=1)
+            for alpha in BANK_ALPHAS:
+                scans.clear()
+                assert active_radius(bank, gaps, alpha).r == _order_statistic(want, alpha)
+                assert scans == [1]
+
+    def test_validation(self):
+        bank = MonteCarloBound(np.ones((2, 2)))
+        for gaps in ([0.0], [0.0, -1.0], [0.0, np.nan], [1.0, 2.0]):
+            with pytest.raises(ValueError):
+                active_radius(bank, np.array(gaps), 0.1)
+
+
 def _count_exceedance(monkeypatch) -> list:
     calls, exceedance = [], UnionBound.exceedance
 
@@ -226,13 +326,13 @@ class TestZeroGapMemo:
 
     def test_bank_partitions_its_row_maxima_once(self, monkeypatch):
         bank = draw_bank(EquicorrelatedSampler(4, 0.3), 5000, seed=3)
-        partitions, quantile = [], core.mc_quantile
+        partitions, solve = [], core._solve_radius
 
-        def counted(values, level):
+        def counted(*args):
             partitions.append(1)
-            return quantile(values, level)
+            return solve(*args)
 
-        monkeypatch.setattr(core, "mc_quantile", counted)
+        monkeypatch.setattr(core, "_solve_radius", counted)
         first = active_radius(bank, np.zeros(4), 0.1).r
         assert active_radius(bank, np.zeros(4), 0.1).r == first
         assert partitions == [1]
@@ -436,7 +536,7 @@ class TestMonteCarloGridAcceptance:
         # the t-axis exceed intervals, clipped to [lo, hi]
         upper = np.minimum(x[0] + a, x + 3.0 * a)
         pieces = merged_pieces(np.maximum(x[0] - a, lo), np.minimum(upper, hi))
-        points, accept = _mc_sweep(bank.n, 0.1, *pieces, lo, hi)
+        points, accept = mc_sweep_sorted(bank.n, 0.1, *pieces, lo, hi)
         # the count is constant on each open cell, so its midpoint decides it
         mids = 0.5 * (points[:-1] + points[1:])
         direct = np.array([_direct_accepts(x, 0, t, a, 0.1) for t in mids])
@@ -467,7 +567,7 @@ class TestMonteCarloGridAcceptance:
         d = p.x[0] - p.x
         reach = [max(min(a, 3.0 * a - dj) for a, dj in zip(row, d))
                  for row in p.bound.abs_samples.tolist()]
-        assert iv.r_u == mc_quantile(reach, 0.9)
+        assert iv.r_u == _order_statistic(reach, 0.1)
         a = p.bound.abs_samples
         for r in np.linspace(0.0, iv.r_u, 7)[:-1] + 1e-9:
             assert _direct_accepts(p.x, 0, p.x[0] + r, a, 0.1)
@@ -483,7 +583,7 @@ class TestMonteCarloGridAcceptance:
             np.testing.assert_array_equal(ends, [1.0, 2.0, 1.5, 4.0, 3.0])
         # cells (0,.5) (.5,1) (1,1.5) (1.5,2) (2,3) (3,4) hold 1 2 3 2 1 1 rows
         for alpha, expected in ((0.7, [0, 0, 1, 0, 0, 0]), (0.4, [0, 1, 1, 1, 0, 0])):
-            points, accept = _mc_sweep(3, alpha, starts, ends, 0.0, 4.0)
+            points, accept = _mc_sweep(3, alpha, starts[starts > 0.0], ends, 4.0)
             np.testing.assert_array_equal(points, [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
             np.testing.assert_array_equal(accept, np.array(expected, dtype=bool))
 
@@ -495,7 +595,7 @@ class TestMonteCarloGridAcceptance:
                 [0, .7, .5, 0], [.1, 0, 0, .3], [0, 0, 0, 0], [.1, 0, 0, .4]]
         p = Problem(np.array([-2.6, -1.5, 1.3, 1.2]), MonteCarloBound(np.array(rows)), 0.3)
         starts, ends, _ = _mc_scan(p.bound, 1.3 - p.x, 0.9)
-        points, accept = _mc_sweep(p.bound.n, 0.3, starts, ends, 0.0, 0.9)
+        points, accept = _mc_sweep(p.bound.n, 0.3, starts, ends, 0.9)
         assert list(points[~np.append(accept, True)]) == [0.6]
         assert points[np.argmin(accept) + 1] == np.nextafter(0.6, 1.0)
         iv = winner_interval_grid(p)
@@ -530,9 +630,9 @@ def _count_merged_rows(monkeypatch) -> list:
 
 
 class TestLowerPieces:
-    """The single piece at 0 and the sparse merge of the rows it does not settle."""
+    """One-triple rows as their one piece, and the sparse merge of the others."""
 
-    def test_rows_off_the_fast_path_take_the_sort(self):
+    def test_rows_of_many_triples_take_the_sort(self):
         # chain j covers (j/2, j/2 + 1), so the merge joins every link
         links = 18
         j = np.arange(links, dtype=float)
@@ -553,7 +653,7 @@ class TestLowerPieces:
         for i, (r, _) in enumerate(rows):
             a[i, stop[i] - r.size:stop[i]] = r
         r0 = 100.0
-        lone_starts, lone_ends, gathered = _lower_pieces(a, a.max(axis=1), d, r0, upper=False)[:3]
+        lone_starts, lone_ends, gathered = _lower_pieces(a, d, r0, upper=False)[:3]
         # the zero-gap row 4 is one piece from its E alone; rows 5 and 3
         # each give one triple, row 5 its seed and row 3 its interval with
         # L > 0, so only rows 0 to 2 go to the merge
@@ -570,11 +670,12 @@ class TestLowerPieces:
             got = sorted_pieces(starts, ends)
             for have, want in zip(got, sorted_pieces(*expected)):
                 assert have.tobytes() == want.tobytes()
-            np.testing.assert_array_equal(got[0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0])
-            np.testing.assert_array_equal(got[1], [0.5, 1.0, 1.0, 2.0, 0.5 * links + 0.5,
-                                                   1.0, 2.0])
+            assert starts.size == got[0].size  # no start at 0 is given
+            np.testing.assert_array_equal(got[0], [0.5, 1.0])
+            np.testing.assert_array_equal(got[1], [0.5, 1.0, 1.0, 1.0, 2.0, 2.0,
+                                                   0.5 * links + 0.5])
 
-    def test_fast_path_serves_an_equicorrelated_winner_call(self, monkeypatch):
+    def test_merge_takes_few_rows_of_an_equicorrelated_winner_call(self, monkeypatch):
         # scores and bank as in the benchmark's m = 250 bank: the merge
         # must stay the path of a few rows, not the common path
         m, n = 250, 20_000
@@ -625,13 +726,7 @@ def test_winner_and_topk_calls_read_the_bank_once(monkeypatch):
     bank = draw_bank(EquicorrelatedSampler(6, 0.4), 30_000, seed=21)
     p = Problem(np.array([1.5, 1.2, 0.4, -0.3, 0.0, -1.0]), bank, 0.1)
     assert len(list(bank.blocks())) > 1
-    scans, blocks = [], MonteCarloBound.blocks
-
-    def counted(self):
-        scans.append(1)
-        return blocks(self)
-
-    monkeypatch.setattr(MonteCarloBound, "blocks", counted)
+    scans = _count_scans(monkeypatch)
     winner_interval_grid(p)
     assert scans == [1]
     topk_interval(p, 3)

@@ -119,6 +119,15 @@ class TestNearWinnerInterval:
         with pytest.raises(ValueError):
             near_winner_interval(gaussian_problem([1.0, 0.0]), 2)
 
+    def test_a_non_integral_index_is_refused(self):
+        # 1.7 once answered for candidate 1; a NumPy integer is an index
+        p = gaussian_problem([1.0, 0.5, 0.0])
+        for index in (1.7, 1.0, "1", None):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                near_winner_interval(p, index)
+        assert near_winner_interval(p, np.int64(1)) == near_winner_interval(p, 1)
+        assert near_winner_interval(p, np.uint8(2)).index == 2
+
 
 class TestSymmetryGate:
     def test_mixed_marginals_refused(self):

@@ -10,7 +10,7 @@ two-piece merge it replaced.  Empirical tables holding zeros solve under
 every union solver.  A last test pins the
 Monte-Carlo bank scan's per-row pieces to the dense sort merge and, with
 the reaches, to the two separate scans it replaced, on tables built to tie,
-touch, chain and leave the one-piece fast path, read in blocks of any size,
+touch, chain and reach past their piece at 0, read in blocks of any size,
 and the bank sweep's counts by rank to the three-sort sweep they replaced.
 Hypothesis keeps no example database here, so a run writes no files.
 """
@@ -386,8 +386,8 @@ def exceed_tables(draw):
     starts where interval j-1 ends (s = 0), inside it (s < 0) or past it,
     with rows that are c or c with its small entries redrawn; "zero-gap" sets
     |xi| = 0 in every column of gap 0; "lone-leader" puts every gap but the
-    first near 8, so a row whose first |xi| is not its largest leaves the
-    one-piece fast path and one with some |xi| above 2 has a second piece;
+    first near 8, so a row whose first |xi| is not its largest is read in
+    full, not settled, and one with some |xi| above 2 has a second piece;
     "random" draws floats.  Chains run up to MERGE_PASSES + 3 links, past
     the pass cap of the two-scan oracle.  Outside chains and lone leaders
     some gaps may be negative, as the gaps to a top-k anchor of the winners
@@ -437,9 +437,11 @@ SETTLE_ROWS = np.array([[0.2, 0.5, 1.5, 1.5], [0.1, 0.3, 1.0, 0.2], [0.0, 0.0, 1
 @example((SETTLE_ROWS, SETTLE_GAPS, 0.0), 4)
 @example((SETTLE_ROWS, SETTLE_GAPS, 1.0), 3)
 def test_lower_pieces_are_the_sort_merge_bit_for_bit(case, block_rows):
-    # one read of the bank, in blocks of any size, gives the pieces of the
-    # dense sort merge and of the separate lower scan, and every order
-    # statistic of the reaches of the separate upper scan
+    # one read of the bank, in blocks of any size, gives the ends and the
+    # starts above 0 of the pieces of the dense sort merge and of the
+    # separate lower scan, and every order statistic of the reaches of the
+    # separate upper scan; the sweep relies on the bounds of both, and on
+    # one end for each start
     a, d, r0 = case
     bank = blocked_bank(a, block_rows)
     wants = [sorted_pieces(*merged_pieces(np.maximum(d - 3.0 * a, 0.0), np.minimum(a, r0))),
@@ -447,40 +449,48 @@ def test_lower_pieces_are_the_sort_merge_bit_for_bit(case, block_rows):
     reaches = np.sort(mc_reach_scan(a, d))
     for k in (None, *range(1, len(a) + 1)):
         starts, ends, radius = _mc_scan(bank, d, r0, k)
+        assert np.all((starts > 0.0) & (starts < r0)) and np.all((ends > 0.0) & (ends <= r0))
+        assert starts.size <= ends.size
         for want in wants:
             for have, ref in zip(sorted_pieces(starts, ends), want):
                 assert have.tobytes() == ref.tobytes()
         assert radius is None if k is None else radius.hex() == float(reaches[k - 1]).hex()
 
 
-# A 0.1 grid, so values repeat, or floats; v + 0.0 folds -0.0 into 0.0, as
-# the three-sort sweep's unstable sort leaves the sign of a zero breakpoint
-# between the two to chance.
-SWEEP_VALUE = st.one_of(st.integers(-5, 35).map(lambda k: k / 10.0),
-                        st.floats(-0.5, 3.5).map(lambda v: v + 0.0))
+# A 0.1 grid, so values repeat, or floats, all above 0, as ``_mc_scan``
+# gives them.
+SWEEP_VALUE = st.one_of(st.integers(1, 35).map(lambda k: k / 10.0),
+                        st.floats(0.0, 3.5, exclude_min=True))
 
 
 @st.composite
 def sweep_cases(draw):
-    """Arguments of ``_mc_sweep``: starts, ends, lo and hi drawn from one
-    small pool of values, so values repeat, a start may equal an end, and
-    values fall at or below lo and at or above hi; sometimes every start is
-    lo.  Starts and ends may differ in number and hold empty pieces."""
-    pool = st.sampled_from(draw(st.lists(SWEEP_VALUE, min_size=1, max_size=8)))
-    starts = np.array(draw(st.lists(pool, max_size=12)), dtype=float)
-    ends = np.array(draw(st.lists(pool, max_size=12)), dtype=float)
-    lo, hi = sorted(draw(st.lists(pool, min_size=2, max_size=2)))
-    if draw(st.booleans()):
-        starts[:] = lo
-    n = draw(st.integers(max(1, starts.size, ends.size), 16))
-    return n, draw(st.floats(0.01, 0.99)), starts, ends, lo, hi
+    """Arguments of ``_mc_sweep`` as ``_mc_scan`` gives them: hi, the ends,
+    each in (0, hi], and the starts above 0, each in (0, hi), no more of
+    them than ends (sometimes none), the other pieces starting at 0.  All
+    are drawn from one small pool of values, so values repeat, a start may
+    equal an end and ends fall at hi.  Starts and ends are drawn apart, as
+    the sweep reads them."""
+    pool = draw(st.lists(SWEEP_VALUE, min_size=1, max_size=8))
+    hi = draw(st.sampled_from(pool))
+    ends = np.array(draw(st.lists(st.sampled_from([v for v in pool if v <= hi]),
+                                  max_size=12)), dtype=float)
+    inner = [v for v in pool if v < hi]
+    starts = np.array(draw(st.lists(st.sampled_from(inner), max_size=ends.size))
+                      if inner else [], dtype=float)
+    n = draw(st.integers(max(1, ends.size), 16))
+    return n, draw(st.floats(0.01, 0.99)), starts, ends, hi
 
 
 @settings(max_examples=500, deadline=None, database=None)
 @given(sweep_cases())
-@example((1, 0.1, np.empty(0), np.empty(0), 0.0, 1.0))
-@example((3, 0.5, np.empty(0), np.array([0.4]), 0.0, 0.0))
-@example((4, 0.4, np.array([0.0, 0.5, 1.0, 2.0]), np.array([0.5, 1.0, 1.0, 3.0]), 1.0, 1.0))
+@example((1, 0.1, np.empty(0), np.empty(0), 1.0))
+@example((1, 0.1, np.empty(0), np.empty(0), 0.0))
+@example((3, 0.5, np.empty(0), np.array([0.4]), 0.4))
+@example((4, 0.4, np.array([0.5, 1.0, 1.0]), np.array([0.5, 1.0, 1.0, 3.0]), 3.0))
 def test_sweep_counts_by_rank_are_the_three_sorts_bit_for_bit(case):
-    for have, want in zip(_mc_sweep(*case), mc_sweep_sorted(*case)):
+    # the three-sort sweep is fed every start, the pieces' zero starts too
+    n, alpha, starts, ends, hi = case
+    every = np.concatenate([np.zeros(ends.size - starts.size), starts])
+    for have, want in zip(_mc_sweep(*case), mc_sweep_sorted(n, alpha, every, ends, 0.0, hi)):
         assert have.dtype == want.dtype and have.tobytes() == want.tobytes()

@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zoomcurse.sampling import (BLOCK_ROWS, EquicorrelatedSampler, draw_bank, m_statistic,
-                                mc_order_index, mc_quantile)
+from zoomcurse.sampling import BLOCK_ROWS, EquicorrelatedSampler, draw_bank, mc_order_index
 from zoomcurse.tails import MonteCarloBound
 
 
@@ -134,73 +133,9 @@ class TestDrawBank:
             draw_bank(EquicorrelatedSampler(2, 0.0), 0, seed=0)
 
 
-class TestMStatistic:
-    def test_hand_example(self):
-        bank = MonteCarloBound(np.array([[3.0, -1.0], [0.5, 2.0]]))
-        out = m_statistic(bank, np.array([2.0, 5.0]))
-        # row 1: only |3| clears its half-gap 1; row 2: nothing clears
-        np.testing.assert_array_equal(out, [3.0, 0.0])
-
-    def test_infinite_gap_knocks_out_coordinate(self):
-        bank = MonteCarloBound(np.array([[9.0, 1.0]]))
-        out = m_statistic(bank, np.array([np.inf, 0.0]))
-        np.testing.assert_array_equal(out, [1.0])
-
-    def test_zero_gaps_give_row_max_abs(self):
-        rng = np.random.default_rng(2)
-        samples = rng.standard_normal((50, 4))
-        out = m_statistic(MonteCarloBound(samples), np.zeros(4))
-        np.testing.assert_allclose(out, np.abs(samples).max(axis=1), rtol=1e-15)
-
-    @pytest.mark.parametrize("make", ["drawn", "drawn-2-blocks", "table", "signed"])
-    def test_zero_gaps_return_the_bank_row_maxima(self, make):
-        rng = np.random.default_rng(4)
-        if make.startswith("drawn"):
-            n = 70_000 if make == "drawn-2-blocks" else 5_000
-            bank = draw_bank(EquicorrelatedSampler(3, 0.5), n, seed=9)
-        elif make == "table":
-            rows = rng.normal(size=(40, 3))
-            rows[::4] = 0.0  # all-zero rows, one of them signed zeros
-            rows[4] = -0.0
-            bank = MonteCarloBound(rows)
-        else:
-            bank = MonteCarloBound(rng.normal(size=(30, 5)))
-        a = bank.abs_samples
-        out = m_statistic(bank, np.zeros(bank.m))
-        # bit for bit the per-row scan that nonzero gaps still make
-        assert out.tobytes() == np.where(a > 0.0, a, 0.0).max(axis=1).tobytes()
-        assert out is bank.row_max and not out.flags.writeable
-        with pytest.raises(ValueError):
-            out[0] = 1.0
-
-    def test_only_nonzero_gaps_scan_the_bank(self, monkeypatch):
-        bank = draw_bank(EquicorrelatedSampler(4, 0.3), 3_000, seed=2)
-        scans, blocks = [], MonteCarloBound.blocks
-
-        def counted(self):
-            scans.append(1)
-            return blocks(self)
-
-        monkeypatch.setattr(MonteCarloBound, "blocks", counted)
-        m_statistic(bank, np.zeros(4))
-        assert scans == []
-        gaps = np.array([0.0, 1.0, 0.0, 3.0])
-        out = m_statistic(bank, gaps)
-        assert scans == [1]
-        a = bank.abs_samples
-        assert out.tobytes() == np.where(a > 0.5 * gaps, a, 0.0).max(axis=1).tobytes()
-
-    def test_validation(self):
-        bank = MonteCarloBound(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            m_statistic(bank, np.array([1.0]))
-        with pytest.raises(ValueError):
-            m_statistic(bank, np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            m_statistic(bank, np.array([1.0, np.nan]))
-
-
 class TestMcQuantile:
+    """The order index of the conservative Monte-Carlo quantile."""
+
     def test_order_index(self):
         assert mc_order_index(0.9, 10) == 9
         assert mc_order_index(0.95, 10) == 10
@@ -210,21 +145,3 @@ class TestMcQuantile:
             mc_order_index(1.0, 10)
         with pytest.raises(ValueError):
             mc_order_index(0.5, 0)
-
-    def test_quantile_is_exact_order_statistic(self):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal(1001)
-        for level in (0.5, 0.9, 0.975):
-            k = mc_order_index(level, 1001)
-            assert mc_quantile(values, level) == np.sort(values)[k - 1]
-
-    def test_quantile_conservative_side(self):
-        values = np.arange(1.0, 11.0)  # 1..10
-        assert mc_quantile(values, 0.9) == 9.0
-        assert mc_quantile(values, 0.901) == 10.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mc_quantile(np.array([]), 0.5)
-        with pytest.raises(ValueError):
-            mc_quantile(np.array([1.0, np.nan]), 0.5)

@@ -34,6 +34,16 @@ class TestSelectionHelpers:
         with pytest.raises(ValueError):
             top_indices(x, 0)
 
+    def test_a_non_integral_k_is_refused(self):
+        # 2.0 once failed inside a slice with a TypeError; a NumPy integer is a k
+        p = gaussian_problem([10.0, 9.9, 0.0])
+        for k in (2.0, 1.5, "2", None):
+            for solve in (topk_interval, topk_stepdown):
+                with pytest.raises(ValueError, match="k must be an integer"):
+                    solve(p, k)
+        assert topk_interval(p, np.int64(2)) == topk_interval(p, 2)
+        assert topk_stepdown(p, np.int32(2)).r_max == topk_stepdown(p, 2).r_max
+
     def test_gaps_topk_hand_values(self):
         theta = np.array([10.0, 9.9, 0.0])
         np.testing.assert_allclose(gaps_topk(theta, 2), [0.0, 0.0, 9.9])
@@ -143,8 +153,8 @@ class TestTopkMonteCarlo:
         dhat = p.x[top_indices(p.x, k)[-1]] - p.x
         r0 = active_radius(bank, np.zeros(m), 0.1).r
         a = bank.abs_samples
-        points, accept = _mc_sweep(bank.n, 0.1, *merged_pieces(
-            np.maximum(dhat - 3.0 * a, 0.0), np.minimum(a, r0)), 0.0, r0)
+        starts, ends = merged_pieces(np.maximum(dhat - 3.0 * a, 0.0), np.minimum(a, r0))
+        points, accept = _mc_sweep(bank.n, 0.1, starts[starts > 0.0], ends, r0)
         mids = 0.5 * (points[:-1] + points[1:])
         direct = [_direct_topk_accepts(p.x, k, r, bank.abs_samples, 0.1) for r in mids]
         np.testing.assert_array_equal(accept, direct)
