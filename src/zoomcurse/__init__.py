@@ -16,7 +16,7 @@ from .meta import (IdentitySet, NearWinnerInterval, near_winner_interval,
 from .sampling import EquicorrelatedSampler, draw_bank
 from .scaled import ScaledProblem, winner_interval_scaled
 from .simulate import SimConfig, SimReport, run_simulation
-from .stepdown import StepdownStep, StepdownTrace, winner_interval_stepdown
+from .stepdown import StepdownTrace, winner_interval_stepdown
 from .tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
                     SubGaussianTail, UnionBound)
 from .topk import TopKResult, topk_interval, topk_stepdown
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveRadius", "EmpiricalTail", "EquicorrelatedSampler", "GaussianTail",
     "IdentitySet", "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval",
-    "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
-    "StepdownTrace", "SubGaussianTail", "TopKResult", "UnionBound",
+    "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownTrace",
+    "SubGaussianTail", "TopKResult", "UnionBound",
     "UnsupportedMethodError", "WinnerInterval",
     "active_radius", "draw_bank", "near_winner_interval", "population_value_interval",
     "run_simulation", "topk_interval", "topk_stepdown", "winner_identity_set",

@@ -13,6 +13,7 @@ smaller one row-for-row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,15 @@ import numpy as np
 from .tails import MonteCarloBound
 
 BLOCK_ROWS = 1 << 16
+
+
+def _check_count(name: str, value, low: int = 1) -> None:
+    """Refuse a count or seed that is not an integer (a Python or NumPy one)
+    of at least ``low``: a float one would be truncated or fail deep inside."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +46,7 @@ class EquicorrelatedSampler:
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        _check_count("m", self.m)
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
 
@@ -65,10 +74,8 @@ def draw_bank(sampler, n: int, seed: int) -> MonteCarloBound:
     fixed table of draws needs no sampler: ``MonteCarloBound(rows)`` is
     its bank.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_count("n", n)
+    _check_count("seed", seed, 0)
     bank = np.empty((n, sampler.m))
     for block, start in enumerate(range(0, n, BLOCK_ROWS)):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), block]))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Problem, _check_alpha, _check_grid_points, active_radius, winner_interval_grid
 from .meta import _identity_set
-from .sampling import EquicorrelatedSampler, draw_bank
+from .sampling import EquicorrelatedSampler, _check_count, draw_bank
 from .stepdown import winner_interval_stepdown
 from .tails import GaussianTail, UnionBound
 from .topk import topk_interval
@@ -73,21 +73,18 @@ class SimConfig:
     grid_points: int = 2001
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 1 <= self.m_winners <= self.m:
+        _check_count("m", self.m)
+        _check_count("m_winners", self.m_winners)
+        if self.m_winners > self.m:
             raise ValueError("m_winners must lie in [1, m]")
         if not 0 < self.gap_mult < np.inf:
             raise ValueError("gap_mult must be positive and finite")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         _check_alpha(self.alpha)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n_mc < 1:
-            raise ValueError("n_mc must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_count("trials", self.trials)
+        _check_count("n_mc", self.n_mc)
+        _check_count("seed", self.seed, 0)
         _check_grid_points(self.grid_points)
         methods = tuple(_parse_method(name) for name in self.methods)
         if not methods:

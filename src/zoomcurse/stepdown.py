@@ -14,8 +14,31 @@ alpha_j / (m - j + 1) assume one quantile function): the bound must be
 
 Both radii are clamped at the Bonferroni radius S_inv(alpha / m): the
 endpoint-equation roots never exceed it, so the clamped interval still
-contains the root interval.  A trace's steps record the walk as taken;
+contains the root interval.  A trace's arrays record the walk as taken;
 its ``radius`` is the clamped result.
+
+The walk runs in array passes rather than one rival at a time.  A pass
+starts from a guess of every step's refund and computes, for a prefix of
+the sorted gaps:
+
+- the budgets, as one cumulative sum of [alpha, -refund_0, ...].  It adds
+  left to right, so it rounds exactly as ``budget -= refund`` does;
+- the shares budget_j / (m - j) and all radii in one S_inv call.  A share
+  below ``MIN_TAIL_PROB`` has exhausted the budget: its radius is the
+  Bonferroni radius, and the walk stops there;
+- the first stop j*, and the refunds of the steps before it in one S call.
+
+Step j's budget depends only on the refunds before j.  So when a pass's
+refunds equal its guess on [0, j*), its budgets, radii and stop satisfy
+the sequential recurrence and stop rule exactly: they are the sequential
+walk's, digit for digit.  Step 0's budget is alpha in every pass, and a
+pass whose guess is exact before step p computes step p exactly, so the
+passes reach that fixed point within j* + 2 of them.  Steps past the first
+stop never enter, so a pass needs only a prefix that holds a stop; the
+prefix grows 4x while it holds none.  Above the anchor the refunds do not
+depend on the radii, so two passes settle each prefix.  Step 0's share is
+alpha / m, so its radius is the Bonferroni radius, and a walk that stops
+there needs no pass.
 """
 from __future__ import annotations
 
@@ -25,27 +48,27 @@ import numpy as np
 
 from .core import Problem, WinnerInterval, _check_alpha, _check_gaps
 from .errors import InfeasibleAlphaError, InternalCheckError, UnsupportedMethodError
-
-
-@dataclass(frozen=True)
-class StepdownStep:
-    coordinate: int
-    gap: float
-    budget: float
-    radius: float
-    stopped: bool
+from .tails import MIN_TAIL_PROB
 
 
 @dataclass(frozen=True)
 class StepdownTrace:
+    """The walk as taken: step j tested coordinate ``coordinates[j]``, whose
+    gap ``gaps[j]`` is the j-th largest, with budget ``budgets[j]`` and
+    radius ``radii[j]``; the last step is the one that stopped.  ``radius``
+    is the clamped result."""
+
     radius: float
     side: str
     alpha: float
-    steps: tuple = field(compare=False)
+    coordinates: np.ndarray = field(compare=False)
+    gaps: np.ndarray = field(compare=False)
+    budgets: np.ndarray = field(compare=False)
+    radii: np.ndarray = field(compare=False)
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return self.radii.size
 
 
 def marginal_model(bound):
@@ -57,43 +80,38 @@ def marginal_model(bound):
     return bound.models[0]
 
 
-def _sorted_gaps(gaps) -> tuple[np.ndarray, np.ndarray]:
-    gaps = _check_gaps(gaps, np.size(gaps))
-    order = np.argsort(-gaps, kind="stable")
-    return gaps[order], order
-
-
-def _isf(model, q: float) -> float:
-    if q <= 0.0:
-        raise InfeasibleAlphaError("error budget exhausted before the step-down stopped")
-    try:
-        return float(model.isf(q))
-    except ValueError as exc:
-        raise InfeasibleAlphaError(str(exc)) from exc
-
-
 def _walk(gaps, model, alpha: float, side: str) -> StepdownTrace:
     alpha = _check_alpha(alpha)
-    g, order = _sorted_gaps(gaps)
-    m = g.size
+    gaps = _check_gaps(gaps, np.size(gaps))
+    order = np.argsort(-gaps, kind="stable")
+    g, m = gaps[order], gaps.size
     lower = side == "lower"
-    r_bonf = _isf(model, alpha / m)
-    r_base = _isf(model, alpha)
-    budget = alpha
-    steps = []
-    for j in range(m):
-        try:
-            r = _isf(model, budget / (m - j))
-        except InfeasibleAlphaError:
-            # budget exhausted: the Bonferroni radius is valid on its own
-            r, stop = r_bonf, True
-        else:
-            stop = g[j] <= (4.0 if lower else 2.0) * r
-        steps.append(StepdownStep(int(order[j]), float(g[j]), budget, r, stop))
-        if stop:
-            return StepdownTrace(min(r, r_bonf), side, alpha, tuple(steps))
-        budget -= float(model.sf(((g[j] - r) if lower else (g[j] + r_base)) / 3.0))
-    raise InternalCheckError("step-down must stop at the zero gap")
+    try:
+        r_bonf, r_base = model.isf(np.array([alpha / m, alpha])).tolist()
+    except ValueError as exc:
+        raise InfeasibleAlphaError(str(exc)) from exc
+    if g[0] <= (4.0 if lower else 2.0) * r_bonf:  # step 0's share is alpha / m: no pass
+        return StepdownTrace(r_bonf, side, alpha, order[:1].copy(), g[:1].copy(),
+                             np.array([alpha]), np.array([r_bonf]))
+    refunds, n = np.zeros(m), min(4, m)  # each step's refund as last found; a prefix of n steps
+    while True:
+        budgets = np.cumsum(np.concatenate(([alpha], -refunds[:n - 1])))
+        shares = budgets / (m - np.arange(n))
+        live = shares >= MIN_TAIL_PROB  # elsewhere the budget is exhausted
+        radii = np.full(n, r_bonf)
+        radii[live] = model.isf(shares[live])
+        stops = ~live | (g[:n] <= (4.0 if lower else 2.0) * radii)
+        j = int(np.argmax(np.append(stops, True)))  # the first stop, or n
+        found = model.sf(((g[:j] - radii[:j]) if lower else (g[:j] + r_base)) / 3.0)
+        if j < n and (found == refunds[:j]).all():
+            break
+        if j == m:
+            raise InternalCheckError("step-down must stop at the zero gap")
+        refunds[:j] = found
+        n = min(4 * n, m) if j == n else n  # grow the prefix while it holds no stop
+    # copies, so a trace does not keep m-long arrays alive
+    steps = [a[:j + 1].copy() for a in (order, g, budgets, radii)]
+    return StepdownTrace(min(float(radii[j]), r_bonf), side, alpha, *steps)
 
 
 def stepdown_lower(gaps, model, alpha: float) -> StepdownTrace:

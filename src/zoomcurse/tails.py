@@ -59,13 +59,22 @@ def _as_radii(r) -> np.ndarray:
     return arr
 
 
-def _check_prob(q: float) -> float:
-    q = float(q)
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"probability must lie in (0, 1], got {q}")
-    if q < MIN_TAIL_PROB:
-        raise ValueError(f"probability {q} below supported minimum {MIN_TAIL_PROB}")
+def _check_prob(q) -> np.ndarray:
+    """Levels as an array; the first out-of-range entry is refused as a
+    lone level would be."""
+    q = np.asarray(q, dtype=float)
+    bad = q[~((q >= MIN_TAIL_PROB) & (q <= 1.0))]  # NaN is bad too
+    if bad.size and 0.0 < bad[0] <= 1.0:
+        raise ValueError(f"probability {bad[0]} below supported minimum {MIN_TAIL_PROB}")
+    if bad.size:
+        raise ValueError(f"probability must lie in (0, 1], got {bad[0]}")
     return q
+
+
+def _scalar(out):
+    """A float for a lone value, the array otherwise: ``sf`` and ``isf``
+    answer a scalar with a float and an array with an array."""
+    return out if out.ndim else float(out)
 
 
 # Every tail model evaluates S through a static ``_tail(r, param)`` on radii
@@ -74,8 +83,7 @@ def _check_prob(q: float) -> float:
 # coordinates in one call.
 
 def _sf(model, r):
-    out = model._tail(_as_radii(r), model._param)
-    return out if out.ndim else float(out)
+    return _scalar(model._tail(_as_radii(r), model._param))
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,9 @@ class GaussianTail:
         return _sf(self, r)
 
     def isf(self, q):
-        q = _check_prob(q)
         # Phi^{-1}(1 - q/2) = -Phi^{-1}(q/2); the latter keeps full precision
         # for small q.
-        return float(-ndtri(0.5 * q) * self.scale)
+        return _scalar(-ndtri(0.5 * _check_prob(q)) * self.scale)
 
 
 @dataclass(frozen=True)
@@ -129,9 +136,12 @@ class SubGaussianTail:
 
     def isf(self, q):
         q = _check_prob(q)
-        if q >= 1.0:
-            return 0.0  # S(0) clamps to 1, so every radius is feasible
-        return float(self.proxy * math.sqrt(2.0 * math.log(2.0 / q)))
+        # entry by entry with math.log: np.log differs from it in the last
+        # digit on some levels, and feasible_radius reads these digits.
+        # S(0) clamps to 1, so at level 1 every radius is feasible.
+        r = [0.0 if v >= 1.0 else self.proxy * math.sqrt(2.0 * math.log(2.0 / v))
+             for v in q.flat]
+        return _scalar(np.reshape(r, q.shape))
 
 
 @dataclass(frozen=True)
@@ -172,10 +182,9 @@ class EmpiricalTail:
         return _sf(self, r)
 
     def isf(self, q):
-        q = _check_prob(q)
         # survival values are strictly decreasing across knots, so the
         # inverse is plain interpolation on the reversed arrays
-        return float(np.interp(q, self._knots_s[::-1], self._knots_r[::-1]))
+        return _scalar(np.interp(_check_prob(q), self._knots_s[::-1], self._knots_r[::-1]))
 
 
 # families whose coordinates share one tail formula with a scalar parameter
@@ -270,8 +279,7 @@ class UnionBound:
         tails = np.empty(w.shape)  # C order: a row of a stack sums as a lone row
         for cols, tail, param, _ in self._families:
             tails[..., cols] = tail(w[..., cols], param)
-        out = np.minimum(tails.sum(axis=-1), 1.0)
-        return out if out.ndim else float(out)
+        return _scalar(np.minimum(tails.sum(axis=-1), 1.0))
 
 
 def _block_rows(m: int) -> int:

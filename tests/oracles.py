@@ -9,7 +9,9 @@ replaced, the three-sort breakpoint sweep that counting by rank replaced,
 and the union radius search that asks
 for one step's cells per exceedance call, which the look-ahead search
 replaced, and the bisection that solved ``active_radius`` under a union
-bound before that search took it over.  ``bank_exceedance`` is a bank's
+bound before that search took it over.  ``stepdown_walk`` is the
+sequential step-down walk, one rival per step, that the array passes of
+``stepdown._walk`` replaced.  ``bank_exceedance`` is a bank's
 joint exceedance counted row by row, which no solver asks a bank for.
 ``CountingBound`` is a stack bound that is not a ``UnionBound``, and
 ``blocked_bank`` a bank over an array, read in blocks of a chosen size.
@@ -30,6 +32,7 @@ from zoomcurse.core import (MAX_SEARCH_STEPS, RADIUS_TOL, _check_scores, _mc_acc
 from zoomcurse.errors import InternalCheckError
 from zoomcurse.scaled import _check_sigma
 from zoomcurse.simulate import SimConfig
+from zoomcurse.stepdown import StepdownTrace
 from zoomcurse.tails import GaussianTail, UnionBound
 from zoomcurse.topk import top_indices
 
@@ -462,3 +465,36 @@ def active_radius_bisection(bound, gaps, alpha: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def stepdown_walk(gaps, model, alpha: float, side: str) -> StepdownTrace:
+    """The step-down trace walked one sorted gap at a time.
+
+    Each step reads its radius S_inv(budget / (m - j)) and, unless it stops,
+    subtracts its refund from the budget: S((gap - radius) / 3) below the
+    anchor (stop once the gap is within 4 radii), S((gap + S_inv(alpha)) / 3)
+    above it (within 2 radii).  A share the tail model refuses has exhausted
+    the budget: that step stops at the Bonferroni radius S_inv(alpha / m),
+    which also clamps the result.  Each radius and refund is read through a
+    one-entry array, which gives the digits of every entry of a longer one.
+    """
+    g = np.asarray(gaps, dtype=float)
+    order = np.argsort(-g, kind="stable")
+    g, m = g[order], g.size
+    lower = side == "lower"
+    r_bonf, r_base = model.isf(alpha / m), model.isf(alpha)
+    budget, steps = alpha, []
+    for j in range(m):
+        try:
+            r = float(model.isf(np.array([budget / (m - j)]))[0])
+        except ValueError:
+            r, stop = r_bonf, True
+        else:
+            stop = g[j] <= (4.0 if lower else 2.0) * r
+        steps.append((order[j], g[j], budget, r))
+        if stop:
+            # columns: coordinates, gaps, budgets, radii
+            return StepdownTrace(min(r, r_bonf), side, alpha, *map(np.array, zip(*steps)))
+        refund = ((g[j] - r) if lower else (g[j] + r_base)) / 3.0
+        budget -= float(model.sf(np.array([refund]))[0])
+    raise InternalCheckError("step-down must stop at the zero gap")

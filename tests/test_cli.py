@@ -111,7 +111,11 @@ class TestWinnerCi:
         lo, hi = env["result"]["interval"]
         assert lo == pytest.approx(10.0 - 1.6816432014833371, abs=1e-9)
         assert hi == pytest.approx(10.0 + 1.6453568806843894, abs=1e-9)
-        assert env["diagnostics"]["lower_trace"]["side"] == "lower"
+        # the step-down trace is its four arrays, as JSON lists
+        trace = env["diagnostics"]["lower_trace"]
+        assert trace["side"] == "lower" and trace["coordinates"] == [1, 0]  # beta, alpha
+        assert trace["gaps"] == [10.0, 0.0] and trace["budgets"][0] == 0.1
+        assert trace["radii"][1] == trace["radius"] == pytest.approx(1.6816432014833371, abs=1e-9)
 
     def test_root_matches_stepdown_ordering(self, capsys, scores_csv):
         root = run_json(capsys, ["winner-ci", "--input", scores_csv,
@@ -679,18 +683,18 @@ def test_cli_import_loads_only_what_numpy_and_scipy_special_load():
 PUBLIC_NAMES = [
     "ActiveRadius", "EmpiricalTail", "EquicorrelatedSampler", "GaussianTail",
     "IdentitySet", "InfeasibleAlphaError", "MonteCarloBound", "NearWinnerInterval",
-    "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownStep",
-    "StepdownTrace", "SubGaussianTail", "TopKResult", "UnionBound",
-    "UnsupportedMethodError", "WinnerInterval", "active_radius", "draw_bank",
-    "near_winner_interval", "population_value_interval", "run_simulation",
-    "topk_interval", "topk_stepdown", "winner_identity_set", "winner_interval_grid",
-    "winner_interval_root", "winner_interval_scaled", "winner_interval_stepdown",
+    "Problem", "ScaledProblem", "SimConfig", "SimReport", "StepdownTrace",
+    "SubGaussianTail", "TopKResult", "UnionBound", "UnsupportedMethodError",
+    "WinnerInterval", "active_radius", "draw_bank", "near_winner_interval",
+    "population_value_interval", "run_simulation", "topk_interval", "topk_stepdown",
+    "winner_identity_set", "winner_interval_grid", "winner_interval_root",
+    "winner_interval_scaled", "winner_interval_stepdown",
 ]
 
 
 def test_public_surface_is_pinned():
     import zoomcurse
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30
     assert sorted(zoomcurse.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(zoomcurse, name) is not None

@@ -132,6 +132,20 @@ class TestDrawBank:
         with pytest.raises(ValueError, match="n must be >= 1"):
             draw_bank(EquicorrelatedSampler(2, 0.0), 0, seed=0)
 
+    def test_non_integral_counts_refused(self):
+        # seed 1.5 used to draw seed 1's bank, and a 2.5-wide sampler was
+        # built only to fail when it drew
+        sampler = EquicorrelatedSampler(2, 0.0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw_bank(sampler, 10, seed=1.5)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            draw_bank(sampler, 10.0, seed=1)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            EquicorrelatedSampler(2.5)
+        assert draw_bank(EquicorrelatedSampler(np.int64(2)), np.int32(10),
+                         seed=np.uint8(1)).abs_samples.tobytes() == \
+            draw_bank(sampler, 10, seed=1).abs_samples.tobytes()
+
 
 class TestMcQuantile:
     """The order index of the conservative Monte-Carlo quantile."""

@@ -37,6 +37,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize("key", ["m", "m_winners", "trials", "n_mc", "seed"])
+    def test_non_integral_counts_refused_naming_the_field(self, key):
+        # each used to fail deep inside run_simulation with a TypeError
+        kw = dict(m=3, m_winners=1, gap_mult=4.0, trials=2, n_mc=100, seed=0)
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            SimConfig(**{**kw, key: float(kw[key])})
+        assert SimConfig(**{**kw, key: np.int64(kw[key])}) == SimConfig(**kw)
+
     def test_overflowing_losers_mean_is_refused_naming_gap_mult(self):
         cfg = SimConfig(m=3, m_winners=1, gap_mult=1e308, trials=2, n_mc=100)
         with pytest.raises(ValueError, match="gap_mult"):

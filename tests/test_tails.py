@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zoomcurse.tails import (EmpiricalTail, GaussianTail, MonteCarloBound,
+from zoomcurse.tails import (MIN_TAIL_PROB, EmpiricalTail, GaussianTail, MonteCarloBound,
                              SubGaussianTail, UnionBound)
 
 # frozen from a 50-digit erf oracle
@@ -13,6 +13,27 @@ GAUSS_ISF = {
     0.01: 2.5758293035489007,
     0.001: 3.2905267314918948,
 }
+
+
+ISF_MODELS = (GaussianTail(0.6), SubGaussianTail(1.3),
+              EmpiricalTail(np.abs(np.random.default_rng(5).standard_t(5, size=300))))
+
+
+@pytest.mark.parametrize("model", ISF_MODELS, ids=lambda model: type(model).__name__)
+def test_array_isf_entries_are_scalar_calls(model):
+    # 200 000 levels log-uniform over the supported range, both ends included
+    levels = np.concatenate([[MIN_TAIL_PROB, 1.0],
+                             10.0 ** np.random.default_rng(0).uniform(-12, 0, 199_998)])
+    scalar = np.array([model.isf(float(q)) for q in levels])
+    assert isinstance(model.isf(0.5), float)
+    assert model.isf(levels).tobytes() == scalar.tobytes()
+    assert model.isf(levels.reshape(2, -1)).tobytes() == scalar.tobytes()
+    for bad in (0.0, 1e-13, 1.5, np.nan):
+        with pytest.raises(ValueError) as lone:
+            model.isf(bad)
+        with pytest.raises(ValueError) as inside:
+            model.isf(np.concatenate([levels[:5], [bad], levels[5:9]]))
+        assert str(inside.value) == str(lone.value)
 
 
 class TestGaussianTail:

@@ -111,8 +111,8 @@ class TestTopkStepdown:
         res = topk_stepdown(gaussian_problem([10.0, 9.9, 0.0]), 2)
         tr = res.diagnostics["trace"]
         assert tr.n_steps == 2
-        assert tr.steps[0].radius == pytest.approx(2.1280452341849847, abs=1e-12)
-        assert tr.steps[1].budget == pytest.approx(TOPK_SD_STEP2_BUDGET, abs=1e-12)
+        assert tr.radii[0] == pytest.approx(2.1280452341849847, abs=1e-12)
+        assert tr.budgets[1] == pytest.approx(TOPK_SD_STEP2_BUDGET, abs=1e-12)
         assert res.r_max == pytest.approx(TOPK_SD_RADIUS, abs=1e-9)
 
     def test_dominates_grid(self):
